@@ -154,6 +154,19 @@ class McTable:
         return {"experiment": self.experiment, "manifest": self.manifest, "rows": self.rows}
 
 
+def _model_manifest(model: SpectralModel) -> dict:
+    """Every field of ``model`` as JSON values, so the config hash covers all of it."""
+    return {
+        "degrees": [model.degrees.n_min, model.degrees.n_max],
+        "phi": model.phi.tolist(),
+        "psi": model.psi.tolist(),
+        "innov": model.innov.tolist(),
+        "alpha": model.alpha.values.tolist(),
+        "alpha_tail": float(model.alpha.tail_value),
+        "alpha_extended": bool(model.alpha.extended),
+    }
+
+
 def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
     desc = {
         "experiment": experiment,
@@ -163,8 +176,8 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
         "level": config.level,
         "n_directions": config.n_directions,
         "seed": config.seed,
-        "alpha": [float(a) for a in config.model.alpha.values],
-        "degrees": [config.model.degrees.n_min, config.model.degrees.n_max],
+        **_model_manifest(config.model),
+        "calibration": _model_manifest(config.null_model()),
     }
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
     return {**desc, "config_hash": digest, "version": __version__}

@@ -259,7 +259,7 @@ def critical_value(level: float, one_sided: bool = False) -> float:
 
 # --- reports ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TestReport:
     """Per-pair or per-direction standardized statistics and decisions."""
 
@@ -267,15 +267,18 @@ class TestReport:
     level: float
     one_sided: bool
     rows: list = field(default_factory=list)
+    crit: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "crit", critical_value(self.level, self.one_sided))
 
     def add(self, label: str, statistic: float, z: float) -> None:
-        crit = critical_value(self.level, self.one_sided)
         if self.one_sided:
             p = float(stats.norm.sf(z))
-            reject = z > crit
+            reject = z > self.crit
         else:
             p = float(2.0 * stats.norm.sf(abs(z)))
-            reject = abs(z) > crit
+            reject = abs(z) > self.crit
         self.rows.append(
             {
                 "label": label,

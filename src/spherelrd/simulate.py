@@ -4,21 +4,30 @@ Each harmonic coefficient (n, j) follows a scalar ARMA(p, q) recursion driven
 by Gaussian white noise with variance innov_n; the 2n+1 orders within a degree
 are i.i.d. copies.  When alpha(n) > 0 the ARMA output is passed through the
 truncated fractional-integration filter (1 - B)^(-alpha(n)), realized as an
-MA convolution with the standard fractional-differencing weights.  Filtering
-with exponent a multiplies the spectral density by |1 - e^{-iw}|^(-2a).
+MA convolution with the standard fractional-differencing weights (Hosking
+1981).  Filtering with exponent a multiplies the spectral density by
+|1 - e^{-iw}|^(-2a).
+
+The convolution is computed only for the T kept output rows: it reads the
+last truncation + T ARMA rows and multiplies their real FFT by the weights'
+spectrum, which depends only on (alpha, truncation, FFT length) and is cached
+per process.  The FFT is at least truncation + T long and only rows with the
+full filter depth are kept, so the circular wrap never reaches a kept row.
 
 Randomness comes from counter-based Philox streams keyed per
 (base_seed, stream_id, degree), so panels are bit-reproducible under any
-parallel decomposition.
+parallel decomposition.  Every degree draws burn_in (+ truncation when
+alpha(n) > 0) + T normals per order, whatever the filter computes.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import fft, signal
 
 from .harmonics import DegreeRange
 from .models import SpectralModel
@@ -97,6 +106,19 @@ def fractional_weights(alpha: float, truncation: int) -> np.ndarray:
     return psi
 
 
+# Distinct (alpha, truncation, FFT length) keys a process keeps; one
+# experiment needs one per distinct alpha(n) and sample length.
+_SPECTRUM_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _weight_spectrum(alpha: float, truncation: int, nfft: int) -> np.ndarray:
+    """Real FFT of psi_0..psi_K zero-padded to ``nfft``; read-only, shared by callers."""
+    spectrum = fft.rfft(fractional_weights(alpha, truncation), nfft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def simulate_panel(
     model: SpectralModel,
     T: int,
@@ -122,12 +144,17 @@ def simulate_panel(
         b = np.concatenate(([1.0], model.psi[i]))
         aa = np.concatenate(([1.0], -model.phi[i]))
         x = signal.lfilter(b, aa, eps, axis=0)
-        if a > 0:
-            psi = fractional_weights(a, frac.truncation)
-            # conv[t] = sum_k psi_k x_{t-k}; rows >= pre have full filter depth
-            x = signal.fftconvolve(x, psi[:, None], mode="full", axes=0)[: pre + T]
         off = degrees.column_offset(n)
-        data[:, off : off + m] = x[pre:]
+        if a > 0:
+            # conv[t] = sum_k psi_k x_{t-k} for the kept t >= pre reads only
+            # x[pre-K:]; rows K..K+T-1 of its circular convolution are exact
+            K = frac.truncation
+            nfft = fft.next_fast_len(K + T, real=True)
+            xs = fft.rfft(x[pre - K :], nfft, axis=0)
+            xs *= _weight_spectrum(a, K, nfft)[:, None]
+            data[:, off : off + m] = fft.irfft(xs, nfft, axis=0)[K : K + T]
+        else:
+            data[:, off : off + m] = x[pre:]
     return CoefficientPanel(T=T, degrees=degrees, data=data)
 
 

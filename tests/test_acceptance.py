@@ -14,7 +14,7 @@ from scipy import stats
 
 from spherelrd.harmonics import DegreeRange, gauss_legendre_grid, harmonic_matrix
 from spherelrd.models import example_model, reference_spharma11, spectral_eigenvalue
-from spherelrd.simulate import SeedSpec, fractional_weights, simulate_panel
+from spherelrd.simulate import SeedSpec, _weight_spectrum, fractional_weights, simulate_panel
 from spherelrd.spectral import SmoothingSpec, fdft_panel, fejer_kernel, smoothed_cross_spectrum
 from spherelrd.lrdtest import (
     BandwidthRule,
@@ -279,5 +279,15 @@ def test_acceptance_oracle_thread_invariance():
     base = dict(T_values=(256,), R=12, seed=321)
     t1 = run_size(ExperimentConfig(model=model, threads=1, **base))
     t2 = run_size(ExperimentConfig(model=model, threads=2, **base))
-    ok = t1.rows == t2.rows
-    _verdict("oracle: results independent of worker count", ok, f"{len(t1.rows)} rows compared")
+    # under the alternative the fractional filter runs; the pool runs first on
+    # an empty weight-spectrum cache, so each worker fills its own
+    _weight_spectrum.cache_clear()
+    alt = dict(model=example_model(1, 1, 2), T_values=(64,), R=6, seed=321)
+    p2 = run_power(ExperimentConfig(threads=2, **alt))
+    p1 = run_power(ExperimentConfig(threads=1, **alt))
+    ok = t1.rows == t2.rows and p1.rows == p2.rows
+    _verdict(
+        "oracle: results independent of worker count",
+        ok,
+        f"{len(t1.rows)} size and {len(p1.rows)} power rows compared",
+    )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spherelrd.harmonics import DegreeRange
 from spherelrd.models import build_spharma, example_model
 from spherelrd.harness import (
     ExperimentConfig,
@@ -197,6 +198,15 @@ def test_manifest_content(small_model):
     assert man["degrees"] == [1, 2]
     assert len(man["config_hash"]) == 16
     assert "version" in man
+
+
+def test_config_hash_covers_arma_coefficients():
+    degrees = DegreeRange(1, 2)
+    hashes = {
+        run_size(_config(build_spharma(degrees, [[phi], [0.2]], []), R=1)).manifest["config_hash"]
+        for phi in (0.3, 0.4)
+    }
+    assert len(hashes) == 2
 
 
 def test_same_seed_same_table(small_model):

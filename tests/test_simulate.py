@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy import fft, signal
 
 from spherelrd.harmonics import DegreeRange
-from spherelrd.models import AlphaProfile, build_spharma, reference_spharma11
+from spherelrd.models import AlphaProfile, build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import (
     CoefficientPanel,
     FracFilterSpec,
     SeedSpec,
     SimulationError,
+    _weight_spectrum,
     fractional_weights,
     read_panel_csv,
     simulate_panel,
@@ -34,6 +36,48 @@ def test_fractional_weights_basics():
         fractional_weights(1.0, 5)
     with pytest.raises(SimulationError):
         fractional_weights(-0.1, 5)
+
+
+def _full_convolution_panel(model, T, seed, frac=FracFilterSpec()):
+    """Reference simulator: the same draws and ARMA step, then the truncated MA
+    evaluated by direct full-length convolution over the whole pre-sample."""
+    data = np.empty((T, model.degrees.dim))
+    for i, n in enumerate(model.degrees.degrees):
+        m = 2 * n + 1
+        a = float(model.alpha.values[i])
+        pre = frac.burn_in + (frac.truncation if a > 0 else 0)
+        eps = seed.generator(n).standard_normal((pre + T, m)) * np.sqrt(model.innov[i])
+        b = np.concatenate(([1.0], model.psi[i]))
+        aa = np.concatenate(([1.0], -model.phi[i]))
+        x = signal.lfilter(b, aa, eps, axis=0)
+        if a > 0:
+            psi = fractional_weights(a, frac.truncation)
+            x = np.column_stack(
+                [np.convolve(x[:, j], psi, mode="full")[: pre + T] for j in range(m)]
+            )
+        off = model.degrees.column_offset(n)
+        data[:, off : off + m] = x[pre:]
+    return data
+
+
+def test_fractional_filter_matches_full_convolution():
+    model = example_model(1, 1, 2)
+    seed = SeedSpec(base_seed=31, stream_id=4)
+    K = FracFilterSpec().truncation
+    assert fft.next_fast_len(K + 48, real=True) == K + 48  # no zero padding at T = 48
+    for T in (2, 48, 50, 1000):
+        ref = _full_convolution_panel(model, T, seed)
+        got = simulate_panel(model, T, seed).data
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # the cached spectrum is keyed by FFT length: a T = 1000 call in between
+    # leaves the T = 50 panel bit-identical
+    _weight_spectrum.cache_clear()
+    first = simulate_panel(model, 50, seed).data
+    simulate_panel(model, 1000, seed)
+    again = simulate_panel(model, 50, seed).data
+    np.testing.assert_array_equal(first, again)
+    assert _weight_spectrum.cache_info().hits == 2  # the second T = 50, both degrees
+    assert not _weight_spectrum(0.3, 10, 16).flags.writeable
 
 
 def test_seed_spec_validation():
