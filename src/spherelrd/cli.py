@@ -43,7 +43,14 @@ from .harness import (
     run_power,
     run_size,
 )
-from .lrdtest import bandwidth, BandwidthRule, null_moments, projected_test, TestError
+from .lrdtest import (
+    TestError,
+    bandwidth,
+    default_pairs,
+    null_moments,
+    pair_degrees,
+    projected_test,
+)
 from .models import ModelError
 from .simulate import SeedSpec, SimulationError, simulate_panel, write_panel_csv
 from .spectral import SmoothingSpec, fdft_panel, write_spectrum_csv
@@ -92,15 +99,18 @@ def _emit_table(table, args, name: str) -> None:
         table.write_manifest(_out_path(args, f"{name}_manifest.json"))
 
 
-def _single_panel(doc, args):
-    config = experiment_from_config(doc, seed=args.seed, T=args.T, threads=args.threads)
+def _experiment(doc, args):
+    return experiment_from_config(doc, seed=args.seed, T=args.T, threads=args.threads)
+
+
+def _single_panel(config, degrees=None):
     T = config.T_values[0]
-    panel = simulate_panel(config.model, T, SeedSpec(base_seed=config.seed, stream_id=0))
-    return config, T, panel
+    seed = SeedSpec(base_seed=config.seed, stream_id=0)
+    return T, simulate_panel(config.model, T, seed, degrees=degrees)
 
 
 def _cmd_simulate(doc, args) -> None:
-    _, _, panel = _single_panel(doc, args)
+    _, panel = _single_panel(_experiment(doc, args))
     if args.format == "json":
         payload = {
             "T": panel.T,
@@ -115,7 +125,8 @@ def _cmd_simulate(doc, args) -> None:
 
 
 def _cmd_spectrum(doc, args) -> None:
-    config, T, panel = _single_panel(doc, args)
+    config = _experiment(doc, args)
+    T, panel = _single_panel(config)
     B = bandwidth(T, config.rule())
     dft = fdft_panel(panel)
     pairs = [((n, j), (n, j)) for n, j in panel.degrees.index_list()]
@@ -126,13 +137,12 @@ def _cmd_spectrum(doc, args) -> None:
 
 
 def _cmd_test(doc, args) -> None:
-    config, T, panel = _single_panel(doc, args)
+    config = _experiment(doc, args)
+    pairs = default_pairs(config.model.degrees, config.n_directions)
+    T, panel = _single_panel(config, degrees=pair_degrees(pairs))
     B = bandwidth(T, config.rule())
-    calib = config.null_model()
-    moments = null_moments(calib, T, B)
-    report = projected_test(
-        fdft_panel(panel), calib, level=config.level, moments=moments
-    )
+    moments = null_moments(config.null_model(), T, B)
+    report = projected_test(fdft_panel(panel), moments, pairs=pairs, level=config.level)
     if args.format == "json":
         report.write_json(_out_path(args, "test_report.json"))
     else:
@@ -172,13 +182,13 @@ def _dispatch(args) -> None:
         _cmd_validate_model(doc, args)
     elif args.command in _MC:
         name, runner = _MC[args.command]
-        config = experiment_from_config(doc, seed=args.seed, T=args.T, threads=args.threads)
+        config = _experiment(doc, args)
         _emit_table(runner(config), args, name)
     elif args.command == "mc-divergence":
-        config = experiment_from_config(doc, seed=args.seed, T=args.T, threads=args.threads)
+        config = _experiment(doc, args)
         _emit_table(run_divergence(config, mode=table_mode(doc)), args, "divergence")
     elif args.command == "mc-sweep":
-        config = experiment_from_config(doc, seed=args.seed, T=args.T, threads=args.threads)
+        config = _experiment(doc, args)
         mode = doc.get("experiment", {}).get("mode", "expected")
         _emit_table(
             run_bandwidth_sweep(config, betas=sweep_betas(doc), mode=mode),

@@ -6,6 +6,10 @@ by counter-based streams (stream_id = replication index), so results are
 identical for any worker count.  Parallelism is replication-level via
 ``concurrent.futures.ProcessPoolExecutor``; aggregation is order-independent
 summation over per-replication results.
+
+Rejection experiments (size, power) simulate only the degrees their pairs
+touch and form only the entries those pairs name; per-degree streams make
+this exact, not an approximation.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .lrdtest import (
     bandwidth,
     default_pairs,
     null_moments,
+    pair_degrees,
     projected_hs_norm,
     projected_test,
     statistic_matrix,
@@ -81,6 +86,13 @@ class ExperimentConfig:
             raise HarnessError("R must be >= 1")
         if not 0.0 < self.level < 1.0:
             raise HarnessError("level must lie in (0, 1)")
+        available = len(default_pairs(self.model.degrees, count=None))
+        if not 1 <= self.n_directions <= available:
+            raise HarnessError(
+                f"directions must lie in [1, {available}] for degrees "
+                f"{self.model.degrees.n_min}..{self.model.degrees.n_max}, "
+                f"got {self.n_directions}"
+            )
         ts = tuple(int(t) for t in self.T_values)
         if not ts:
             raise HarnessError("need at least one sample length")
@@ -190,13 +202,12 @@ def _binomial_se(rate: float, R: int) -> float:
 # --- worker functions (top-level for pickling) ------------------------------
 
 def _rejections_chunk(args) -> np.ndarray:
-    model, moments, pairs, T, level, seed, streams = args
+    model, degrees, moments, pairs, T, level, seed, streams = args
     counts = np.zeros(len(pairs))
     for r in streams:
-        panel = simulate_panel(model, T, SeedSpec(base_seed=seed, stream_id=r))
-        report = projected_test(
-            fdft_panel(panel), model, pairs=pairs, level=level, moments=moments
-        )
+        seed_r = SeedSpec(base_seed=seed, stream_id=r)
+        panel = simulate_panel(model, T, seed_r, degrees=degrees)
+        report = projected_test(fdft_panel(panel), moments, pairs=pairs, level=level)
         counts += np.array(report.rejections(), dtype=float)
     return counts
 
@@ -283,12 +294,13 @@ def _rejection_experiment(
 ) -> McTable:
     table = McTable(name, manifest=_config_manifest(config, name))
     pairs = default_pairs(model.degrees, config.n_directions)
+    degrees = pair_degrees(pairs)
     for T in config.T_values:
         B = bandwidth(T, config.rule())
         moments = null_moments(calib, T, B)
         results = _map_reduce(
             _rejections_chunk,
-            lambda c: (model, moments, pairs, T, config.level, config.seed, c),
+            lambda c: (model, degrees, moments, pairs, T, config.level, config.seed, c),
             config.R,
             config.threads,
         )

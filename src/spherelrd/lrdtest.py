@@ -24,6 +24,7 @@ standard normal; rejection is two-sided at level alpha by default.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -140,9 +141,6 @@ class StatisticCoeffs:
             raise TestError(f"statistic matrix shape {m.shape} != ({D}, {D})")
         object.__setattr__(self, "matrix", m)
 
-    def entry(self, a: tuple[int, int], b: tuple[int, int]) -> complex:
-        return complex(self.matrix[self.degrees.column(*a), self.degrees.column(*b)])
-
 
 def statistic_matrix(dft: DftPanel, B: float) -> StatisticCoeffs:
     """Evaluate S[a, b] for every ordered pair of basis columns."""
@@ -151,17 +149,6 @@ def statistic_matrix(dft: DftPanel, B: float) -> StatisticCoeffs:
     A = dft.coeffs[1:]
     mat = math.sqrt(T) * (2 * np.pi / T) * ((A * g[:, None]).T @ np.conj(A))
     return StatisticCoeffs(T=T, B=B, degrees=dft.degrees, matrix=mat)
-
-
-def statistic_coefficient(
-    dft: DftPanel, a: tuple[int, int], b: tuple[int, int], B: float
-) -> complex:
-    """Single entry S[a, b] without forming the full matrix."""
-    T = dft.T
-    g = g_weights(T, B)[1:]
-    ca = dft.column(*a)[1:]
-    cb = dft.column(*b)[1:]
-    return complex(math.sqrt(T) * (2 * np.pi / T) * np.sum(g * ca * np.conj(cb)))
 
 
 # --- null calibration -------------------------------------------------------
@@ -250,6 +237,7 @@ def null_moments(
     return NullMoments(T=T, B=B, mean_diag=mean_diag, second_moment=second)
 
 
+@functools.lru_cache(maxsize=16)
 def critical_value(level: float, one_sided: bool = False) -> float:
     if not 0.0 < level < 1.0:
         raise TestError(f"level must lie in (0, 1), got {level}")
@@ -273,20 +261,26 @@ class TestReport:
         object.__setattr__(self, "crit", critical_value(self.level, self.one_sided))
 
     def add(self, label: str, statistic: float, z: float) -> None:
+        self.extend([label], [statistic], [z])
+
+    def extend(self, labels, statistics, zs) -> None:
+        """Append one row per label, deciding all of them in one vector call."""
+        zs = np.asarray(zs, dtype=float)
         if self.one_sided:
-            p = float(stats.norm.sf(z))
-            reject = z > self.crit
+            p = stats.norm.sf(zs)
+            reject = zs > self.crit
         else:
-            p = float(2.0 * stats.norm.sf(abs(z)))
-            reject = abs(z) > self.crit
-        self.rows.append(
+            p = 2.0 * stats.norm.sf(np.abs(zs))
+            reject = np.abs(zs) > self.crit
+        self.rows.extend(
             {
                 "label": label,
-                "statistic": float(statistic),
+                "statistic": float(s),
                 "z": float(z),
-                "p": p,
-                "reject": bool(reject),
+                "p": float(pv),
+                "reject": bool(rej),
             }
+            for label, s, z, pv, rej in zip(labels, statistics, zs, p, reject)
         )
 
     def rejections(self) -> list[bool]:
@@ -320,50 +314,45 @@ class TestReport:
                 )
 
 
-def default_pairs(degrees: DegreeRange, count: int = 8) -> list:
-    """First ``count`` diagonal pairs (n, j) = (h, l) in lexicographic order."""
+def default_pairs(degrees: DegreeRange, count: int | None = 8) -> list:
+    """First ``count`` (default 8, None for all) diagonal pairs (n, j) = (h, l)
+    with n >= 1, in lexicographic order."""
     pairs = [((n, j), (n, j)) for n, j in degrees.index_list() if n >= 1]
     return pairs[:count]
 
 
+def pair_degrees(pairs) -> DegreeRange:
+    """Smallest degree range holding every basis function the pairs name."""
+    touched = [n for pair in pairs for n, _ in pair]
+    return DegreeRange(min(touched), max(touched))
+
+
 def projected_test(
     dft: DftPanel,
-    model: SpectralModel,
+    moments: NullMoments,
     pairs=None,
     level: float = 0.05,
     one_sided: bool = False,
-    allow_alternative: bool = False,
-    moments: NullMoments | None = None,
 ) -> TestReport:
-    """Standardize selected entries of S against their null moments."""
-    B = moments.B if moments is not None else None
-    if moments is None:
-        raise TestError("projected_test requires precomputed NullMoments")
+    """Standardize selected entries of S against their null moments.
+
+    Only the requested entries are formed, each from its two gathered DFT
+    columns: S[a, b] = sqrt(T) (2 pi / T) sum_v g_v A[v, a] conj(A[v, b]).
+    """
     if pairs is None:
         pairs = default_pairs(dft.degrees)
-    coeffs = statistic_matrix(dft, moments.B)
+    T = dft.T
+    g = g_weights(T, moments.B)[1:]
+    A = dft.coeffs[1:]
+    ia = [dft.degrees.column(*a) for a, _ in pairs]
+    ib = [dft.degrees.column(*b) for _, b in pairs]
+    s = math.sqrt(T) * (2 * np.pi / T) * (g @ (A[:, ia] * np.conj(A[:, ib]))).real
+    mean = np.array([moments.mean(a, b) for a, b in pairs])
+    sd = np.sqrt([moments.variance(a, b) for a, b in pairs])
     report = TestReport(mode="projected", level=level, one_sided=one_sided)
-    for a, b in pairs:
-        s = coeffs.entry(a, b).real
-        z = (s - moments.mean(a, b)) / math.sqrt(moments.variance(a, b))
-        report.add(f"({a[0]},{a[1]})x({b[0]},{b[1]})", s, z)
+    labels = [f"({a[0]},{a[1]})x({b[0]},{b[1]})" for a, b in pairs]
+    report.extend(labels, s, (s - mean) / sd)
     return report
-
-
-def run_projected_test(
-    dft: DftPanel,
-    model: SpectralModel,
-    B: float,
-    pairs=None,
-    level: float = 0.05,
-    one_sided: bool = False,
-    allow_alternative: bool = False,
-) -> TestReport:
-    """Convenience wrapper computing the null moments internally."""
-    moments = null_moments(model, dft.T, B, allow_alternative=allow_alternative)
-    return projected_test(
-        dft, model, pairs=pairs, level=level, one_sided=one_sided, moments=moments
-    )
 
 
 # --- random directions ------------------------------------------------------
@@ -436,12 +425,10 @@ def _degree_of_column(degrees: DegreeRange) -> np.ndarray:
 
 def random_projection_test(
     dft: DftPanel,
-    model: SpectralModel,
     directions,
+    moments: NullMoments,
     level: float = 0.05,
     one_sided: bool = False,
-    allow_alternative: bool = False,
-    moments: NullMoments | None = None,
 ) -> TestReport:
     """Project S - E[S] onto each direction and standardize the projection.
 
@@ -449,8 +436,6 @@ def random_projection_test(
     linear functional of jointly Gaussian entries, so its null variance is the
     bilinear form sum_ab Y[a, b] (Y[a, b] + Y[b, a]) V2(n_a, n_b).
     """
-    if moments is None:
-        raise TestError("random_projection_test requires precomputed NullMoments")
     if isinstance(directions, Direction):
         directions = [directions]
     coeffs = statistic_matrix(dft, moments.B)

@@ -18,6 +18,10 @@ Randomness comes from counter-based Philox streams keyed per
 (base_seed, stream_id, degree), so panels are bit-reproducible under any
 parallel decomposition.  Every degree draws burn_in (+ truncation when
 alpha(n) > 0) + T normals per order, whatever the filter computes.
+
+A panel may cover a contiguous sub-range of the model's degrees.  Because a
+degree's stream does not depend on which other degrees are drawn, the
+sub-range panel equals the matching columns of the full panel bit for bit.
 """
 
 from __future__ import annotations
@@ -124,18 +128,25 @@ def simulate_panel(
     T: int,
     seed: SeedSpec,
     frac: FracFilterSpec = FracFilterSpec(),
+    degrees: DegreeRange | None = None,
 ) -> CoefficientPanel:
     """Draw one panel of length T from the model.
 
     The ARMA state starts at zero and runs ``frac.burn_in`` warm-up steps;
     degrees with alpha(n) > 0 additionally carry a pre-sample of length
-    ``frac.truncation`` consumed by the fractional convolution.
+    ``frac.truncation`` consumed by the fractional convolution.  ``degrees``
+    restricts the panel to a sub-range of ``model.degrees`` (default: all).
     """
     if T < 2:
         raise SimulationError("sample length must be at least 2")
-    degrees = model.degrees
+    full = model.degrees
+    if degrees is None:
+        degrees = full
+    elif not full.n_min <= degrees.n_min <= degrees.n_max <= full.n_max:
+        raise SimulationError(f"degrees {degrees} outside the model's {full}")
     data = np.empty((T, degrees.dim))
-    for i, n in enumerate(degrees.degrees):
+    for n in degrees.degrees:
+        i = n - full.n_min
         m = 2 * n + 1
         a = float(model.alpha.values[i])
         pre = frac.burn_in + (frac.truncation if a > 0 else 0)

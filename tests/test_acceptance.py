@@ -241,13 +241,14 @@ def test_acceptance_oracle_statistic_moments():
     T, R = 2000, 2000
     B = bandwidth(T, BandwidthRule(beta=0.25))
     m = null_moments(model, T, B)
+    col = model.degrees.column
     diag = np.empty(R)
     off = np.empty(R)
     for r in range(R):
         panel = simulate_panel(model, T, SeedSpec(base_seed=4242, stream_id=r))
         coeffs = statistic_matrix(fdft_panel(panel), B)
-        diag[r] = coeffs.entry((1, 1), (1, 1)).real
-        off[r] = coeffs.entry((1, 1), (2, 1)).real
+        diag[r] = coeffs.matrix[col(1, 1), col(1, 1)].real
+        off[r] = coeffs.matrix[col(1, 1), col(2, 1)].real
     se = diag.std(ddof=1) / math.sqrt(R)
     mean_err = abs(diag.mean() - m.mean_diag[1])
     var_rel = abs(diag.var(ddof=1) / (2.0 * m.second_moment[(1, 1)]) - 1.0)
@@ -285,9 +286,14 @@ def test_acceptance_oracle_thread_invariance():
     alt = dict(model=example_model(1, 1, 2), T_values=(64,), R=6, seed=321)
     p2 = run_power(ExperimentConfig(threads=2, **alt))
     p1 = run_power(ExperimentConfig(threads=1, **alt))
-    ok = t1.rows == t2.rows and p1.rows == p2.rows
+    # 20 directions touch degrees 1..4 of 1..8: the simulated sub-range must
+    # reach the pool workers unchanged
+    wide = dict(model=example_model(1), T_values=(64,), R=6, seed=321, n_directions=20)
+    w1 = run_power(ExperimentConfig(threads=1, **wide))
+    w2 = run_power(ExperimentConfig(threads=2, **wide))
+    ok = t1.rows == t2.rows and p1.rows == p2.rows and w1.rows == w2.rows
     _verdict(
         "oracle: results independent of worker count",
         ok,
-        f"{len(t1.rows)} size and {len(p1.rows)} power rows compared",
+        f"{len(t1.rows)} size and {len(p1.rows) + len(w1.rows)} power rows compared",
     )

@@ -189,6 +189,36 @@ def test_cli_test_report(tmp_path):
     assert len(payload["results"]) == 8
 
 
+def test_cli_test_report_honours_directions(tmp_path):
+    doc = dict(SMALL_DOC)
+    doc["experiment"] = dict(SMALL_DOC["experiment"], directions=5)
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["test", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "test_report.csv") as fh:
+        labels = [row[0] for row in list(csv.reader(fh))[1:]]
+    assert labels == [
+        "(1,1)x(1,1)", "(1,2)x(1,2)", "(1,3)x(1,3)", "(2,1)x(2,1)", "(2,2)x(2,2)"
+    ]
+
+
+def test_cli_rejects_too_many_directions_before_running(tmp_path, monkeypatch):
+    from spherelrd import harness
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(harness, "simulate_panel", no_replications)
+    doc = {
+        "model": {"generator": "example1", "degrees": [1, 8]},
+        "experiment": {"T": [128], "R": 3, "seed": 99, "directions": 200},
+    }
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["mc-power", "--config", cfg, "--out", str(out)]) == 1
+    assert not (out / "power.csv").exists()
+
+
 def test_cli_mc_size(tmp_path):
     cfg = _write_config(tmp_path, WN_DOC)
     out = tmp_path / "out"

@@ -50,6 +50,15 @@ def test_config_validation(small_model):
         ExperimentConfig(model=small_model, T_values=(50,))
 
 
+def test_config_rejects_directions_outside_available_pairs(small_model):
+    # degrees 1..2 hold 3 + 5 = 8 diagonal pairs
+    for bad in (0, -1, 9):
+        with pytest.raises(HarnessError, match="directions"):
+            ExperimentConfig(model=small_model, T_values=(256,), n_directions=bad)
+    for good in (1, 8):
+        assert _config(small_model, n_directions=good).n_directions == good
+
+
 def test_null_model_resolution(small_model, example1_model):
     assert _config(small_model).null_model() is small_model
     calib = _config(example1_model).null_model()

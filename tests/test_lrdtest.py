@@ -28,8 +28,6 @@ from spherelrd.lrdtest import (
     projected_hs_norm,
     projected_test,
     random_projection_test,
-    run_projected_test,
-    statistic_coefficient,
     statistic_matrix,
     window_indices,
 )
@@ -120,7 +118,8 @@ def test_statistic_matches_window_sum_definition(small_model):
             w = reduce_frequency(2 * np.pi * s / 64)
             brute += smoothed_cross_spectrum(dft, a, b, w, spec)
         brute *= math.sqrt(64) * 2 * np.pi / 64
-        assert coeffs.entry(a, b) == pytest.approx(brute, abs=1e-10)
+        entry = coeffs.matrix[dft.degrees.column(*a), dft.degrees.column(*b)]
+        assert entry == pytest.approx(brute, abs=1e-10)
 
 
 def test_statistic_hermitian_real_diagonal(small_dft):
@@ -131,13 +130,20 @@ def test_statistic_hermitian_real_diagonal(small_dft):
     assert np.all(np.diag(coeffs.matrix).real > 0)
 
 
-def test_statistic_coefficient_matches_matrix(small_dft):
-    B = 0.2
-    coeffs = statistic_matrix(small_dft, B)
-    for a, b in (((1, 1), (1, 1)), ((2, 5), (1, 3))):
-        assert statistic_coefficient(small_dft, a, b, B) == pytest.approx(
-            coeffs.entry(a, b), abs=1e-12
-        )
+def test_projected_test_matches_statistic_matrix(small_dft, small_model):
+    # The pair-only evaluation equals the full-matrix entries on diagonal and
+    # off-diagonal pairs, within and across degrees.
+    T = small_dft.T
+    moments = null_moments(small_model, T, 0.2)
+    pairs = [((1, 1), (1, 1)), ((2, 5), (2, 5)), ((2, 5), (1, 3)), ((1, 2), (1, 3))]
+    report = projected_test(small_dft, moments, pairs=pairs)
+    full = statistic_matrix(small_dft, 0.2).matrix
+    col = small_dft.degrees.column
+    for (a, b), row in zip(pairs, report.rows):
+        want = full[col(*a), col(*b)].real
+        assert row["statistic"] == pytest.approx(want, rel=1e-12)
+        sd = math.sqrt(moments.variance(a, b))
+        assert row["z"] == pytest.approx((want - moments.mean(a, b)) / sd, rel=1e-12)
 
 
 def test_statistic_quadratic_scaling(small_model):
@@ -215,7 +221,7 @@ def test_statistic_moments_match_monte_carlo(small_model):
     vals = np.empty(R)
     for r in range(R):
         panel = simulate_panel(small_model, T, SeedSpec(base_seed=808, stream_id=r))
-        vals[r] = statistic_matrix(fdft_panel(panel), B).entry((1, 1), (1, 1)).real
+        vals[r] = statistic_matrix(fdft_panel(panel), B).matrix[0, 0].real
     se = vals.std(ddof=1) / math.sqrt(R)
     assert abs(vals.mean() - m.mean_diag[1]) < 4 * se
     assert vals.var(ddof=1) == pytest.approx(2.0 * m.second_moment[(1, 1)], rel=0.25)
@@ -246,6 +252,24 @@ def test_report_rows_and_csv(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_report_extend_decides_like_scalar_formulas(one_sided):
+    # one vector call gives the rows the per-row scalar formulas give
+    zs = [-2.5, -0.3, 0.0, 1.7, 1.96, 3.2]
+    report = TestReport(mode="projected", level=0.05, one_sided=one_sided)
+    report.extend([f"r{k}" for k in range(len(zs))], np.multiply(zs, 10.0), np.array(zs))
+    crit = critical_value(0.05, one_sided)
+    for k, (z, row) in enumerate(zip(zs, report.rows)):
+        p = stats.norm.sf(z) if one_sided else 2.0 * stats.norm.sf(abs(z))
+        assert row == {
+            "label": f"r{k}",
+            "statistic": 10.0 * z,
+            "z": z,
+            "p": float(p),
+            "reject": (z if one_sided else abs(z)) > crit,
+        }
+
+
 def test_default_pairs():
     pairs = default_pairs(DegreeRange(1, 8))
     assert len(pairs) == 8
@@ -256,15 +280,15 @@ def test_default_pairs():
     assert all(a == b for a, b in pairs)
 
 
-def test_projected_test_requires_moments(small_dft, small_model):
-    with pytest.raises(TestError):
-        projected_test(small_dft, small_model)
+def test_projected_test_requires_moments(small_dft):
+    with pytest.raises(TypeError):
+        projected_test(small_dft)
 
 
 def test_projected_test_report(small_dft, small_model):
     T = small_dft.T
     B = bandwidth(T, BandwidthRule(beta=0.25))
-    report = run_projected_test(small_dft, small_model, B)
+    report = projected_test(small_dft, null_moments(small_model, T, B))
     assert len(report.rows) == 8
     assert all(np.isfinite(r["z"]) for r in report.rows)
     assert all(0.0 <= r["p"] <= 1.0 for r in report.rows)
@@ -314,9 +338,9 @@ def test_single_pair_direction_matches_projected_test(small_dft, small_model):
     B = bandwidth(T, BandwidthRule(beta=0.25))
     moments = null_moments(small_model, T, B)
     pair = ((2, 3), (2, 3))
-    proj = projected_test(small_dft, small_model, pairs=[pair], moments=moments)
+    proj = projected_test(small_dft, moments, pairs=[pair])
     direction = direction_from_pair(small_dft.degrees, *pair)
-    rand = random_projection_test(small_dft, small_model, direction, moments=moments)
+    rand = random_projection_test(small_dft, direction, moments)
     assert rand.rows[0]["z"] == pytest.approx(proj.rows[0]["z"], abs=1e-10)
     assert rand.rows[0]["reject"] == proj.rows[0]["reject"]
 
@@ -331,7 +355,7 @@ def test_zero_variance_direction_raises(small_dft, small_model):
         coeffs=np.zeros((8, 8)),
     )
     with pytest.raises(ZeroVarianceDirection):
-        random_projection_test(small_dft, small_model, zero, moments=moments)
+        random_projection_test(small_dft, zero, moments)
 
 
 def test_random_projection_report(small_dft, small_model):
@@ -339,7 +363,7 @@ def test_random_projection_report(small_dft, small_model):
     B = bandwidth(T, BandwidthRule(beta=0.25))
     moments = null_moments(small_model, T, B)
     dirs = [draw_direction(small_dft.degrees, seed=5, stream_id=k) for k in range(4)]
-    report = random_projection_test(small_dft, small_model, dirs, moments=moments)
+    report = random_projection_test(small_dft, dirs, moments)
     assert len(report.rows) == 4
     assert report.mode == "random-projection"
     assert all(np.isfinite(r["z"]) for r in report.rows)

@@ -111,6 +111,26 @@ def test_degree_streams_are_decomposition_invariant():
     np.testing.assert_array_equal(wide.data[:, :3], narrow.data)
 
 
+@pytest.mark.parametrize("T", [50, 1000])
+@pytest.mark.parametrize("model", [example_model(1), reference_spharma11()], ids=["ex1", "h0"])
+def test_degree_subrange_matches_full_panel_columns(model, T):
+    seed = SeedSpec(base_seed=31, stream_id=4)
+    full = simulate_panel(model, T, seed)
+    sub = simulate_panel(model, T, seed, degrees=DegreeRange(2, 4))
+    lo = model.degrees.column_offset(2)
+    hi = model.degrees.column_offset(4) + 9
+    assert sub.degrees == DegreeRange(2, 4)
+    assert np.array_equal(sub.data, full.data[:, lo:hi])
+
+
+def test_degree_subrange_outside_model_raises():
+    model = example_model(1, 1, 4)
+    seed = SeedSpec(base_seed=31)
+    for degrees in (DegreeRange(0, 2), DegreeRange(3, 5), DegreeRange(6, 7)):
+        with pytest.raises(SimulationError):
+            simulate_panel(model, 64, seed, degrees=degrees)
+
+
 def test_orders_within_degree_are_distinct(small_model):
     panel = simulate_panel(small_model, 256, SeedSpec(base_seed=2))
     assert not np.array_equal(panel.column(1, 1), panel.column(1, 2))
