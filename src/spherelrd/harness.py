@@ -4,12 +4,21 @@ bandwidth sweeps, and estimator-consistency decay.
 Every experiment is a pure function of (config, seed): replications are keyed
 by counter-based streams (stream_id = replication index), so results are
 identical for any worker count.  Parallelism is replication-level via
-``concurrent.futures.ProcessPoolExecutor``; aggregation is order-independent
-summation over per-replication results.
+``concurrent.futures.ProcessPoolExecutor``.
+
+Replications are cut into at most four chunks whose boundaries depend on R
+alone (``ceil(R / 4)`` replications each), never on the worker count.  The
+chunk results are reduced in chunk order, so floating-point sums group the
+same way at one worker and at many, and the tables agree bit for bit.
 
 Rejection experiments (size, power) simulate only the degrees their pairs
 touch and form only the entries those pairs name; per-degree streams make
 this exact, not an approximation.
+
+The consistency experiment reduces each replication to the diagonal smoothed
+periodogram of every column at every Fourier frequency, a (D, T) array from
+one ``smoothed_spectrum_grid`` call, and accumulates its sum and its sum of
+squares.
 """
 
 from __future__ import annotations
@@ -243,32 +252,34 @@ def _spectrum_moment_chunk(args) -> tuple:
     """Accumulate sums and squared sums of diagonal f_hat over the Fourier grid."""
     model, T, B, seed, streams = args
     spec = SmoothingSpec(bandwidth=B)
-    degrees = model.degrees
-    pairs = degrees.index_list()
-    acc = np.zeros((len(pairs), T))
-    acc2 = np.zeros((len(pairs), T))
+    acc = np.zeros((model.degrees.dim, T))
+    acc2 = np.zeros_like(acc)
     for r in streams:
         panel = simulate_panel(model, T, SeedSpec(base_seed=seed, stream_id=r))
-        dft = fdft_panel(panel)
-        for k, idx in enumerate(pairs):
-            vals = smoothed_spectrum_grid(dft, idx, idx, spec).real
-            acc[k] += vals
-            acc2[k] += vals**2
+        vals = smoothed_spectrum_grid(fdft_panel(panel), spec)
+        acc += vals
+        acc2 += np.square(vals, out=vals)
     return acc, acc2
 
 
-def _chunks(R: int, n_workers: int) -> list:
-    per = max(1, math.ceil(R / (4 * n_workers)))
+# Replication chunks per experiment and T.  A fixed count keeps the chunk
+# boundaries, and with them the grouping of floating-point sums across
+# chunks, the same for every worker count.
+_N_CHUNKS = 4
+
+
+def _chunks(R: int) -> list:
+    per = math.ceil(R / _N_CHUNKS)
     return [list(range(i, min(i + per, R))) for i in range(0, R, per)]
 
 
 def _map_reduce(worker, arg_builder, R: int, threads: int | None):
     n = thread_count(threads)
-    chunks = _chunks(R, n)
+    chunks = _chunks(R)
     args = [arg_builder(c) for c in chunks]
     if n == 1:
         return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=n) as pool:
+    with ProcessPoolExecutor(max_workers=min(n, len(args))) as pool:
         return list(pool.map(worker, args))
 
 

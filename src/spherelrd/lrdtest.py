@@ -39,6 +39,7 @@ from .spectral import (
     SmoothingSpec,
     SpectralError,
     epanechnikov_cdf,
+    kernel_row,
     reduce_frequency,
 )
 
@@ -106,23 +107,30 @@ def window_indices(T: int, B: float) -> np.ndarray:
     return np.concatenate([pos, T - pos[::-1]])
 
 
-def g_weights(T: int, B: float, spec: SmoothingSpec | None = None) -> np.ndarray:
+# Distinct (T, B) keys a process keeps; one experiment needs one per sample
+# length.
+_G_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_G_CACHE_SIZE)
+def g_weights(T: int, B: float) -> np.ndarray:
     """Aggregated smoothing weights g_v, v = 0..T-1 (g_0 reported but unused).
 
-    g_v = (2 pi / T) * sum over window indices s of W^(T)(w_s - w_v).
+    g_v = (2 pi / T) * sum over window indices s of W^(T)(w_s - w_v).  The
+    result depends on (T, B) only, so it is cached per process and returned
+    read-only, shared by every caller.
     """
-    if spec is None:
-        spec = SmoothingSpec(bandwidth=B)
     win = window_indices(T, B)
     # kernel row over index differences k = (s - v) mod T
-    diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
-    kern = spec.weight(diffs / spec.bandwidth) / spec.bandwidth
+    kern = kernel_row(T, SmoothingSpec(bandwidth=B)) / B
     ind = np.zeros(T)
     ind[win] = 1.0
     # sum_{s in win} kern[(s - v) % T] as a circular convolution (kern is
     # circularly even, so correlation and convolution coincide)
     g = np.fft.irfft(np.fft.rfft(ind) * np.fft.rfft(kern), n=T).real
-    return (2 * np.pi / T) * g
+    g = (2 * np.pi / T) * g
+    g.flags.writeable = False
+    return g
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,14 @@ modulus of a column is the periodogram of that coefficient series.  Smoothing
 uses a compactly supported weight kernel (Epanechnikov by default) periodized
 with bandwidth B in (0, 1) and summed over the Fourier grid s = 1..T-1; the
 zero frequency is always excluded.
+
+Because the periodized kernel depends only on the lag between two grid
+frequencies, one kernel row (``kernel_row``) serves every smoothing sum on
+the grid.  ``smoothed_spectrum_grid`` smooths the periodogram of every
+column of a panel in one pass: the kernel row and its FFT are formed once
+per call, and the columns of each degree share one batched FFT and inverse
+FFT.  Its result is bit-identical to smoothing each column on its own with
+the same circular convolution.
 """
 
 from __future__ import annotations
@@ -52,15 +60,6 @@ def epanechnikov_cdf(x):
     return val if val.shape else float(val)
 
 
-def weight_value(x):
-    return epanechnikov(x)
-
-
-def weight_l2_sq() -> float:
-    """Integral of W^2 over the real line (3/5 for Epanechnikov)."""
-    return 0.6
-
-
 def validate_weight_kernel(w, n_grid: int = 200001, tol: float = 1e-3) -> None:
     """Check the kernel axioms: even, nonnegative, support in [-1, 1], unit mass."""
     x = np.linspace(-1.5, 1.5, n_grid)
@@ -101,10 +100,15 @@ def reduce_frequency(omega):
     return red if red.shape else float(red)
 
 
-def periodized_weight(x, spec: SmoothingSpec):
-    """W^(T)(x) = (1/B) W(x_reduced / B) for B < 1 (single periodization term)."""
-    xr = reduce_frequency(x)
-    return spec.weight(np.asarray(xr) / spec.bandwidth) / spec.bandwidth
+def kernel_row(T: int, spec: SmoothingSpec) -> np.ndarray:
+    """W(reduce(w_k) / B) at every grid lag k = 0..T-1, before any scaling.
+
+    The periodized kernel W^(T)(w_s - w_v) depends on (s - v) mod T only, so
+    this one row serves every circulant smoothing sum on the grid.  Callers
+    apply their scale factors themselves, in an order that fixes their rounding.
+    """
+    diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
+    return spec.weight(diffs / spec.bandwidth)
 
 
 # --- DFT panel -------------------------------------------------------------
@@ -134,16 +138,8 @@ def fdft_panel(panel: CoefficientPanel) -> DftPanel:
     """Columnwise DFT with the (2 pi T)^(-1/2) normalization."""
     if panel.T < 2:
         raise SpectralError("need at least two time points")
-    coeffs = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * panel.T)
-    return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
-
-
-def fdft_direct(panel: CoefficientPanel) -> DftPanel:
-    """O(T^2) reference transform; kept as the oracle for the FFT path."""
-    t = np.arange(panel.T)
-    s = np.arange(panel.T)
-    ph = np.exp(-2j * np.pi * np.outer(s, t) / panel.T)
-    coeffs = ph @ panel.data / np.sqrt(2 * np.pi * panel.T)
+    coeffs = np.fft.fft(panel.data, axis=0)
+    coeffs /= np.sqrt(2 * np.pi * panel.T)
     return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
 
 
@@ -170,19 +166,30 @@ def smoothed_cross_spectrum(
     return complex(np.sum(wts * ca * np.conj(cb)))
 
 
-def smoothed_spectrum_grid(
-    dft: DftPanel,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    spec: SmoothingSpec,
-) -> np.ndarray:
-    """f_hat at every Fourier frequency w_s, s = 0..T-1, via circular convolution."""
+def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:
+    """Diagonal f_hat_{w_s}[a, a] for every column a and every s = 0..T-1, shape (D, T).
+
+    Each row is the circular convolution of the column's periodogram (s = 0
+    set to zero) with the kernel row, whose FFT is taken once per call.  The
+    columns of one degree are transformed together along the rows of a
+    (2n+1, T) buffer, which bounds the temporaries by the largest degree.
+    """
     T = dft.T
-    p = dft.column(*a) * np.conj(dft.column(*b))
-    p[0] = 0.0  # s = 0 excluded from the smoothing sum
-    diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
-    kern = (2 * np.pi / T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
-    return np.fft.ifft(np.fft.fft(p) * np.fft.fft(kern))
+    kf = np.fft.fft((2 * np.pi / T) * kernel_row(T, spec) / spec.bandwidth)
+    A = dft.coeffs
+    out = np.empty((dft.degrees.dim, T))
+    for n in dft.degrees.degrees:
+        lo = dft.degrees.column_offset(n)
+        p = np.empty((2 * n + 1, T), dtype=complex)
+        # one column at a time: a product over the whole panel runs another
+        # complex loop, whose imaginary parts are not exactly zero
+        for k in range(2 * n + 1):
+            np.multiply(A[:, lo + k], np.conj(A[:, lo + k]), out=p[k])
+        p[:, 0] = 0.0  # s = 0 excluded from the smoothing sum
+        F = np.fft.fft(p)
+        F *= kf
+        out[lo : lo + 2 * n + 1] = np.fft.ifft(F).real
+    return out
 
 
 def integrated_weighted_periodogram(
@@ -200,8 +207,7 @@ def integrated_weighted_periodogram(
     """
     T = dft.T
     p = dft.column(*a)[1:] * np.conj(dft.column(*b)[1:])
-    diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
-    kern = (2 * np.pi / T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
+    kern = (2 * np.pi / T) * kernel_row(T, spec) / spec.bandwidth
     # wbar_s = (2 pi / T) [sum of the kernel row minus the v = 0 term]
     row_total = kern.sum()
     s = np.arange(1, T)

@@ -291,9 +291,15 @@ def test_acceptance_oracle_thread_invariance():
     wide = dict(model=example_model(1), T_values=(64,), R=6, seed=321, n_directions=20)
     w1 = run_power(ExperimentConfig(threads=1, **wide))
     w2 = run_power(ExperimentConfig(threads=2, **wide))
-    ok = t1.rows == t2.rows and p1.rows == p2.rows and w1.rows == w2.rows
+    # the consistency sums are floating point: equal rows need the same
+    # chunk grouping at every worker count
+    cons = dict(model=example_model(1, 1, 2), T_values=(256, 1024), R=12, seed=321)
+    c1 = run_consistency(ExperimentConfig(threads=1, **cons))
+    c2 = run_consistency(ExperimentConfig(threads=2, **cons))
+    ok = t1.rows == t2.rows and p1.rows == p2.rows and w1.rows == w2.rows and c1.rows == c2.rows
     _verdict(
         "oracle: results independent of worker count",
         ok,
-        f"{len(t1.rows)} size and {len(p1.rows) + len(w1.rows)} power rows compared",
+        f"{len(t1.rows)} size, {len(p1.rows) + len(w1.rows)} power and "
+        f"{len(c1.rows)} consistency rows compared",
     )

@@ -68,10 +68,11 @@ def test_null_model_resolution(small_model, example1_model):
 
 
 def test_chunks_cover_range():
-    for R, n in ((1, 1), (17, 4), (100, 3)):
-        chunks = _chunks(R, n)
+    for R in (1, 3, 17, 100):
+        chunks = _chunks(R)
         flat = [i for c in chunks for i in c]
         assert flat == list(range(R))
+        assert len(chunks) <= 4
 
 
 def test_mc_table_roundtrip(tmp_path):

@@ -94,6 +94,12 @@ def test_g_weights_match_direct_sum():
         np.testing.assert_allclose(g, direct, atol=1e-12)
 
 
+def test_g_weights_cached_read_only():
+    g = g_weights(200, 0.12)
+    assert g_weights(200, 0.12) is g
+    assert not g.flags.writeable
+
+
 def test_g_weights_total_mass():
     # (2 pi / T) sum_v g_v approximates the window width sqrt(B)
     T = 1000

@@ -4,24 +4,52 @@ import numpy as np
 import pytest
 
 from spherelrd.harmonics import DegreeRange
+from spherelrd.models import example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import (
+    DftPanel,
     SmoothingSpec,
     SpectralError,
     epanechnikov,
     epanechnikov_cdf,
-    fdft_direct,
     fdft_panel,
     fejer_kernel,
     integrated_weighted_periodogram,
-    periodized_weight,
+    kernel_row,
     reduce_frequency,
     smoothed_cross_spectrum,
     smoothed_spectrum_grid,
     validate_weight_kernel,
-    weight_l2_sq,
     write_spectrum_csv,
 )
+
+
+# --- reference implementations ---------------------------------------------
+
+def fdft_direct(panel: CoefficientPanel) -> DftPanel:
+    """O(T^2) reference transform, the oracle for the FFT path."""
+    t = np.arange(panel.T)
+    s = np.arange(panel.T)
+    ph = np.exp(-2j * np.pi * np.outer(s, t) / panel.T)
+    coeffs = ph @ panel.data / np.sqrt(2 * np.pi * panel.T)
+    return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
+
+
+def periodized_weight(x, spec: SmoothingSpec):
+    """W^(T)(x) = (1/B) W(x_reduced / B) for B < 1 (single periodization term)."""
+    xr = reduce_frequency(x)
+    return spec.weight(np.asarray(xr) / spec.bandwidth) / spec.bandwidth
+
+
+def smoothed_column_grid(dft: DftPanel, a, b, spec: SmoothingSpec) -> np.ndarray:
+    """f_hat[a, b] at every Fourier frequency for one pair of columns, by one
+    circular convolution per pair: the oracle for the batched diagonal grid."""
+    T = dft.T
+    p = dft.column(*a) * np.conj(dft.column(*b))
+    p[0] = 0.0
+    diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
+    kern = (2 * np.pi / T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
+    return np.fft.ifft(np.fft.fft(p) * np.fft.fft(kern))
 
 
 def test_fejer_kernel_values():
@@ -54,7 +82,7 @@ def test_epanechnikov_axioms():
     assert epanechnikov_cdf(5.0) == 1.0
     x = np.linspace(-1, 1, 100001)
     l2 = np.trapezoid(epanechnikov(x) ** 2, x)
-    assert weight_l2_sq() == pytest.approx(l2, abs=1e-6)
+    assert l2 == pytest.approx(0.6, abs=1e-6)  # integral of W^2
 
 
 def test_validate_weight_kernel_rejections():
@@ -94,11 +122,25 @@ def test_periodized_weight_is_periodic():
     assert periodized_weight(0.0, spec) == pytest.approx(0.75 / 0.25)
 
 
+def test_kernel_row_matches_periodized_weight():
+    for T, B in ((64, 0.3), (1001, 0.1), (8192, 0.05)):
+        spec = SmoothingSpec(bandwidth=B)
+        lags = 2 * np.pi * np.arange(T) / T
+        np.testing.assert_array_equal(kernel_row(T, spec) / B, periodized_weight(lags, spec))
+
+
 def test_fdft_matches_direct_transform(small_model):
     panel = simulate_panel(small_model, 64, SeedSpec(base_seed=3))
     fast = fdft_panel(panel)
     slow = fdft_direct(panel)
     np.testing.assert_allclose(fast.coeffs, slow.coeffs, atol=1e-10)
+
+
+def test_fdft_scales_in_place_exactly(small_model):
+    for T in (64, 1001):
+        panel = simulate_panel(small_model, T, SeedSpec(base_seed=3))
+        expected = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
+        np.testing.assert_array_equal(fdft_panel(panel).coeffs, expected)
 
 
 def test_fdft_parseval(small_dft, small_model):
@@ -140,11 +182,25 @@ def test_smoothed_spectrum_rejects_out_of_range(small_dft):
 def test_smoothed_spectrum_grid_matches_pointwise(small_dft):
     spec = SmoothingSpec(bandwidth=0.2)
     T = small_dft.T
-    grid = smoothed_spectrum_grid(small_dft, (1, 2), (2, 1), spec)
-    for s in (1, 7, 100, 300, T - 1):
-        w = reduce_frequency(2 * np.pi * s / T)
-        direct = smoothed_cross_spectrum(small_dft, (1, 2), (2, 1), w, spec)
-        assert grid[s] == pytest.approx(direct, abs=1e-10)
+    grid = smoothed_spectrum_grid(small_dft, spec)
+    assert grid.shape == (small_dft.degrees.dim, T)
+    for a in ((1, 2), (2, 5)):
+        row = grid[small_dft.degrees.column(*a)]
+        for s in (1, 7, 100, 300, T - 1):
+            w = reduce_frequency(2 * np.pi * s / T)
+            direct = smoothed_cross_spectrum(small_dft, a, a, w, spec)
+            assert row[s] == pytest.approx(direct.real, abs=1e-10)
+
+
+@pytest.mark.parametrize("T", [64, 1001, 8192])
+@pytest.mark.parametrize("model", [example_model(1), reference_spharma11()], ids=["ex1", "h0"])
+def test_smoothed_spectrum_grid_matches_per_column_oracle(model, T):
+    dft = fdft_panel(simulate_panel(model, T, SeedSpec(base_seed=13, stream_id=2)))
+    spec = SmoothingSpec(bandwidth=T**-0.25)
+    expected = np.array(
+        [smoothed_column_grid(dft, a, a, spec).real for a in dft.degrees.index_list()]
+    )
+    np.testing.assert_array_equal(smoothed_spectrum_grid(dft, spec), expected)
 
 
 def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
