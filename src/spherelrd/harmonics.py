@@ -1,35 +1,19 @@
-"""Real spherical-harmonic basis on S2, normalized to the uniform probability measure.
+"""Column layout of a spherical-harmonic coefficient panel.
 
-All inner products are taken with respect to the normalized surface measure
-(total mass 1), so the constant harmonic is identically 1 and the basis is
-real orthonormal: <S_{n,j}, S_{h,l}> = delta_{nh} delta_{jl}.  Within degree
-``n`` the order index ``j`` runs 1..2n+1 and maps to the azimuthal order
-``m = j - 1 - n`` (so j = n+1 is the zonal harmonic).
+A panel holds one real coefficient series per basis function (n, j) of the
+degrees n_min..n_max.  The degree-n eigenspace of the Laplace-Beltrami
+operator on S2 has dimension 2n+1, so within degree ``n`` the order index
+``j`` runs 1..2n+1 (azimuthal order m = j - 1 - n; j = n+1 is the zonal
+harmonic).  Columns are ordered by n ascending, then j ascending.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class HarmonicsError(ValueError):
     pass
-
-
-class UnsupportedDimension(HarmonicsError):
-    pass
-
-
-def eigenspace_dim(n: int, d: int = 2) -> int:
-    """Dimension of the degree-``n`` Laplace-Beltrami eigenspace on S^d."""
-    if d != 2:
-        raise UnsupportedDimension(f"only the sphere S^2 is supported, got d={d}")
-    if n < 0:
-        raise HarmonicsError(f"degree must be nonnegative, got {n}")
-    return 2 * n + 1
 
 
 @dataclass(frozen=True)
@@ -68,160 +52,3 @@ class DegreeRange:
     def index_list(self) -> list[tuple[int, int]]:
         """All (n, j) pairs in column order."""
         return [(n, j) for n in self.degrees for j in range(1, 2 * n + 2)]
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    n: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or not 1 <= self.j <= 2 * self.n + 1:
-            raise HarmonicsError(f"invalid harmonic index (n={self.n}, j={self.j})")
-
-    @property
-    def m(self) -> int:
-        return self.j - 1 - self.n
-
-
-def _normalized_legendre(n_max: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values Pbar_n^m(x) for n = m..n_max.
-
-    Normalization is chosen so that the zonal values satisfy
-    (1/2) * integral of Pbar_n^0(x)^2 dx over [-1, 1] equals 1, i.e.
-    Pbar_n^0 = sqrt(2n+1) P_n.  Upward recursion in n is stable for the
-    moderate degrees used here.
-
-    Returns array of shape (n_max - m + 1,) + x.shape.
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    out = np.empty((n_max - m + 1,) + x.shape)
-    # seed Pbar_m^m
-    pmm = np.ones_like(x)
-    for k in range(1, m + 1):
-        pmm = pmm * s * np.sqrt((2 * k + 1) / (2 * k))
-    out[0] = pmm
-    if n_max == m:
-        return out
-    prev2 = np.zeros_like(x)
-    prev1 = pmm
-    for n in range(m + 1, n_max + 1):
-        a = np.sqrt((4 * n * n - 1) / (n * n - m * m))
-        b = np.sqrt(((n - 1) ** 2 - m * m) / (4 * (n - 1) ** 2 - 1))
-        cur = a * (x * prev1 - b * prev2)
-        out[n - m] = cur
-        prev2, prev1 = prev1, cur
-    return out
-
-
-def real_harmonic_eval(idx: HarmonicIndex, colatitude, longitude):
-    """Value of the real orthonormal harmonic S_{n,j} at (theta, phi).
-
-    Accepts scalars or broadcastable arrays of angles.
-    """
-    theta = np.asarray(colatitude, dtype=float)
-    phi = np.asarray(longitude, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
-        raise HarmonicsError("colatitude must lie in [0, pi]")
-    m = idx.m
-    pbar = _normalized_legendre(idx.n, abs(m), np.cos(theta))[-1]
-    if m == 0:
-        val = pbar * np.ones_like(phi)
-    elif m > 0:
-        val = np.sqrt(2.0) * pbar * np.cos(m * phi)
-    else:
-        val = np.sqrt(2.0) * pbar * np.sin(-m * phi)
-    return val if val.shape else float(val)
-
-
-@dataclass(frozen=True)
-class SphereGrid:
-    """Tensor grid of colatitudes x longitudes, optionally with quadrature weights."""
-
-    colatitudes: np.ndarray
-    longitudes: np.ndarray
-    weights: np.ndarray | None = None  # per-colatitude weights for d(nu)
-
-    def __post_init__(self) -> None:
-        th = np.asarray(self.colatitudes, dtype=float)
-        ph = np.asarray(self.longitudes, dtype=float)
-        if th.size == 0 or ph.size == 0:
-            raise HarmonicsError("grid must be nonempty")
-        if np.any(np.diff(th) <= 0) or np.any(np.diff(ph) <= 0):
-            raise HarmonicsError("grid nodes must be strictly increasing")
-        if np.any(th < 0) or np.any(th > np.pi):
-            raise HarmonicsError("colatitudes must lie in [0, pi]")
-        if np.any(ph < 0) or np.any(ph >= 2 * np.pi):
-            raise HarmonicsError("longitudes must lie in [0, 2*pi)")
-        object.__setattr__(self, "colatitudes", th)
-        object.__setattr__(self, "longitudes", ph)
-
-
-def gauss_legendre_grid(n_theta: int = 64, n_phi: int = 128) -> SphereGrid:
-    """Gauss-Legendre x uniform grid whose weights integrate dν exactly in phi
-    and to machine precision in theta for polynomial integrands."""
-    nodes, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(nodes)[::-1]
-    # weights for the normalized measure: (1/2) dx * (1/n_phi) per longitude
-    wt = (w / 2.0)[::-1]
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(colatitudes=theta, longitudes=phi, weights=wt)
-
-
-def harmonic_matrix(degrees: DegreeRange, grid: SphereGrid) -> np.ndarray:
-    """Basis values, shape (D, n_theta, n_phi), columns ordered as in panels."""
-    th = grid.colatitudes
-    ph = grid.longitudes
-    x = np.cos(th)
-    out = np.empty((degrees.dim, th.size, ph.size))
-    row = 0
-    for n in degrees.degrees:
-        for j in range(1, 2 * n + 2):
-            m = j - 1 - n
-            pbar = _normalized_legendre(n, abs(m), x)[-1]
-            if m == 0:
-                ang = np.ones_like(ph)
-                rad = pbar
-            elif m > 0:
-                ang = np.sqrt(2.0) * np.cos(m * ph)
-                rad = pbar
-            else:
-                ang = np.sqrt(2.0) * np.sin(-m * ph)
-                rad = pbar
-            out[row] = rad[:, None] * ang[None, :]
-            row += 1
-    return out
-
-
-def synthesize_field(coeffs: np.ndarray, degrees: DegreeRange, grid: SphereGrid) -> np.ndarray:
-    """Field(theta, phi) = sum_j coeffs[j] * S_j(theta, phi) on the grid."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (degrees.dim,):
-        raise HarmonicsError(
-            f"expected {degrees.dim} coefficients, got {coeffs.shape}"
-        )
-    basis = harmonic_matrix(degrees, grid)
-    return np.tensordot(coeffs, basis, axes=1)
-
-
-def quadrature_analyze(field: np.ndarray, degrees: DegreeRange, grid: SphereGrid) -> np.ndarray:
-    """Recover harmonic coefficients from grid values by quadrature.
-
-    Requires a grid carrying colatitude weights (see gauss_legendre_grid).
-    """
-    if grid.weights is None:
-        raise HarmonicsError("analysis requires a quadrature grid with weights")
-    basis = harmonic_matrix(degrees, grid)
-    w = grid.weights[:, None] / grid.longitudes.size
-    return np.tensordot(basis, field * w, axes=([1, 2], [0, 1]))
-
-
-def write_field_csv(path, field: np.ndarray, grid: SphereGrid) -> None:
-    """Write a field snapshot as rows of theta, phi, value (row-major)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "value"])
-        for i, th in enumerate(grid.colatitudes):
-            for k, ph in enumerate(grid.longitudes):
-                writer.writerow([f"{th:.10g}", f"{ph:.10g}", f"{field[i, k]:.10g}"])

@@ -45,6 +45,7 @@ from .lrdtest import (
     TestError,
     bandwidth,
     default_pairs,
+    g_weights,
     null_moments,
     pair_degrees,
     projected_hs_norm,
@@ -285,6 +286,12 @@ def _map_reduce(worker, arg_builder, R: int, threads: int | None):
 
 # --- experiments ------------------------------------------------------------
 
+def _calibrate(config: ExperimentConfig, calib: SpectralModel) -> list:
+    """Null moments for every T, resolved before any replication runs, so a T
+    with a degenerate bandwidth or an empty window fails first."""
+    return [null_moments(calib, T, bandwidth(T, config.rule())) for T in config.T_values]
+
+
 def run_size(config: ExperimentConfig) -> McTable:
     """Per-direction empirical rejection rate under the null model."""
     model = config.model
@@ -306,9 +313,7 @@ def _rejection_experiment(
     table = McTable(name, manifest=_config_manifest(config, name))
     pairs = default_pairs(model.degrees, config.n_directions)
     degrees = pair_degrees(pairs)
-    for T in config.T_values:
-        B = bandwidth(T, config.rule())
-        moments = null_moments(calib, T, B)
+    for T, moments in zip(config.T_values, _calibrate(config, calib)):
         results = _map_reduce(
             _rejections_chunk,
             lambda c: (model, degrees, moments, pairs, T, config.level, config.seed, c),
@@ -327,9 +332,7 @@ def run_distribution(config: ExperimentConfig, n_bins: int = 41) -> McTable:
     calib = config.null_model()
     table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
     edges = np.linspace(-5.0, 5.0, n_bins + 1)
-    for T in config.T_values:
-        B = bandwidth(T, config.rule())
-        moments = null_moments(calib, T, B)
+    for T, moments in zip(config.T_values, _calibrate(config, calib)):
         results = _map_reduce(
             _diag_z_chunk,
             lambda c: (model, moments, T, config.seed, c),
@@ -361,8 +364,10 @@ def run_divergence(config: ExperimentConfig, mode: str = "single") -> McTable:
         raise HarnessError(f"unknown divergence mode {mode!r}")
     R = 1 if mode == "single" else min(config.R, 20)
     table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
-    for T in config.T_values:
-        B = bandwidth(T, config.rule())
+    Bs = [bandwidth(T, config.rule()) for T in config.T_values]
+    for T, B in zip(config.T_values, Bs):
+        g_weights(T, B)  # an empty window fails here, before any replication
+    for T, B in zip(config.T_values, Bs):
         results = _map_reduce(
             _norm_chunk,
             lambda c: (config.model, T, B, config.seed, c),

@@ -37,7 +37,6 @@ from .models import Hypothesis, SpectralModel, spectral_eigenvalue
 from .spectral import (
     DftPanel,
     SmoothingSpec,
-    SpectralError,
     epanechnikov_cdf,
     kernel_row,
     reduce_frequency,
@@ -184,38 +183,31 @@ class NullMoments:
         return (2.0 if a == b else 1.0) * v2
 
 
-def _null_model(model: SpectralModel, allow_alternative: bool) -> SpectralModel:
-    if model.alpha.is_null:
-        return model
-    if not allow_alternative:
-        raise CalibrationUnderAlternative(
-            "model has nonzero memory exponents; pass allow_alternative=True "
-            "to calibrate against its short-range factor"
-        )
-    return model.srd_part()
-
-
 def null_moments(
     model: SpectralModel,
     T: int,
     B: float,
-    allow_alternative: bool = False,
     mode: str = "grid",
     nodes: int = 256,
 ) -> NullMoments:
-    """Null mean and variance kernel for all degrees of the model.
+    """Null mean and variance kernel for all degrees of a short-memory model.
 
     ``mode="grid"`` evaluates the exact finite-T moments of the Gaussian
     quadratic form on the Fourier grid.  ``mode="continuous"`` integrates the
     limiting window profile G by midpoint quadrature with ``nodes`` nodes
     (cross-check only; it carries an O(1/(T sqrt(B))) centering offset).
+    A long-memory model is rejected: calibrate against its ``srd_part()``.
     """
-    null = _null_model(model, allow_alternative)
-    degs = list(null.degrees.degrees)
+    if not model.alpha.is_null:
+        raise CalibrationUnderAlternative(
+            "model has nonzero memory exponents; calibrate against its "
+            "short-range factor (srd_part())"
+        )
+    degs = list(model.degrees.degrees)
     if mode == "grid":
         g = g_weights(T, B)[1:]
         omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
-        f = {n: spectral_eigenvalue(null, n, omegas, Hypothesis.NULL) for n in degs}
+        f = {n: spectral_eigenvalue(model, n, omegas, Hypothesis.NULL) for n in degs}
         mean_diag = {
             n: math.sqrt(T) * (2 * np.pi / T) * float(np.sum(g * f[n])) for n in degs
         }
@@ -230,7 +222,7 @@ def null_moments(
         w = lo + (hi - lo) * (np.arange(nodes) + 0.5) / nodes
         dw = (hi - lo) / nodes
         G = epanechnikov_cdf((half - w) / B) - epanechnikov_cdf((-half - w) / B)
-        f = {n: spectral_eigenvalue(null, n, w, Hypothesis.NULL) for n in degs}
+        f = {n: spectral_eigenvalue(model, n, w, Hypothesis.NULL) for n in degs}
         mean_diag = {n: math.sqrt(T) * float(np.sum(G * f[n])) * dw for n in degs}
         second = {
             (n, h): 2 * np.pi * float(np.sum(G * G * f[n] * f[h])) * dw
@@ -388,13 +380,24 @@ class Direction:
         object.__setattr__(self, "coeffs", c)
 
 
+# Purpose bit in the second key word of every direction stream.
+_DIRECTION_TAG = 1 << 63
+
+
 def draw_direction(
     degrees: DegreeRange,
     seed: int,
     lambdas: np.ndarray | None = None,
     stream_id: int = 0,
 ) -> Direction:
-    """Draw a Gaussian direction; deterministic given (seed, stream_id)."""
+    """Draw a Gaussian direction; deterministic given (seed, stream_id).
+
+    The Philox key is (seed, _DIRECTION_TAG | stream_id).  Panel keys
+    (``SeedSpec.generator``) keep their second word below 2^60, so the tag bit
+    keeps every direction stream apart from every panel stream.
+    """
+    if not 0 <= stream_id < 2**40:
+        raise TestError("stream_id must be a nonnegative 40-bit integer")
     degs = list(degrees.degrees)
     nd = len(degs)
     if lambdas is None:
@@ -402,7 +405,7 @@ def draw_direction(
     else:
         lam = np.asarray(lambdas, dtype=float)
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        np.random.Philox(key=np.array([seed, _DIRECTION_TAG | stream_id], dtype=np.uint64))
     )
     D = degrees.dim
     z = rng.standard_normal((D, D))
@@ -467,10 +470,8 @@ def random_projection_test(
 
 # --- aggregate norms --------------------------------------------------------
 
-def projected_hs_norm(
-    coeffs: StatisticCoeffs, n_max: int | None = None, scale: str = "gridsum"
-) -> float:
-    """Frobenius norm of the statistic matrix truncated to degrees <= n_max.
+def projected_hs_norm(coeffs: StatisticCoeffs, scale: str = "gridsum") -> float:
+    """Frobenius norm of the statistic matrix.
 
     ``scale="statistic"`` uses the entries as defined here.  ``scale="gridsum"``
     multiplies every entry by T^2 / (2 pi)^4: both Riemann weights (one from
@@ -478,12 +479,7 @@ def projected_hs_norm(
     sums and frequencies are expressed in cycles rather than radians.  This is
     the convention used when comparing divergence magnitudes across T.
     """
-    degrees = coeffs.degrees
-    if n_max is None:
-        n_max = degrees.n_max
-    cols = [degrees.column(n, j) for n, j in degrees.index_list() if n <= n_max]
-    sub = coeffs.matrix[np.ix_(cols, cols)]
-    norm = float(np.sqrt(np.sum(np.abs(sub) ** 2)))
+    norm = float(np.sqrt(np.sum(np.abs(coeffs.matrix) ** 2)))
     if scale == "statistic":
         return norm
     if scale == "gridsum":

@@ -3,9 +3,9 @@
 The DFT of a coefficient panel is taken columnwise at the Fourier frequencies
 w_s = 2 pi s / T with the (2 pi T)^(-1/2) normalization, so the squared
 modulus of a column is the periodogram of that coefficient series.  Smoothing
-uses a compactly supported weight kernel (Epanechnikov by default) periodized
-with bandwidth B in (0, 1) and summed over the Fourier grid s = 1..T-1; the
-zero frequency is always excluded.
+uses the Epanechnikov weight kernel periodized with bandwidth B in (0, 1)
+and summed over the Fourier grid s = 1..T-1; the zero frequency is always
+excluded.
 
 Because the periodized kernel depends only on the lag between two grid
 frequencies, one kernel row (``kernel_row``) serves every smoothing sum on
@@ -31,18 +31,6 @@ class SpectralError(ValueError):
     pass
 
 
-def fejer_kernel(omega, T: int):
-    """F_T(w) = (1/T) [sin(T w / 2) / sin(w / 2)]^2, equal to T at w in 2 pi Z."""
-    if T < 1:
-        raise SpectralError("T must be >= 1")
-    w = np.asarray(omega, dtype=float)
-    half = np.mod(w / 2.0, np.pi)
-    s = np.sin(half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(s == 0.0, float(T), (np.sin(T * w / 2.0) / np.where(s == 0.0, 1.0, np.sin(w / 2.0))) ** 2 / T)
-    return val if val.shape else float(val)
-
-
 # --- weight kernels --------------------------------------------------------
 
 def epanechnikov(x):
@@ -60,36 +48,18 @@ def epanechnikov_cdf(x):
     return val if val.shape else float(val)
 
 
-def validate_weight_kernel(w, n_grid: int = 200001, tol: float = 1e-3) -> None:
-    """Check the kernel axioms: even, nonnegative, support in [-1, 1], unit mass."""
-    x = np.linspace(-1.5, 1.5, n_grid)
-    vals = np.asarray(w(x), dtype=float)
-    if np.any(vals < 0):
-        raise SpectralError("weight kernel must be nonnegative")
-    if np.any(vals[np.abs(x) >= 1.0] != 0.0):
-        raise SpectralError("weight kernel must vanish for |x| >= 1")
-    if not np.allclose(vals, vals[::-1], atol=1e-12):
-        raise SpectralError("weight kernel must be even")
-    mass = np.trapezoid(vals, x)
-    if abs(mass - 1.0) > tol:
-        raise SpectralError(f"weight kernel must integrate to 1, got {mass:.6g}")
-
-
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Bandwidth B in (0, 1) plus the weight kernel (callable, default Epanechnikov)."""
+    """Bandwidth B in (0, 1) of the Epanechnikov smoother."""
 
     bandwidth: float
-    kernel: object = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.bandwidth < 1.0:
             raise SpectralError(f"bandwidth must lie in (0, 1), got {self.bandwidth}")
-        if self.kernel is not None:
-            validate_weight_kernel(self.kernel)
 
     def weight(self, x):
-        return epanechnikov(x) if self.kernel is None else self.kernel(x)
+        return epanechnikov(x)
 
 
 def reduce_frequency(omega):
@@ -129,9 +99,6 @@ class DftPanel:
 
     def column(self, n: int, j: int) -> np.ndarray:
         return self.coeffs[:, self.degrees.column(n, j)]
-
-    def fourier_frequencies(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.T) / self.T
 
 
 def fdft_panel(panel: CoefficientPanel) -> DftPanel:
@@ -190,29 +157,6 @@ def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:
         F *= kf
         out[lo : lo + 2 * n + 1] = np.fft.ifft(F).real
     return out
-
-
-def integrated_weighted_periodogram(
-    dft: DftPanel,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    spec: SmoothingSpec,
-) -> complex:
-    """(2 pi / T) sum over the full Fourier grid v = 1..T-1 of f_hat_{w_v}[a, b].
-
-    Swapping the two sums gives sum_s p_s * wbar_s with
-    wbar_s = (2 pi / T)^2 sum_v W^(T)(w_v - w_s); the totals wbar_s depend
-    only on (T, B) through the circulant structure of the grid, so they are
-    computed once from the kernel row.
-    """
-    T = dft.T
-    p = dft.column(*a)[1:] * np.conj(dft.column(*b)[1:])
-    kern = (2 * np.pi / T) * kernel_row(T, spec) / spec.bandwidth
-    # wbar_s = (2 pi / T) [sum of the kernel row minus the v = 0 term]
-    row_total = kern.sum()
-    s = np.arange(1, T)
-    wbar = (2 * np.pi / T) * (row_total - kern[(T - s) % T])
-    return complex(np.sum(wbar * p))
 
 
 def spectrum_csv_rows(

@@ -38,14 +38,22 @@ WN_DOC = {
 
 # --- config loading ---------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "name", ["paper_h0", "example1", "example2", "example3", "example4"]
+SHIPPED_CONFIGS = sorted(
+    os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR) if f.endswith(".json")
 )
+PAPER_CONFIGS = ("paper_h0", "example1", "example2", "example3", "example4")
+
+
+@pytest.mark.filterwarnings("ignore:sample length")
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
 def test_shipped_configs_load(name):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
     model = model_from_config(doc)
     config = experiment_from_config(doc)
     assert model.degrees.n_max == 8
+    assert table_mode(doc) in ("single", "averaged", "expected")
+    if name not in PAPER_CONFIGS:
+        return
     assert config.T_values == (1000,)
     if name == "paper_h0":
         assert model.is_null()
@@ -217,6 +225,29 @@ def test_cli_rejects_too_many_directions_before_running(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["mc-power", "--config", cfg, "--out", str(out)]) == 1
     assert not (out / "power.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:sample length")
+@pytest.mark.parametrize("command", ["mc-power", "mc-dist", "mc-divergence"])
+def test_cli_empty_window_fails_before_any_replication(tmp_path, monkeypatch, command):
+    # T = 16 with beta = 0.25 leaves no Fourier frequency inside the window
+    from spherelrd import harness
+
+    calls = []
+    simulate = harness.simulate_panel
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_panel", counted)
+    doc = {
+        "model": {"generator": "example1", "degrees": [1, 2]},
+        "experiment": {"T": [1000, 16], "R": 200, "beta": 0.25, "seed": 99},
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert calls == []
 
 
 def test_cli_mc_size(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from spherelrd.harmonics import DegreeRange
+from spherelrd.harness import ExperimentConfig
 from spherelrd.models import build_spharma
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import SmoothingSpec, fdft_panel, reduce_frequency, smoothed_cross_spectrum
@@ -213,7 +214,9 @@ def test_calibration_under_alternative(example1_model):
     T, B = 500, 0.2
     with pytest.raises(CalibrationUnderAlternative):
         null_moments(example1_model, T, B)
-    m = null_moments(example1_model, T, B, allow_alternative=True)
+    # the experiments calibrate a long-memory model against its short-memory factor
+    config = ExperimentConfig(model=example1_model, T_values=(T,), R=1)
+    m = null_moments(config.null_model(), T, B)
     srd = null_moments(example1_model.srd_part(), T, B)
     assert m.mean_diag[1] == pytest.approx(srd.mean_diag[1], abs=1e-12)
 
@@ -311,6 +314,17 @@ def test_draw_direction_deterministic():
     assert not np.array_equal(d1.coeffs, d3.coeffs)
 
 
+def test_direction_streams_apart_from_panel_streams():
+    # a direction key must never equal the panel key (seed, stream 0, degree k)
+    degrees = DegreeRange(1, 2)
+    for seed, k in ((5, 0), (5, 3), (20260825, 2)):
+        y = draw_direction(degrees, seed=seed, stream_id=k).coeffs.ravel()
+        z = SeedSpec(base_seed=seed, stream_id=0).generator(k).standard_normal(y.size)
+        assert not np.array_equal(y, z)
+    with pytest.raises(TestError):
+        draw_direction(degrees, seed=5, stream_id=2**40)
+
+
 def test_direction_variance_table_applied():
     degrees = DegreeRange(1, 2)
     lam = np.array([[0.0, 0.0], [0.0, 4.0]])
@@ -382,7 +396,6 @@ def test_projected_hs_norm_scales(small_dft):
     stat = projected_hs_norm(coeffs, scale="statistic")
     grid = projected_hs_norm(coeffs, scale="gridsum")
     assert grid / stat == pytest.approx(coeffs.T**2 / (2 * np.pi) ** 4, rel=1e-12)
-    truncated = projected_hs_norm(coeffs, n_max=1, scale="statistic")
-    assert 0 < truncated < stat
+    assert stat == pytest.approx(np.linalg.norm(coeffs.matrix), rel=1e-12)
     with pytest.raises(TestError):
         projected_hs_norm(coeffs, scale="cycles")

@@ -13,13 +13,10 @@ from spherelrd.spectral import (
     epanechnikov,
     epanechnikov_cdf,
     fdft_panel,
-    fejer_kernel,
-    integrated_weighted_periodogram,
     kernel_row,
     reduce_frequency,
     smoothed_cross_spectrum,
     smoothed_spectrum_grid,
-    validate_weight_kernel,
     write_spectrum_csv,
 )
 
@@ -52,28 +49,13 @@ def smoothed_column_grid(dft: DftPanel, a, b, spec: SmoothingSpec) -> np.ndarray
     return np.fft.ifft(np.fft.fft(p) * np.fft.fft(kern))
 
 
-def test_fejer_kernel_values():
-    T = 16
-    assert fejer_kernel(0.0, T) == T
-    assert fejer_kernel(2 * np.pi, T) == T
-    # vanishes at the nonzero Fourier frequencies of order T
-    for s in range(1, T):
-        assert fejer_kernel(2 * np.pi * s / T, T) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(SpectralError):
-        fejer_kernel(0.0, 0)
-
-
-def test_fejer_kernel_unit_mass():
-    # [DERIVED] (1 / 2pi) * integral of F_T over [-pi, pi] = 1 (the k = 0
-    # Fourier coefficient of the kernel); checked by fine trapezoid quadrature.
-    T = 16
-    w = np.linspace(-np.pi, np.pi, 200001)
-    mass = np.trapezoid(fejer_kernel(w, T), w) / (2 * np.pi)
-    assert mass == pytest.approx(1.0, abs=1e-6)
-
-
 def test_epanechnikov_axioms():
-    validate_weight_kernel(epanechnikov)
+    x = np.linspace(-1.5, 1.5, 300001)
+    w = epanechnikov(x)
+    assert np.all(w >= 0.0)
+    assert np.all(w[np.abs(x) >= 1.0] == 0.0)  # support in [-1, 1]
+    np.testing.assert_array_equal(w, epanechnikov(-x))  # even
+    assert np.trapezoid(w, x) == pytest.approx(1.0, abs=1e-6)  # unit mass
     assert epanechnikov(0.0) == 0.75
     assert epanechnikov(1.0) == 0.0
     assert epanechnikov_cdf(-1.0) == 0.0
@@ -85,22 +67,15 @@ def test_epanechnikov_axioms():
     assert l2 == pytest.approx(0.6, abs=1e-6)  # integral of W^2
 
 
-def test_validate_weight_kernel_rejections():
-    with pytest.raises(SpectralError):
-        validate_weight_kernel(lambda x: -epanechnikov(x))
-    with pytest.raises(SpectralError):
-        validate_weight_kernel(lambda x: 0.5 * epanechnikov(x))
-    with pytest.raises(SpectralError):
-        # support leaks outside [-1, 1]
-        validate_weight_kernel(lambda x: np.full_like(np.asarray(x, float), 0.25))
-
-
 def test_smoothing_spec_validation():
     with pytest.raises(SpectralError):
         SmoothingSpec(bandwidth=0.0)
     with pytest.raises(SpectralError):
         SmoothingSpec(bandwidth=1.0)
     SmoothingSpec(bandwidth=0.3)
+    # the smoother is Epanechnikov: no kernel option to accept and ignore
+    with pytest.raises(TypeError):
+        SmoothingSpec(bandwidth=0.3, kernel=epanechnikov)
 
 
 def test_reduce_frequency():
@@ -158,9 +133,6 @@ def test_fdft_zero_frequency(small_model):
     np.testing.assert_allclose(
         dft.coeffs[0], panel.data.sum(axis=0) / np.sqrt(2 * np.pi * 100), atol=1e-12
     )
-    np.testing.assert_allclose(
-        dft.fourier_frequencies(), 2 * np.pi * np.arange(100) / 100
-    )
 
 
 def test_smoothed_spectrum_hermitian(small_dft):
@@ -217,20 +189,6 @@ def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
             acc += smoothed_cross_spectrum(dft, (1, 1), (1, 1), w, spec).real
             count += 1
     assert acc / count == pytest.approx(target, rel=0.05)
-
-
-def test_integrated_weighted_periodogram_matches_loop(small_model):
-    panel = simulate_panel(small_model, 128, SeedSpec(base_seed=21))
-    dft = fdft_panel(panel)
-    spec = SmoothingSpec(bandwidth=0.3)
-    T = dft.T
-    brute = 0.0 + 0.0j
-    for v in range(1, T):
-        w = reduce_frequency(2 * np.pi * v / T)
-        brute += smoothed_cross_spectrum(dft, (1, 1), (2, 2), w, spec)
-    brute *= 2 * np.pi / T
-    fast = integrated_weighted_periodogram(dft, (1, 1), (2, 2), spec)
-    assert fast == pytest.approx(brute, abs=1e-10)
 
 
 def test_write_spectrum_csv(tmp_path, small_dft):
