@@ -1,24 +1,20 @@
 """Monte Carlo experiment drivers: size, power, null distribution, divergence,
 bandwidth sweeps, and estimator-consistency decay.
 
-Every experiment is a pure function of (config, seed): replications are keyed
-by counter-based streams (stream_id = replication index), so results are
-identical for any worker count.  Parallelism is replication-level via
-``concurrent.futures.ProcessPoolExecutor``.
+Every experiment runs on one replication engine.  It first builds one plan per
+sample length T (the model or the simulated degree sub-range, T, the seed, and
+a reducer with its fixed arguments), which resolves every T's bandwidth,
+window and null moments before any replication runs.  One worker runs
+simulate -> DFT -> reducer over a chunk of replications; the reducer adds each
+replication into the chunk's running sum or writes it as one row of a stacked
+array.  All chunks of an experiment go to one process pool, or run inline at
+one worker.
 
-Replications are cut into at most four chunks whose boundaries depend on R
-alone (``ceil(R / 4)`` replications each), never on the worker count.  The
-chunk results are reduced in chunk order, so floating-point sums group the
-same way at one worker and at many, and the tables agree bit for bit.
-
-Rejection experiments (size, power) simulate only the degrees their pairs
-touch and form only the entries those pairs name; per-degree streams make
-this exact, not an approximation.
-
-The consistency experiment reduces each replication to the diagonal smoothed
-periodogram of every column at every Fourier frequency, a (D, T) array from
-one ``smoothed_spectrum_grid`` call, and accumulates its sum and its sum of
-squares.
+Replications are keyed by counter-based streams (stream_id = replication
+index) and cut into at most four chunks whose boundaries depend on R alone,
+never on the worker count.  Chunks are summed or stacked in chunk order, so
+the tables agree bit for bit at any worker count.  Size and power simulate
+only the degrees their pairs touch; per-degree streams make this exact.
 """
 
 from __future__ import annotations
@@ -31,18 +27,18 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
 from . import __version__
+from .harmonics import DegreeRange
 from .models import SpectralModel
 from .simulate import SeedSpec, simulate_panel
 from .spectral import SmoothingSpec, fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
     BandwidthRule,
-    NullMoments,
-    TestError,
     bandwidth,
     default_pairs,
     g_weights,
@@ -77,8 +73,8 @@ def thread_count(requested: int | None = None) -> int:
 class ExperimentConfig:
     """Shared experiment parameters.
 
-    ``model`` is the data-generating model; ``calibration`` the null model used
-    for standardization (defaults to the short-memory factor of ``model``).
+    ``model`` is the data-generating model; it is calibrated against its
+    short-memory factor (see ``null_model``).
     """
 
     model: SpectralModel
@@ -88,7 +84,6 @@ class ExperimentConfig:
     level: float = 0.05
     n_directions: int = 8
     seed: int = 20260825
-    calibration: SpectralModel | None = None
     threads: int | None = None
 
     def __post_init__(self) -> None:
@@ -108,15 +103,15 @@ class ExperimentConfig:
             raise HarnessError("need at least one sample length")
         for t in ts:
             if t < 64:
+                # level 3 skips this method and the generated __init__, so
+                # the warning names the line that built the config
                 warnings.warn(
                     f"sample length T={t} below 64; asymptotic calibration is rough",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         object.__setattr__(self, "T_values", ts)
 
     def null_model(self) -> SpectralModel:
-        if self.calibration is not None:
-            return self.calibration
         return self.model if self.model.is_null() else self.model.srd_part()
 
     def rule(self) -> BandwidthRule:
@@ -209,63 +204,41 @@ def _binomial_se(rate: float, R: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / R)
 
 
-# --- worker functions (top-level for pickling) ------------------------------
+# --- the replication engine -------------------------------------------------
 
-def _rejections_chunk(args) -> np.ndarray:
-    model, degrees, moments, pairs, T, level, seed, streams = args
-    counts = np.zeros(len(pairs))
-    for r in streams:
-        seed_r = SeedSpec(base_seed=seed, stream_id=r)
-        panel = simulate_panel(model, T, seed_r, degrees=degrees)
-        report = projected_test(fdft_panel(panel), moments, pairs=pairs, level=level)
-        counts += np.array(report.rejections(), dtype=float)
-    return counts
+@dataclass(frozen=True)
+class _Plan:
+    """One (experiment, T): what a replication simulates and how it reduces.
+
+    ``reduce(dft, out, *args)`` writes one replication into ``out``: into the
+    chunk's running sum of shape ``shape``, or, with ``stack``, into that
+    replication's row of a (replications, *shape) array.  ``reduce`` is a
+    top-level function, so a plan pickles as it is.
+    """
+
+    model: SpectralModel
+    T: int
+    seed: int
+    reduce: Callable
+    args: tuple
+    shape: tuple
+    stack: bool = False
+    degrees: DegreeRange | None = None
 
 
-def _diag_z_chunk(args) -> np.ndarray:
-    """Standardized diagonal statistics, shape (len(streams), D)."""
-    model, moments, T, seed, streams = args
-    degrees = model.degrees
-    out = np.empty((len(streams), degrees.dim))
-    means = np.array([moments.mean_diag[n] for n, _ in degrees.index_list()])
-    sds = np.sqrt(
-        [moments.variance((n, j), (n, j)) for n, j in degrees.index_list()]
-    )
+def _run_chunk(task) -> np.ndarray:
+    plan, streams = task
+    out = np.zeros((len(streams), *plan.shape) if plan.stack else plan.shape)
     for i, r in enumerate(streams):
-        panel = simulate_panel(model, T, SeedSpec(base_seed=seed, stream_id=r))
-        coeffs = statistic_matrix(fdft_panel(panel), moments.B)
-        out[i] = (np.diag(coeffs.matrix).real - means) / sds
+        seed = SeedSpec(base_seed=plan.seed, stream_id=r)
+        panel = simulate_panel(plan.model, plan.T, seed, degrees=plan.degrees)
+        plan.reduce(fdft_panel(panel), out[i] if plan.stack else out, *plan.args)
     return out
 
 
-def _norm_chunk(args) -> np.ndarray:
-    model, T, B, seed, streams = args
-    out = np.empty((len(streams), 2))
-    for i, r in enumerate(streams):
-        panel = simulate_panel(model, T, SeedSpec(base_seed=seed, stream_id=r))
-        coeffs = statistic_matrix(fdft_panel(panel), B)
-        out[i, 0] = projected_hs_norm(coeffs, scale="statistic")
-        out[i, 1] = projected_hs_norm(coeffs, scale="gridsum")
-    return out
-
-
-def _spectrum_moment_chunk(args) -> tuple:
-    """Accumulate sums and squared sums of diagonal f_hat over the Fourier grid."""
-    model, T, B, seed, streams = args
-    spec = SmoothingSpec(bandwidth=B)
-    acc = np.zeros((model.degrees.dim, T))
-    acc2 = np.zeros_like(acc)
-    for r in streams:
-        panel = simulate_panel(model, T, SeedSpec(base_seed=seed, stream_id=r))
-        vals = smoothed_spectrum_grid(fdft_panel(panel), spec)
-        acc += vals
-        acc2 += np.square(vals, out=vals)
-    return acc, acc2
-
-
-# Replication chunks per experiment and T.  A fixed count keeps the chunk
-# boundaries, and with them the grouping of floating-point sums across
-# chunks, the same for every worker count.
+# Replication chunks per plan.  A fixed count keeps the chunk boundaries, and
+# with them the grouping of floating-point sums across chunks, the same for
+# every worker count.
 _N_CHUNKS = 4
 
 
@@ -274,82 +247,118 @@ def _chunks(R: int) -> list:
     return [list(range(i, min(i + per, R))) for i in range(0, R, per)]
 
 
-def _map_reduce(worker, arg_builder, R: int, threads: int | None):
-    n = thread_count(threads)
+def _replicate(plans: list, R: int, threads: int | None) -> list:
+    """R replications of every plan: per plan, its chunks summed or stacked in
+    chunk order.  Every chunk of every plan goes to one pool."""
     chunks = _chunks(R)
-    args = [arg_builder(c) for c in chunks]
-    if n == 1:
-        return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(n, len(args))) as pool:
-        return list(pool.map(worker, args))
+    tasks = [(plan, c) for plan in plans for c in chunks]
+    workers = min(thread_count(threads), len(tasks))
+    if workers == 1:
+        return _gather(plans, map(_run_chunk, tasks), len(chunks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _gather(plans, pool.map(_run_chunk, tasks), len(chunks))
+
+
+def _gather(plans: list, results, n_chunks: int) -> list:
+    out = []
+    for plan in plans:
+        parts = [next(results) for _ in range(n_chunks)]
+        if plan.stack:
+            out.append(np.concatenate(parts))
+            continue
+        for part in parts[1:]:
+            parts[0] += part
+        out.append(parts[0])
+    return out
+
+
+# --- reducers: (dft, out, *args), top-level so that plans pickle --------------
+
+def _rejections(dft, counts, moments, pairs, level) -> None:
+    counts += projected_test(dft, moments, pairs=pairs, level=level).rejections()
+
+
+def _diagonal_z(dft, z, B, means, sds) -> None:
+    z[:] = (np.diag(statistic_matrix(dft, B).matrix).real - means) / sds
+
+
+def _hs_norms(dft, norms, B) -> None:
+    coeffs = statistic_matrix(dft, B)
+    norms[0] = projected_hs_norm(coeffs, scale="statistic")
+    norms[1] = projected_hs_norm(coeffs, scale="gridsum")
+
+
+def _spectrum_moments(dft, acc, spec) -> None:
+    """Add the diagonal f_hat over the Fourier grid to acc[0], its square to acc[1]."""
+    vals = smoothed_spectrum_grid(dft, spec)
+    acc[0] += vals
+    acc[1] += np.square(vals, out=vals)
 
 
 # --- experiments ------------------------------------------------------------
 
-def _calibrate(config: ExperimentConfig, calib: SpectralModel) -> list:
+def _calibrate(config: ExperimentConfig) -> list:
     """Null moments for every T, resolved before any replication runs, so a T
     with a degenerate bandwidth or an empty window fails first."""
+    calib = config.null_model()
     return [null_moments(calib, T, bandwidth(T, config.rule())) for T in config.T_values]
+
+
+def _norm_plan(config: ExperimentConfig, T: int, B: float) -> _Plan:
+    g_weights(T, B)  # an empty window fails here, before any replication
+    return _Plan(config.model, T, config.seed, _hs_norms, (B,), (2,), stack=True)
 
 
 def run_size(config: ExperimentConfig) -> McTable:
     """Per-direction empirical rejection rate under the null model."""
-    model = config.model
-    if not model.is_null():
+    if not config.model.is_null():
         raise HarnessError("run_size requires a short-memory (null) model")
-    return _rejection_experiment(config, "size", model, model)
+    return _rejection_experiment(config, "size")
 
 
 def run_power(config: ExperimentConfig) -> McTable:
     """Per-direction rejection rate under the alternative, null-calibrated."""
     if config.model.is_null():
         warnings.warn("run_power on a null model reduces to run_size", stacklevel=2)
-    return _rejection_experiment(config, "power", config.model, config.null_model())
+    return _rejection_experiment(config, "power")
 
 
-def _rejection_experiment(
-    config: ExperimentConfig, name: str, model: SpectralModel, calib: SpectralModel
-) -> McTable:
+def _rejection_experiment(config: ExperimentConfig, name: str) -> McTable:
     table = McTable(name, manifest=_config_manifest(config, name))
-    pairs = default_pairs(model.degrees, config.n_directions)
-    degrees = pair_degrees(pairs)
-    for T, moments in zip(config.T_values, _calibrate(config, calib)):
-        results = _map_reduce(
-            _rejections_chunk,
-            lambda c: (model, degrees, moments, pairs, T, config.level, config.seed, c),
-            config.R,
-            config.threads,
-        )
-        counts = np.sum(results, axis=0)
+    pairs = default_pairs(config.model.degrees, config.n_directions)
+    plans = [
+        _Plan(config.model, T, config.seed, _rejections, (moments, pairs, config.level),
+              (len(pairs),), degrees=pair_degrees(pairs))
+        for T, moments in zip(config.T_values, _calibrate(config))
+    ]
+    for plan, counts in zip(plans, _replicate(plans, config.R, config.threads)):
         for i, rate in enumerate(counts / config.R):
-            table.add(T, config.R, config.beta, f"direction_{i}", rate, _binomial_se(rate, config.R))
+            table.add(plan.T, config.R, config.beta, f"direction_{i}", rate, _binomial_se(rate, config.R))
     return table
 
 
 def run_distribution(config: ExperimentConfig, n_bins: int = 41) -> McTable:
     """Pooled standardized diagonal statistics per eigenspace: KS, variance, histogram."""
-    model = config.model
-    calib = config.null_model()
+    degrees = config.model.degrees
     table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
     edges = np.linspace(-5.0, 5.0, n_bins + 1)
-    for T, moments in zip(config.T_values, _calibrate(config, calib)):
-        results = _map_reduce(
-            _diag_z_chunk,
-            lambda c: (model, moments, T, config.seed, c),
-            config.R,
-            config.threads,
-        )
-        z = np.vstack(results)  # (R, D)
-        for n in model.degrees.degrees:
-            off = model.degrees.column_offset(n)
+    plans = []
+    for T, moments in zip(config.T_values, _calibrate(config)):
+        means = np.array([moments.mean_diag[n] for n, _ in degrees.index_list()])
+        sds = np.sqrt([moments.variance(a, a) for a in degrees.index_list()])
+        plans.append(_Plan(config.model, T, config.seed, _diagonal_z, (moments.B, means, sds),
+                           (degrees.dim,), stack=True))
+    for plan, z in zip(plans, _replicate(plans, config.R, config.threads)):
+        for n in degrees.degrees:
+            off = degrees.column_offset(n)
             pooled = z[:, off : off + 2 * n + 1].ravel()
             ks = stats.kstest(pooled, "norm").statistic
-            table.add(T, config.R, config.beta, f"ks_n{n}", ks)
-            table.add(T, config.R, config.beta, f"mean_n{n}", float(pooled.mean()))
-            table.add(T, config.R, config.beta, f"var_n{n}", float(pooled.var()))
+            table.add(plan.T, config.R, config.beta, f"ks_n{n}", ks)
+            table.add(plan.T, config.R, config.beta, f"mean_n{n}", float(pooled.mean()))
+            table.add(plan.T, config.R, config.beta, f"var_n{n}", float(pooled.var()))
             hist, _ = np.histogram(pooled, bins=edges, density=True)
             for b, h in enumerate(hist):
-                table.add(T, config.R, config.beta, f"hist_n{n}_bin{b}", float(h))
+                table.add(plan.T, config.R, config.beta, f"hist_n{n}_bin{b}", float(h))
     return table
 
 
@@ -364,21 +373,10 @@ def run_divergence(config: ExperimentConfig, mode: str = "single") -> McTable:
         raise HarnessError(f"unknown divergence mode {mode!r}")
     R = 1 if mode == "single" else min(config.R, 20)
     table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
-    Bs = [bandwidth(T, config.rule()) for T in config.T_values]
-    for T, B in zip(config.T_values, Bs):
-        g_weights(T, B)  # an empty window fails here, before any replication
-    for T, B in zip(config.T_values, Bs):
-        results = _map_reduce(
-            _norm_chunk,
-            lambda c: (config.model, T, B, config.seed, c),
-            R,
-            config.threads,
-        )
-        norms = np.vstack(results)
-        stat = float(np.median(norms[:, 0]))
-        grid = float(np.median(norms[:, 1]))
-        table.add(T, R, config.beta, "hs_norm_statistic", stat)
-        table.add(T, R, config.beta, "hs_norm_gridsum", grid)
+    plans = [_norm_plan(config, T, bandwidth(T, config.rule())) for T in config.T_values]
+    for plan, norms in zip(plans, _replicate(plans, R, config.threads)):
+        table.add(plan.T, R, config.beta, "hs_norm_statistic", float(np.median(norms[:, 0])))
+        table.add(plan.T, R, config.beta, "hs_norm_gridsum", float(np.median(norms[:, 1])))
     return table
 
 
@@ -396,31 +394,24 @@ def run_bandwidth_sweep(config: ExperimentConfig, betas=(0.2, 0.55, 0.9), mode: 
     if mode not in ("expected", "single", "averaged"):
         raise HarnessError(f"unknown sweep mode {mode!r}")
     table = McTable("bandwidth_sweep", manifest=_config_manifest(config, "bandwidth_sweep"))
-    calib = config.null_model()
-    gridsum = lambda T: float(T) ** 2 / (2 * math.pi) ** 4
-    for beta in betas:
-        rule = BandwidthRule(beta=beta)
-        for T in config.T_values:
-            B = bandwidth(T, rule)
-            if mode == "expected":
-                # continuous window profile: exact sqrt(B T) mean scaling even
-                # when B falls below the Fourier grid spacing
-                moments = null_moments(calib, T, B, mode="continuous")
-                dims = [2 * n + 1 for n in calib.degrees.degrees]
-                norm = math.sqrt(
-                    sum(d * moments.mean_diag[n] ** 2 for d, n in zip(dims, calib.degrees.degrees))
-                ) * gridsum(T)
-                R = 0
-            else:
-                R = 1 if mode == "single" else min(config.R, 20)
-                results = _map_reduce(
-                    _norm_chunk,
-                    lambda c: (config.model, T, B, config.seed, c),
-                    R,
-                    config.threads,
-                )
-                norm = float(np.median(np.vstack(results)[:, 1]))
-            table.add(T, R, beta, "rescaled_norm", norm / math.sqrt(B * T))
+    grid = [(beta, T, bandwidth(T, BandwidthRule(beta=beta))) for beta in betas for T in config.T_values]
+    if mode == "expected":
+        R = 0
+        calib = config.null_model()
+        degs = calib.degrees.degrees
+        norms = []
+        for _, T, B in grid:
+            # continuous window profile: exact sqrt(B T) mean scaling even
+            # when B falls below the Fourier grid spacing
+            moments = null_moments(calib, T, B, mode="continuous")
+            gridsum = float(T) ** 2 / (2 * math.pi) ** 4
+            norms.append(math.sqrt(sum((2 * n + 1) * moments.mean_diag[n] ** 2 for n in degs)) * gridsum)
+    else:
+        R = 1 if mode == "single" else min(config.R, 20)
+        plans = [_norm_plan(config, T, B) for _, T, B in grid]
+        norms = [float(np.median(n[:, 1])) for n in _replicate(plans, R, config.threads)]
+    for (beta, T, B), norm in zip(grid, norms):
+        table.add(T, R, beta, "rescaled_norm", norm / math.sqrt(B * T))
     return table
 
 
@@ -438,17 +429,14 @@ def run_consistency(config: ExperimentConfig) -> McTable:
     if config.R < 2:
         raise InsufficientReplications("variance estimation requires R >= 2")
     table = McTable("consistency", manifest=_config_manifest(config, "consistency"))
+    Bs = [bandwidth(T, config.rule()) for T in config.T_values]
+    plans = [
+        _Plan(config.model, T, config.seed, _spectrum_moments, (SmoothingSpec(bandwidth=B),),
+              (2, config.model.degrees.dim, T))
+        for T, B in zip(config.T_values, Bs)
+    ]
     logx, logy = [], []
-    for T in config.T_values:
-        B = bandwidth(T, config.rule())
-        results = _map_reduce(
-            _spectrum_moment_chunk,
-            lambda c: (config.model, T, B, config.seed, c),
-            config.R,
-            config.threads,
-        )
-        acc = sum(r[0] for r in results)
-        acc2 = sum(r[1] for r in results)
+    for T, B, (acc, acc2) in zip(config.T_values, Bs, _replicate(plans, config.R, config.threads)):
         var = acc2 / config.R - (acc / config.R) ** 2
         omegas = np.abs(reduce_frequency(2 * np.pi * np.arange(T) / T))
         keep = omegas > math.sqrt(B) / 2.0

@@ -84,16 +84,6 @@ class AlphaProfile:
     def is_null(self) -> bool:
         return bool(np.all(self.values == 0.0) and self.tail_value == 0.0)
 
-    @property
-    def l_alpha(self) -> float:
-        """Smallest nonzero exponent (0 for an all-zero profile)."""
-        nz = self.values[self.values > 0]
-        return float(nz.min()) if nz.size else 0.0
-
-    @property
-    def L_alpha(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
-
 
 def alpha_profile(
     kind: str,
@@ -180,11 +170,6 @@ class SpectralModel:
         if not self.degrees.n_min <= n <= self.degrees.n_max:
             raise ModelError(f"degree {n} outside model range")
         return n - self.degrees.n_min
-
-    def alpha_of(self, n: int) -> float:
-        if n > self.degrees.n_max:
-            return self.alpha.tail_value
-        return float(self.alpha.values[self.degree_index(n)])
 
     def srd_part(self) -> "SpectralModel":
         """The same ARMA model with all memory exponents set to zero."""

@@ -181,10 +181,9 @@ def write_panel_csv(path, panel: CoefficientPanel, layout: str = "long") -> None
                 for n, j in panel.degrees.index_list():
                     writer.writerow([t, n, j, f"{panel.column(n, j)[t]:.17g}"])
     elif layout == "wide":
-        header = ["t"] + [f"a_{n}_{j}" for n, j in panel.degrees.index_list()]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(_wide_header(panel.degrees))
             for t in range(panel.T):
                 writer.writerow(
                     [t] + [f"{v:.17g}" for v in panel.data[t]]
@@ -193,8 +192,17 @@ def write_panel_csv(path, panel: CoefficientPanel, layout: str = "long") -> None
         raise SimulationError(f"unknown CSV layout {layout!r}")
 
 
+def _wide_header(degrees: DegreeRange) -> list:
+    return ["t"] + [f"a_{n}_{j}" for n, j in degrees.index_list()]
+
+
 def read_panel_csv(path, degrees: DegreeRange) -> CoefficientPanel:
-    """Read a panel from either CSV layout (detected from the header)."""
+    """Read a panel from either CSV layout (detected from the header).
+
+    The long layout must hold exactly one value for every (t, n, j) with t in
+    0..T-1; the wide layout must carry the header ``write_panel_csv`` writes
+    for ``degrees``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -202,12 +210,26 @@ def read_panel_csv(path, degrees: DegreeRange) -> CoefficientPanel:
     if header[:4] == ["t", "n", "j", "value"]:
         T = max(int(r[0]) for r in rows) + 1
         data = np.zeros((T, degrees.dim))
+        count = np.zeros((T, degrees.dim), dtype=int)
         for r in rows:
-            t, n, j = int(r[0]), int(r[1]), int(r[2])
-            data[t, degrees.column(n, j)] = float(r[3])
-    elif header and header[0] == "t":
+            t, col = int(r[0]), degrees.column(int(r[1]), int(r[2]))
+            if t < 0:
+                raise SimulationError(f"negative time index {t} in panel CSV")
+            data[t, col] = float(r[3])
+            count[t, col] += 1
+        bad = np.argwhere(count != 1)
+        if bad.size:
+            t, col = bad[0]
+            n, j = degrees.index_list()[col]
+            raise SimulationError(
+                f"panel CSV holds {count[t, col]} values for t={t}, (n, j)=({n}, {j}); need exactly 1"
+            )
+    elif header == _wide_header(degrees):
         T = len(rows)
         data = np.array([[float(v) for v in r[1:]] for r in rows])
     else:
-        raise SimulationError("unrecognized panel CSV header")
+        raise SimulationError(
+            f"panel CSV header is neither the long layout nor the wide layout of "
+            f"degrees {degrees.n_min}..{degrees.n_max}"
+        )
     return CoefficientPanel(T=T, degrees=degrees, data=data)

@@ -277,10 +277,19 @@ def test_acceptance_oracle_thread_invariance():
     cons = dict(model=example_model(1, 1, 2), T_values=(256, 1024), R=12, seed=321)
     c1 = run_consistency(ExperimentConfig(threads=1, **cons))
     c2 = run_consistency(ExperimentConfig(threads=2, **cons))
-    ok = t1.rows == t2.rows and p1.rows == p2.rows and w1.rows == w2.rows and c1.rows == c2.rows
+    # stacked per-replication rows must come back in replication order
+    dist = dict(model=model, T_values=(128, 256), R=10, seed=321)
+    d1 = run_distribution(ExperimentConfig(threads=1, **dist))
+    d2 = run_distribution(ExperimentConfig(threads=2, **dist))
+    div = dict(model=example_model(1, 1, 2), T_values=(128, 256), R=7, seed=321)
+    v1 = run_divergence(ExperimentConfig(threads=1, **div), mode="averaged")
+    v2 = run_divergence(ExperimentConfig(threads=2, **div), mode="averaged")
+    pairs = [(t1, t2), (p1, p2), (w1, w2), (c1, c2), (d1, d2), (v1, v2)]
+    ok = all(a.rows == b.rows for a, b in pairs)
     _verdict(
         "oracle: results independent of worker count",
         ok,
-        f"{len(t1.rows)} size, {len(p1.rows) + len(w1.rows)} power and "
-        f"{len(c1.rows)} consistency rows compared",
+        f"{len(t1.rows)} size, {len(p1.rows) + len(w1.rows)} power, "
+        f"{len(c1.rows)} consistency, {len(d1.rows)} distribution and "
+        f"{len(v1.rows)} divergence rows compared",
     )

@@ -228,8 +228,19 @@ def test_cli_rejects_too_many_directions_before_running(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:sample length")
-@pytest.mark.parametrize("command", ["mc-power", "mc-dist", "mc-divergence"])
-def test_cli_empty_window_fails_before_any_replication(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, experiment",
+    [
+        pytest.param("mc-power", {}, id="mc-power"),
+        pytest.param("mc-dist", {}, id="mc-dist"),
+        pytest.param("mc-divergence", {}, id="mc-divergence"),
+        # T = 1 has no bandwidth at all
+        pytest.param("mc-consistency", {"T": [1000, 1]}, id="mc-consistency"),
+        # the default sweep mode replicates nothing; the realized modes do
+        pytest.param("mc-sweep", {"mode": "averaged"}, id="mc-sweep"),
+    ],
+)
+def test_cli_empty_window_fails_before_any_replication(tmp_path, monkeypatch, command, experiment):
     # T = 16 with beta = 0.25 leaves no Fourier frequency inside the window
     from spherelrd import harness
 
@@ -243,7 +254,7 @@ def test_cli_empty_window_fails_before_any_replication(tmp_path, monkeypatch, co
     monkeypatch.setattr(harness, "simulate_panel", counted)
     doc = {
         "model": {"generator": "example1", "degrees": [1, 2]},
-        "experiment": {"T": [1000, 16], "R": 200, "beta": 0.25, "seed": 99},
+        "experiment": {"T": [1000, 16], "R": 200, "beta": 0.25, "seed": 99, **experiment},
     }
     cfg = _write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -46,8 +46,10 @@ def test_config_validation(small_model):
         ExperimentConfig(model=small_model, T_values=(256,), level=1.5)
     with pytest.raises(HarnessError):
         ExperimentConfig(model=small_model, T_values=())
-    with pytest.warns(UserWarning, match="below 64"):
+    with pytest.warns(UserWarning, match="below 64") as record:
         ExperimentConfig(model=small_model, T_values=(50,))
+    # the warning names the line that built the config
+    assert record[0].filename == __file__
 
 
 def test_config_rejects_directions_outside_available_pairs(small_model):
@@ -63,8 +65,6 @@ def test_null_model_resolution(small_model, example1_model):
     assert _config(small_model).null_model() is small_model
     calib = _config(example1_model).null_model()
     assert calib.is_null()
-    override = _config(example1_model, calibration=small_model).null_model()
-    assert override is small_model
 
 
 def test_chunks_cover_range():
@@ -73,6 +73,22 @@ def test_chunks_cover_range():
         flat = [i for c in chunks for i in c]
         assert flat == list(range(R))
         assert len(chunks) <= 4
+
+
+def test_one_pool_per_experiment(small_model, monkeypatch):
+    from spherelrd import harness
+
+    pools = []
+
+    class CountedPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    tab = run_size(_config(small_model, T_values=(128, 256), R=8, threads=2))
+    assert len(tab.values("direction_")) == 16
+    assert len(pools) == 1
 
 
 def test_mc_table_roundtrip(tmp_path):

@@ -95,14 +95,12 @@ def test_alpha_range_enforced():
     with pytest.raises(AlphaRangeError):
         AlphaProfile(values=np.array([1.0]), extended=True)
     prof = AlphaProfile(values=np.array([0.7]), extended=True)
-    assert prof.L_alpha == pytest.approx(0.7)
+    assert prof.values[0] == pytest.approx(0.7)
 
 
 def test_alpha_profile_summaries():
     prof = AlphaProfile(values=np.array([0.0, 0.2, 0.4]))
     assert not prof.is_null
-    assert prof.l_alpha == pytest.approx(0.2)
-    assert prof.L_alpha == pytest.approx(0.4)
     assert AlphaProfile(values=np.zeros(3)).is_null
 
 
@@ -166,7 +164,7 @@ def test_ar_roots_outside_unit_circle(reference_model):
 
 
 def test_alpha_tail_value(example1_model):
-    assert example1_model.alpha_of(20) == pytest.approx(0.2678)
+    assert example1_model.alpha.tail_value == pytest.approx(0.2678)
 
 
 def test_alpha_length_mismatch_rejected():

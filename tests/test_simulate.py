@@ -192,6 +192,40 @@ def test_panel_csv_bad_header(tmp_path):
         read_panel_csv(path, DegreeRange(1, 1))
 
 
+def _long_csv_lines(tmp_path, small_model) -> list:
+    path = tmp_path / "long.csv"
+    write_panel_csv(path, simulate_panel(small_model, 4, SeedSpec(base_seed=5)), layout="long")
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_panel_csv_long_missing_cell(tmp_path, small_model):
+    lines = _long_csv_lines(tmp_path, small_model)
+    path = tmp_path / "missing.csv"
+    path.write_text("".join(lines[:5] + lines[6:]))  # drops t=0, (n, j)=(2, 2)
+    with pytest.raises(SimulationError, match=r"0 values for t=0, \(n, j\)=\(2, 2\)"):
+        read_panel_csv(path, small_model.degrees)
+
+
+def test_panel_csv_long_duplicate_cell(tmp_path, small_model):
+    lines = _long_csv_lines(tmp_path, small_model)
+    path = tmp_path / "duplicate.csv"
+    path.write_text("".join(lines + [lines[-1]]))
+    with pytest.raises(SimulationError, match=r"2 values for t=3, \(n, j\)=\(2, 5\)"):
+        read_panel_csv(path, small_model.degrees)
+
+
+def test_panel_csv_wide_header_must_match_degrees(tmp_path, small_model):
+    path = tmp_path / "wide.csv"
+    write_panel_csv(path, simulate_panel(small_model, 4, SeedSpec(base_seed=5)), layout="wide")
+    with pytest.raises(SimulationError, match="header"):
+        read_panel_csv(path, DegreeRange(2, 3))
+    header, *rows = path.read_text().splitlines(keepends=True)
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join([header.replace("a_1_1,a_1_2", "a_1_2,a_1_1")] + rows))
+    with pytest.raises(SimulationError, match="header"):
+        read_panel_csv(swapped, small_model.degrees)
+
+
 def test_column_accessor(small_model):
     panel = simulate_panel(small_model, 16, SeedSpec(base_seed=42))
     col = small_model.degrees.column(2, 3)
