@@ -39,6 +39,7 @@ from .simulate import SeedSpec, simulate_panel
 from .spectral import SmoothingSpec, fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
     BandwidthRule,
+    _entries,
     bandwidth,
     default_pairs,
     g_weights,
@@ -279,7 +280,7 @@ def _rejections(dft, counts, moments, pairs, level) -> None:
 
 
 def _diagonal_z(dft, z, B, means, sds) -> None:
-    z[:] = (np.diag(statistic_matrix(dft, B).matrix).real - means) / sds
+    z[:] = (_entries(dft, B) - means) / sds
 
 
 def _hs_norms(dft, norms, B) -> None:

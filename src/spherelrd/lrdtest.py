@@ -11,8 +11,12 @@ weighted quadratic form over the Fourier ordinates,
 
     S[a, b] = sqrt(T) * (2 pi / T) * sum_{v=1}^{T-1} g_v * d_a(w_v) conj(d_b(w_v)),
 
-with g_v = (2 pi / T) * sum_{s in window} W^(T)(w_s - w_v).  All null means
-and (co)variances are evaluated on the same Fourier grid with the same g
+with g_v = (2 pi / T) * sum_{s in window} W^(T)(w_s - w_v).  The panel is
+real and g is even, so the terms at v and T - v are conjugate and S is real:
+it is summed over the half grid v = 1..T//2 with folded weights 2 g_v, and
+only over the support of g (the window widened by the kernel's nonzero lags,
+about a tenth of the half grid at B = T^(-1/4)).  All null means and
+(co)variances are evaluated on the same Fourier grid with the same g
 weights, which removes the O(1/(T sqrt(B))) centering bias a continuous
 approximation would leave at small T.  A continuous midpoint-quadrature mode
 is kept for cross-checking.
@@ -132,9 +136,35 @@ def g_weights(T: int, B: float) -> np.ndarray:
     return g
 
 
+@functools.lru_cache(maxsize=_G_CACHE_SIZE)
+def _half_support(T: int, B: float) -> tuple:
+    """Ordinates v in 1..T//2 where g_v != 0, and the folded weights there.
+
+    g_v sums nonnegative kernel values, so it is nonzero exactly at a window
+    index plus a nonzero kernel lag (mod T), an integer set; g is never
+    thresholded.  The weight 2 g_v adds the mirror ordinate T - v; a Nyquist
+    ordinate v = T/2 has none (the support ends below T/4 at any B < 1).
+    """
+    lags = np.flatnonzero(kernel_row(T, SmoothingSpec(bandwidth=B)))
+    hit = np.zeros(T, dtype=bool)
+    hit[(window_indices(T, B)[:, None] + lags) % T] = True
+    v = np.flatnonzero(hit[1 : T // 2 + 1]) + 1
+    w = np.where(2 * v == T, 1.0, 2.0) * g_weights(T, B)[v]
+    v.flags.writeable = w.flags.writeable = False
+    return v, w
+
+
+def _entries(dft: DftPanel, B: float, ia=slice(None), ib=slice(None)) -> np.ndarray:
+    """S[ia[k], ib[k]] for every k (the diagonal by default), over the support of g."""
+    v, w = _half_support(dft.T, B)
+    A = dft.coeffs[v]
+    a, b = A[:, ia], A[:, ib]
+    return math.sqrt(dft.T) * (2 * np.pi / dft.T) * (w @ (a.real * b.real + a.imag * b.imag))
+
+
 @dataclass(frozen=True)
 class StatisticCoeffs:
-    """Matrix of statistic entries S[a, b] over all basis pairs, with metadata."""
+    """Real symmetric matrix of statistic entries S[a, b] over all basis pairs."""
 
     T: int
     B: float
@@ -142,7 +172,7 @@ class StatisticCoeffs:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=float)
         D = self.degrees.dim
         if m.shape != (D, D):
             raise TestError(f"statistic matrix shape {m.shape} != ({D}, {D})")
@@ -151,11 +181,11 @@ class StatisticCoeffs:
 
 def statistic_matrix(dft: DftPanel, B: float) -> StatisticCoeffs:
     """Evaluate S[a, b] for every ordered pair of basis columns."""
-    T = dft.T
-    g = g_weights(T, B)[1:]
-    A = dft.coeffs[1:]
-    mat = math.sqrt(T) * (2 * np.pi / T) * ((A * g[:, None]).T @ np.conj(A))
-    return StatisticCoeffs(T=T, B=B, degrees=dft.degrees, matrix=mat)
+    v, w = _half_support(dft.T, B)
+    A = dft.coeffs[v]
+    wA = w[:, None] * A
+    mat = math.sqrt(dft.T) * (2 * np.pi / dft.T) * (A.real.T @ wA.real + A.imag.T @ wA.imag)
+    return StatisticCoeffs(T=dft.T, B=B, degrees=dft.degrees, matrix=mat)
 
 
 # --- null calibration -------------------------------------------------------
@@ -337,16 +367,13 @@ def projected_test(
     """Standardize selected entries of S against their null moments.
 
     Only the requested entries are formed, each from its two gathered DFT
-    columns: S[a, b] = sqrt(T) (2 pi / T) sum_v g_v A[v, a] conj(A[v, b]).
+    columns over the support of g.
     """
     if pairs is None:
         pairs = default_pairs(dft.degrees)
-    T = dft.T
-    g = g_weights(T, moments.B)[1:]
-    A = dft.coeffs[1:]
     ia = [dft.degrees.column(*a) for a, _ in pairs]
     ib = [dft.degrees.column(*b) for _, b in pairs]
-    s = math.sqrt(T) * (2 * np.pi / T) * (g @ (A[:, ia] * np.conj(A[:, ib]))).real
+    s = _entries(dft, moments.B, ia, ib)
     mean = np.array([moments.mean(a, b) for a, b in pairs])
     sd = np.sqrt([moments.variance(a, b) for a, b in pairs])
     report = TestReport(mode="projected", level=level, one_sided=one_sided)
@@ -456,7 +483,7 @@ def random_projection_test(
         [[moments.second_moment[(n, h)] for h in coln] for n in coln]
     )
     mean_mat = np.diag([moments.mean_diag[n] for n in coln])
-    centered = coeffs.matrix.real - mean_mat
+    centered = coeffs.matrix - mean_mat
     report = TestReport(mode="random-projection", level=level, one_sided=one_sided)
     for k, direction in enumerate(directions):
         Y = direction.coeffs

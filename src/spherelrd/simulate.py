@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft, signal
 
-from .harmonics import DegreeRange
+from .harmonics import DegreeRange, HarmonicsError
 from .models import SpectralModel
 
 
@@ -205,16 +205,22 @@ def read_panel_csv(path, degrees: DegreeRange) -> CoefficientPanel:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = list(reader)
+    if not rows:
+        raise SimulationError("panel CSV is empty: it holds no data rows")
     if header[:4] == ["t", "n", "j", "value"]:
         T = max(int(r[0]) for r in rows) + 1
         data = np.zeros((T, degrees.dim))
         count = np.zeros((T, degrees.dim), dtype=int)
         for r in rows:
-            t, col = int(r[0]), degrees.column(int(r[1]), int(r[2]))
+            t, n, j = int(r[0]), int(r[1]), int(r[2])
             if t < 0:
                 raise SimulationError(f"negative time index {t} in panel CSV")
+            try:
+                col = degrees.column(n, j)
+            except HarmonicsError as exc:
+                raise SimulationError(f"panel CSV cell t={t}, (n, j)=({n}, {j}): {exc}") from None
             data[t, col] = float(r[3])
             count[t, col] += 1
         bad = np.argwhere(count != 1)

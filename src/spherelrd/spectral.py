@@ -2,18 +2,20 @@
 
 The DFT of a coefficient panel is taken columnwise at the Fourier frequencies
 w_s = 2 pi s / T with the (2 pi T)^(-1/2) normalization, so the squared
-modulus of a column is the periodogram of that coefficient series.  Smoothing
-uses the Epanechnikov weight kernel periodized with bandwidth B in (0, 1)
-and summed over the Fourier grid s = 1..T-1; the zero frequency is always
-excluded.
+modulus of a column is the periodogram of that coefficient series.  A panel
+is real, so A_{T-s} = conj(A_s): ``fdft_panel`` keeps the half grid
+s = 0..T//2 of a real FFT, and ``DftPanel.column`` mirrors a column back.
+Smoothing uses the Epanechnikov weight kernel periodized with bandwidth B in
+(0, 1) and summed over the Fourier grid s = 1..T-1; the zero frequency is
+always excluded.
 
 Because the periodized kernel depends only on the lag between two grid
 frequencies, one kernel row (``kernel_row``) serves every smoothing sum on
 the grid.  ``smoothed_spectrum_grid`` smooths the periodogram of every
-column of a panel in one pass: the kernel row and its FFT are formed once
-per call, and the columns of each degree share one batched FFT and inverse
-FFT.  Its result is bit-identical to smoothing each column on its own with
-the same circular convolution.
+column of a panel in one pass: each periodogram, real and even, is mirrored
+from the half grid and smoothed by a real FFT and its inverse against the
+kernel row's real FFT, formed once per call; a degree's columns share one
+batched transform.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def kernel_row(T: int, spec: SmoothingSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DftPanel:
-    """Columnwise DFT coefficients at all T Fourier frequencies, shape (T, D)."""
+    """Columnwise DFT of a real panel of length T at the Fourier ordinates
+    s = 0..T//2, shape (T//2 + 1, D); the rest of the grid is A_{T-s} = conj(A_s)."""
 
     T: int
     degrees: DegreeRange
@@ -93,19 +96,21 @@ class DftPanel:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.T, self.degrees.dim):
-            raise SpectralError(f"DFT shape {c.shape} != ({self.T}, {self.degrees.dim})")
+        if c.shape != (self.T // 2 + 1, self.degrees.dim):
+            raise SpectralError(f"DFT shape {c.shape} != ({self.T // 2 + 1}, {self.degrees.dim})")
         object.__setattr__(self, "coeffs", c)
 
     def column(self, n: int, j: int) -> np.ndarray:
-        return self.coeffs[:, self.degrees.column(n, j)]
+        """One column at all T Fourier ordinates s = 0..T-1."""
+        c = self.coeffs[:, self.degrees.column(n, j)]
+        return np.concatenate([c, np.conj(c[(self.T + 1) // 2 - 1 : 0 : -1])])
 
 
 def fdft_panel(panel: CoefficientPanel) -> DftPanel:
-    """Columnwise DFT with the (2 pi T)^(-1/2) normalization."""
+    """Columnwise DFT with the (2 pi T)^(-1/2) normalization, over s = 0..T//2."""
     if panel.T < 2:
         raise SpectralError("need at least two time points")
-    coeffs = np.fft.fft(panel.data, axis=0)
+    coeffs = np.fft.rfft(panel.data, axis=0)
     coeffs /= np.sqrt(2 * np.pi * panel.T)
     return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
 
@@ -137,44 +142,35 @@ def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:
     """Diagonal f_hat_{w_s}[a, a] for every column a and every s = 0..T-1, shape (D, T).
 
     Each row is the circular convolution of the column's periodogram (s = 0
-    set to zero) with the kernel row, whose FFT is taken once per call.  The
+    set to zero, mirrored from the half grid) with the kernel row.  The
     columns of one degree are transformed together along the rows of a
     (2n+1, T) buffer, which bounds the temporaries by the largest degree.
     """
     T = dft.T
-    kf = np.fft.fft((2 * np.pi / T) * kernel_row(T, spec) / spec.bandwidth)
+    kf = np.fft.rfft((2 * np.pi / T) * kernel_row(T, spec) / spec.bandwidth)
     A = dft.coeffs
     out = np.empty((dft.degrees.dim, T))
     for n in dft.degrees.degrees:
         lo = dft.degrees.column_offset(n)
-        p = np.empty((2 * n + 1, T), dtype=complex)
-        # one column at a time: a product over the whole panel runs another
-        # complex loop, whose imaginary parts are not exactly zero
-        for k in range(2 * n + 1):
-            np.multiply(A[:, lo + k], np.conj(A[:, lo + k]), out=p[k])
+        a = A[:, lo : lo + 2 * n + 1].T
+        p = np.empty((2 * n + 1, T))
+        np.add(np.square(a.real), np.square(a.imag), out=p[:, : T // 2 + 1])
+        p[:, T // 2 + 1 :] = p[:, (T + 1) // 2 - 1 : 0 : -1]  # p_{T-s} = p_s
         p[:, 0] = 0.0  # s = 0 excluded from the smoothing sum
-        F = np.fft.fft(p)
+        F = np.fft.rfft(p)
         F *= kf
-        out[lo : lo + 2 * n + 1] = np.fft.ifft(F).real
+        out[lo : lo + 2 * n + 1] = np.fft.irfft(F, n=T)
     return out
 
 
-def spectrum_csv_rows(
-    dft: DftPanel,
-    pairs,
-    omegas,
-    spec: SmoothingSpec,
-):
-    """Yield CSV rows (omega, n_a, j_a, n_b, j_b, re, im)."""
-    for w in omegas:
-        for a, b in pairs:
-            val = smoothed_cross_spectrum(dft, a, b, float(w), spec)
-            yield [f"{w:.10g}", a[0], a[1], b[0], b[1], f"{val.real:.10g}", f"{val.imag:.10g}"]
-
-
 def write_spectrum_csv(path, dft: DftPanel, pairs, omegas, spec: SmoothingSpec) -> None:
+    """Write f_hat_omega[a, b] per omega and pair: rows (omega, n_a, j_a, n_b, j_b, re, im)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"])
-        for row in spectrum_csv_rows(dft, pairs, omegas, spec):
-            writer.writerow(row)
+        for w in omegas:
+            for a, b in pairs:
+                val = smoothed_cross_spectrum(dft, a, b, float(w), spec)
+                writer.writerow(
+                    [f"{w:.10g}", a[0], a[1], b[0], b[1], f"{val.real:.10g}", f"{val.imag:.10g}"]
+                )

@@ -189,7 +189,10 @@ def test_acceptance_oracle_fractional_weights():
 def test_acceptance_oracle_parseval():
     panel = simulate_panel(reference_spharma11(1, 2), 512, SeedSpec(base_seed=7))
     dft = fdft_panel(panel)
-    lhs = 2 * np.pi * np.sum(np.abs(dft.coeffs) ** 2)
+    # the half grid s = 0..256 counts every ordinate but 0 and 256 twice
+    mult = np.full(257, 2.0)
+    mult[[0, 256]] = 1.0
+    lhs = 2 * np.pi * np.sum(mult @ np.abs(dft.coeffs) ** 2)
     rhs = np.sum(panel.data**2)
     rel = abs(lhs - rhs) / rhs
     _verdict("oracle: Parseval identity within 1e-10", rel < 1e-10, f"relative error {rel:.2e}")

@@ -20,6 +20,7 @@ from spherelrd.harness import (
     run_size,
     thread_count,
 )
+from spherelrd.lrdtest import bandwidth
 
 
 def _config(model, **kw):
@@ -158,6 +159,35 @@ def test_run_distribution_small(small_model):
         assert len(hist) == 41
         # histogram integrates to ~1 (density over [-5, 5] bins)
         assert sum(h * 10.0 / 41 for h in hist) == pytest.approx(1.0, abs=0.05)
+
+
+def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
+    # mc-dist forms no statistic matrix, and its z rows are the standardized
+    # diagonal of the one statistic_matrix would form.
+    from spherelrd import harness
+    from spherelrd.lrdtest import null_moments, statistic_matrix
+
+    calls = []
+    rows = []
+    reduce = harness._diagonal_z
+
+    def recording(dft, z, *args):
+        reduce(dft, z, *args)
+        rows.append((dft, z.copy()))
+
+    monkeypatch.setattr(harness, "statistic_matrix", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "_diagonal_z", recording)
+    config = _config(small_model, T_values=(512,), R=6, threads=1)
+    run_distribution(config)
+    assert calls == []
+    assert len(rows) == 6
+    moments = null_moments(small_model, 512, bandwidth(512, config.rule()))
+    index = small_model.degrees.index_list()
+    means = np.array([moments.mean(a, a) for a in index])
+    sds = np.sqrt([moments.variance(a, a) for a in index])
+    for dft, z in rows:
+        want = (np.diag(statistic_matrix(dft, moments.B).matrix) - means) / sds
+        np.testing.assert_allclose(z, want, rtol=0, atol=1e-12)
 
 
 def test_run_divergence_modes(small_model):

@@ -109,6 +109,23 @@ def test_g_weights_total_mass():
     assert (2 * np.pi / T) * g[1:].sum() == pytest.approx(math.sqrt(B), rel=0.05)
 
 
+def test_g_support_is_exact():
+    # The support is built from integer indices; g vanishes outside it up to
+    # the rounding of its FFT, and the fold adds each mirror ordinate once.
+    from spherelrd.lrdtest import _half_support
+
+    for T, size in ((3000, 151), (1000, 61), (8192, 348)):
+        B = T**-0.25
+        v, w = _half_support(T, B)
+        assert len(v) == size
+        g = g_weights(T, B)
+        outside = np.ones(T, dtype=bool)
+        outside[0] = False
+        outside[v] = outside[T - v] = False
+        assert np.abs(g[outside]).max() <= 1e-15 * np.abs(g).max()
+        np.testing.assert_array_equal(w, 2.0 * g[v])
+
+
 # --- statistic --------------------------------------------------------------
 
 def test_statistic_matches_window_sum_definition(small_model):
@@ -127,6 +144,28 @@ def test_statistic_matches_window_sum_definition(small_model):
         brute *= math.sqrt(64) * 2 * np.pi / 64
         entry = coeffs.matrix[dft.degrees.column(*a), dft.degrees.column(*b)]
         assert entry == pytest.approx(brute, abs=1e-10)
+
+
+@pytest.mark.parametrize("T", [64, 1001, 3000])
+def test_statistic_matches_full_grid_complex_definition(small_model, T):
+    # S = sqrt(T) (2 pi / T) sum_{v=1}^{T-1} g_v A_v conj(A_v)^T over the full
+    # grid of the complex FFT, for odd and even T (an even T's half grid ends
+    # at the Nyquist ordinate): the fold onto the half grid and the cut to the
+    # support of g change S by rounding only.
+    panel = simulate_panel(small_model, T, SeedSpec(base_seed=23))
+    B = bandwidth(T, BandwidthRule(beta=0.25))
+    A = np.fft.fft(panel.data, axis=0)[1:] / np.sqrt(2 * np.pi * T)
+    g = g_weights(T, B)[1:]
+    full = math.sqrt(T) * (2 * np.pi / T) * ((A * g[:, None]).T @ np.conj(A))
+    dft = fdft_panel(panel)
+    got = statistic_matrix(dft, B).matrix
+    np.testing.assert_allclose(got, full.real, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(full.imag, 0.0, atol=1e-12 * np.abs(full).max())
+    moments = null_moments(small_model, T, B)
+    pairs = [(a, b) for a in dft.degrees.index_list() for b in dft.degrees.index_list()]
+    report = projected_test(dft, moments, pairs=pairs)
+    want = [full[dft.degrees.column(*a), dft.degrees.column(*b)].real for a, b in pairs]
+    np.testing.assert_allclose([r["statistic"] for r in report.rows], want, rtol=1e-12, atol=0)
 
 
 def test_statistic_hermitian_real_diagonal(small_dft):

@@ -214,6 +214,22 @@ def test_panel_csv_long_duplicate_cell(tmp_path, small_model):
         read_panel_csv(path, small_model.degrees)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,n,j,value\n0,5,1,0.1\n", r"t=0, \(n, j\)=\(5, 1\)"),
+        ("t,n,j,value\n-1,1,0,0.1\n", "negative time index -1"),
+        ("t,n,j,value\n", "empty"),
+    ],
+    ids=["degree-outside-range", "negative-t-before-bad-j", "header-only"],
+)
+def test_panel_csv_long_malformed_cell(tmp_path, text, message):
+    path = tmp_path / "malformed.csv"
+    path.write_text(text)
+    with pytest.raises(SimulationError, match=message):
+        read_panel_csv(path, DegreeRange(1, 2))
+
+
 def test_panel_csv_wide_header_must_match_degrees(tmp_path, small_model):
     path = tmp_path / "wide.csv"
     write_panel_csv(path, simulate_panel(small_model, 4, SeedSpec(base_seed=5)), layout="wide")

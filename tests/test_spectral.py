@@ -24,9 +24,9 @@ from spherelrd.spectral import (
 # --- reference implementations ---------------------------------------------
 
 def fdft_direct(panel: CoefficientPanel) -> DftPanel:
-    """O(T^2) reference transform, the oracle for the FFT path."""
+    """O(T^2) reference transform at s = 0..T//2, the oracle for the FFT path."""
     t = np.arange(panel.T)
-    s = np.arange(panel.T)
+    s = np.arange(panel.T // 2 + 1)
     ph = np.exp(-2j * np.pi * np.outer(s, t) / panel.T)
     coeffs = ph @ panel.data / np.sqrt(2 * np.pi * panel.T)
     return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
@@ -38,15 +38,29 @@ def periodized_weight(x, spec: SmoothingSpec):
     return spec.weight(np.asarray(xr) / spec.bandwidth) / spec.bandwidth
 
 
-def smoothed_column_grid(dft: DftPanel, a, b, spec: SmoothingSpec) -> np.ndarray:
-    """f_hat[a, b] at every Fourier frequency for one pair of columns, by one
-    circular convolution per pair: the oracle for the batched diagonal grid."""
-    T = dft.T
-    p = dft.column(*a) * np.conj(dft.column(*b))
-    p[0] = 0.0
+def half_grid_weights(T: int) -> np.ndarray:
+    """Multiplicity of each ordinate s = 0..T//2 on the full grid: 2 for the
+    ordinates with a mirror T - s, 1 for s = 0 and the Nyquist ordinate."""
+    w = np.full(T // 2 + 1, 2.0)
+    w[0] = 1.0
+    if T % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
+def smoothing_kernel(T: int, spec: SmoothingSpec) -> np.ndarray:
     diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
-    kern = (2 * np.pi / T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
-    return np.fft.ifft(np.fft.fft(p) * np.fft.fft(kern))
+    return (2 * np.pi / T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
+
+
+def smoothed_column_grid(dft: DftPanel, a, spec: SmoothingSpec) -> np.ndarray:
+    """f_hat[a, a] at every Fourier frequency for one column, by one real
+    circular convolution per column: the oracle for the batched diagonal grid."""
+    T = dft.T
+    c = dft.column(*a)
+    p = np.square(c.real) + np.square(c.imag)
+    p[0] = 0.0
+    return np.fft.irfft(np.fft.rfft(p) * np.fft.rfft(smoothing_kernel(T, spec)), n=T)
 
 
 def test_epanechnikov_axioms():
@@ -114,15 +128,16 @@ def test_fdft_matches_direct_transform(small_model):
 def test_fdft_scales_in_place_exactly(small_model):
     for T in (64, 1001):
         panel = simulate_panel(small_model, T, SeedSpec(base_seed=3))
-        expected = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
+        expected = np.fft.rfft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
         np.testing.assert_array_equal(fdft_panel(panel).coeffs, expected)
 
 
 def test_fdft_parseval(small_dft, small_model):
     # [DERIVED] with the (2 pi T)^(-1/2) normalization,
-    # 2 pi * sum_s |d_s|^2 = sum_t x_t^2 exactly.
+    # 2 pi * sum_s |d_s|^2 = sum_t x_t^2 exactly; the half grid counts each
+    # mirrored ordinate twice.
     panel = simulate_panel(small_model, 512, SeedSpec(base_seed=7, stream_id=0))
-    lhs = 2 * np.pi * np.sum(np.abs(small_dft.coeffs) ** 2, axis=0)
+    lhs = 2 * np.pi * (half_grid_weights(512) @ np.abs(small_dft.coeffs) ** 2)
     rhs = np.sum(panel.data**2, axis=0)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
@@ -169,10 +184,34 @@ def test_smoothed_spectrum_grid_matches_pointwise(small_dft):
 def test_smoothed_spectrum_grid_matches_per_column_oracle(model, T):
     dft = fdft_panel(simulate_panel(model, T, SeedSpec(base_seed=13, stream_id=2)))
     spec = SmoothingSpec(bandwidth=T**-0.25)
-    expected = np.array(
-        [smoothed_column_grid(dft, a, a, spec).real for a in dft.degrees.index_list()]
-    )
+    expected = np.array([smoothed_column_grid(dft, a, spec) for a in dft.degrees.index_list()])
     np.testing.assert_array_equal(smoothed_spectrum_grid(dft, spec), expected)
+
+
+@pytest.mark.parametrize("T", [64, 1001, 8192])
+def test_smoothed_spectrum_grid_matches_complex_convolution(T):
+    # The half-spectrum grid equals the complex circular convolution of the
+    # full-grid periodogram from the complex FFT of the panel.
+    panel = simulate_panel(example_model(1), T, SeedSpec(base_seed=13, stream_id=2))
+    spec = SmoothingSpec(bandwidth=T**-0.25)
+    A = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
+    p = A * np.conj(A)
+    p[0] = 0.0
+    kf = np.fft.fft(smoothing_kernel(T, spec))
+    expected = np.fft.ifft(np.fft.fft(p, axis=0) * kf[:, None], axis=0).real.T
+    got = smoothed_spectrum_grid(fdft_panel(panel), spec)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_dft_column_mirrors_half_grid(small_model):
+    for T in (64, 65):
+        panel = simulate_panel(small_model, T, SeedSpec(base_seed=5))
+        full = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
+        dft = fdft_panel(panel)
+        for n, j in dft.degrees.index_list():
+            col = dft.column(n, j)
+            assert col.shape == (T,)
+            np.testing.assert_allclose(col, full[:, dft.degrees.column(n, j)], rtol=0, atol=1e-12)
 
 
 def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
