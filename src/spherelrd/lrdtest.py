@@ -22,7 +22,7 @@ approximation would leave at small T.  A continuous midpoint-quadrature mode
 is kept for cross-checking.
 
 Under a short-range null the standardized entries are asymptotically
-standard normal; rejection is two-sided at level alpha by default.
+standard normal; rejection is two-sided at level alpha.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class EmptyWindow(TestError):
 
 
 class CalibrationUnderAlternative(TestError):
-    pass
-
-
-class ZeroVarianceDirection(TestError):
     pass
 
 
@@ -268,40 +264,31 @@ def null_moments(
 
 
 @functools.lru_cache(maxsize=16)
-def critical_value(level: float, one_sided: bool = False) -> float:
+def critical_value(level: float) -> float:
+    """Two-sided standard-normal critical value at ``level``."""
     if not 0.0 < level < 1.0:
         raise TestError(f"level must lie in (0, 1), got {level}")
-    q = 1.0 - level if one_sided else 1.0 - level / 2.0
-    return float(stats.norm.ppf(q))
+    return float(stats.norm.ppf(1.0 - level / 2.0))
 
 
 # --- reports ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TestReport:
-    """Per-pair or per-direction standardized statistics and decisions."""
+    """Per-pair standardized statistics and two-sided decisions."""
 
-    mode: str  # "projected" or "random-projection"
     level: float
-    one_sided: bool
     rows: list = field(default_factory=list)
     crit: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "crit", critical_value(self.level, self.one_sided))
-
-    def add(self, label: str, statistic: float, z: float) -> None:
-        self.extend([label], [statistic], [z])
+        object.__setattr__(self, "crit", critical_value(self.level))
 
     def extend(self, labels, statistics, zs) -> None:
         """Append one row per label, deciding all of them in one vector call."""
         zs = np.asarray(zs, dtype=float)
-        if self.one_sided:
-            p = stats.norm.sf(zs)
-            reject = zs > self.crit
-        else:
-            p = 2.0 * stats.norm.sf(np.abs(zs))
-            reject = np.abs(zs) > self.crit
+        p = 2.0 * stats.norm.sf(np.abs(zs))
+        reject = np.abs(zs) > self.crit
         self.rows.extend(
             {
                 "label": label,
@@ -318,9 +305,9 @@ class TestReport:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "projected",
             "level": self.level,
-            "one_sided": self.one_sided,
+            "one_sided": False,
             "results": self.rows,
         }
 
@@ -362,7 +349,6 @@ def projected_test(
     moments: NullMoments,
     pairs=None,
     level: float = 0.05,
-    one_sided: bool = False,
 ) -> TestReport:
     """Standardize selected entries of S against their null moments.
 
@@ -376,122 +362,9 @@ def projected_test(
     s = _entries(dft, moments.B, ia, ib)
     mean = np.array([moments.mean(a, b) for a, b in pairs])
     sd = np.sqrt([moments.variance(a, b) for a, b in pairs])
-    report = TestReport(mode="projected", level=level, one_sided=one_sided)
+    report = TestReport(level=level)
     labels = [f"({a[0]},{a[1]})x({b[0]},{b[1]})" for a, b in pairs]
     report.extend(labels, s, (s - mean) / sd)
-    return report
-
-
-# --- random directions ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Direction:
-    """Gaussian random direction Y over basis pairs, Y[a, b] ~ N(0, lambda_{n_a, n_b})."""
-
-    degrees: DegreeRange
-    lambdas: np.ndarray  # (n_deg, n_deg) variance table indexed by degree position
-    coeffs: np.ndarray  # (D, D) draws
-
-    def __post_init__(self) -> None:
-        nd = len(list(self.degrees.degrees))
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.shape != (nd, nd):
-            raise TestError(f"lambda table shape {lam.shape} != ({nd}, {nd})")
-        if np.any(lam < 0):
-            raise TestError("direction variances must be nonnegative")
-        c = np.asarray(self.coeffs, dtype=float)
-        D = self.degrees.dim
-        if c.shape != (D, D):
-            raise TestError(f"direction coefficient shape {c.shape} != ({D}, {D})")
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "coeffs", c)
-
-
-# Purpose bit in the second key word of every direction stream.
-_DIRECTION_TAG = 1 << 63
-
-
-def draw_direction(
-    degrees: DegreeRange,
-    seed: int,
-    lambdas: np.ndarray | None = None,
-    stream_id: int = 0,
-) -> Direction:
-    """Draw a Gaussian direction; deterministic given (seed, stream_id).
-
-    The Philox key is (seed, _DIRECTION_TAG | stream_id).  Panel keys
-    (``SeedSpec.generator``) keep their second word below 2^60, so the tag bit
-    keeps every direction stream apart from every panel stream.
-    """
-    if not 0 <= stream_id < 2**40:
-        raise TestError("stream_id must be a nonnegative 40-bit integer")
-    degs = list(degrees.degrees)
-    nd = len(degs)
-    if lambdas is None:
-        lam = np.ones((nd, nd))
-    else:
-        lam = np.asarray(lambdas, dtype=float)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, _DIRECTION_TAG | stream_id], dtype=np.uint64))
-    )
-    D = degrees.dim
-    z = rng.standard_normal((D, D))
-    sd = np.empty((D, D))
-    for i, n in enumerate(degs):
-        oi = degrees.column_offset(n)
-        mi = 2 * n + 1
-        for k, h in enumerate(degs):
-            ok = degrees.column_offset(h)
-            mk = 2 * h + 1
-            sd[oi : oi + mi, ok : ok + mk] = math.sqrt(lam[i, k])
-    return Direction(degrees=degrees, lambdas=lam, coeffs=z * sd)
-
-
-def direction_from_pair(
-    degrees: DegreeRange, a: tuple[int, int], b: tuple[int, int], value: float = 1.0
-) -> Direction:
-    """Deterministic direction supported on a single ordered pair."""
-    nd = len(list(degrees.degrees))
-    coeffs = np.zeros((degrees.dim, degrees.dim))
-    coeffs[degrees.column(*a), degrees.column(*b)] = value
-    return Direction(degrees=degrees, lambdas=np.ones((nd, nd)), coeffs=coeffs)
-
-
-def _degree_of_column(degrees: DegreeRange) -> np.ndarray:
-    return np.asarray([n for n, _ in degrees.index_list()])
-
-
-def random_projection_test(
-    dft: DftPanel,
-    directions,
-    moments: NullMoments,
-    level: float = 0.05,
-    one_sided: bool = False,
-) -> TestReport:
-    """Project S - E[S] onto each direction and standardize the projection.
-
-    The projection <S - E[S], Y> = sum_ab Y[a, b] (S[a, b] - E S[a, b]) is a
-    linear functional of jointly Gaussian entries, so its null variance is the
-    bilinear form sum_ab Y[a, b] (Y[a, b] + Y[b, a]) V2(n_a, n_b).
-    """
-    if isinstance(directions, Direction):
-        directions = [directions]
-    coeffs = statistic_matrix(dft, moments.B)
-    degrees = dft.degrees
-    coln = _degree_of_column(degrees)
-    v2 = np.asarray(
-        [[moments.second_moment[(n, h)] for h in coln] for n in coln]
-    )
-    mean_mat = np.diag([moments.mean_diag[n] for n in coln])
-    centered = coeffs.matrix - mean_mat
-    report = TestReport(mode="random-projection", level=level, one_sided=one_sided)
-    for k, direction in enumerate(directions):
-        Y = direction.coeffs
-        z_num = float(np.sum(Y * centered))
-        var = float(np.sum(Y * (Y + Y.T) * v2))
-        if var <= 0:
-            raise ZeroVarianceDirection(f"direction {k} has zero projection variance")
-        report.add(f"direction_{k}", z_num, z_num / math.sqrt(var))
     return report
 
 

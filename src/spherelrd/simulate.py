@@ -63,18 +63,10 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class FracFilterSpec:
-    """Truncation and warm-up lengths for the fractional-integration filter."""
-
-    truncation: int = 2000
-    burn_in: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.truncation < 1:
-            raise SimulationError("truncation must be >= 1")
-        if self.burn_in < 0:
-            raise SimulationError("burn_in must be >= 0")
+# Length of the truncated fractional filter psi_0..psi_K, and the ARMA warm-up
+# steps every degree runs before its kept rows.
+_TRUNCATION = 2000
+_BURN_IN = 1000
 
 
 @dataclass(frozen=True)
@@ -127,14 +119,13 @@ def simulate_panel(
     model: SpectralModel,
     T: int,
     seed: SeedSpec,
-    frac: FracFilterSpec = FracFilterSpec(),
     degrees: DegreeRange | None = None,
 ) -> CoefficientPanel:
     """Draw one panel of length T from the model.
 
-    The ARMA state starts at zero and runs ``frac.burn_in`` warm-up steps;
+    The ARMA state starts at zero and runs ``_BURN_IN`` warm-up steps;
     degrees with alpha(n) > 0 additionally carry a pre-sample of length
-    ``frac.truncation`` consumed by the fractional convolution.  ``degrees``
+    ``_TRUNCATION`` consumed by the fractional convolution.  ``degrees``
     restricts the panel to a sub-range of ``model.degrees`` (default: all).
     """
     if T < 2:
@@ -149,7 +140,7 @@ def simulate_panel(
         i = n - full.n_min
         m = 2 * n + 1
         a = float(model.alpha.values[i])
-        pre = frac.burn_in + (frac.truncation if a > 0 else 0)
+        pre = _BURN_IN + (_TRUNCATION if a > 0 else 0)
         rng = seed.generator(n)
         eps = rng.standard_normal((pre + T, m)) * np.sqrt(model.innov[i])
         b = np.concatenate(([1.0], model.psi[i]))
@@ -159,7 +150,7 @@ def simulate_panel(
         if a > 0:
             # conv[t] = sum_k psi_k x_{t-k} for the kept t >= pre reads only
             # x[pre-K:]; rows K..K+T-1 of its circular convolution are exact
-            K = frac.truncation
+            K = _TRUNCATION
             nfft = fft.next_fast_len(K + T, real=True)
             xs = fft.rfft(x[pre - K :], nfft, axis=0)
             xs *= _weight_spectrum(a, K, nfft)[:, None]

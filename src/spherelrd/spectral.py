@@ -129,13 +129,19 @@ def smoothed_cross_spectrum(
     omega: float,
     spec: SmoothingSpec,
 ) -> complex:
-    """Weighted periodogram projection f_hat_omega[a, b] over the Fourier grid."""
+    """Weighted periodogram projection f_hat_omega[a, b] over the Fourier grid.
+
+    Real and imaginary parts are summed separately in real arithmetic, so the
+    imaginary part of a diagonal entry (a == b) is exactly zero.
+    """
     if abs(omega) > np.pi + 1e-12:
         raise SpectralError("omega must lie in [-pi, pi]")
     wts = _smoothing_weights(dft, omega, spec)
     ca = dft.column(*a)[1:]
     cb = dft.column(*b)[1:]
-    return complex(np.sum(wts * ca * np.conj(cb)))
+    re = wts @ (ca.real * cb.real + ca.imag * cb.imag)
+    im = wts @ (ca.imag * cb.real - ca.real * cb.imag)
+    return complex(re, im)
 
 
 def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_model, reference_spharma11, spectral_eigenvalue
@@ -19,7 +18,6 @@ from spherelrd.spectral import SmoothingSpec, fdft_panel, smoothed_cross_spectru
 from spherelrd.lrdtest import (
     BandwidthRule,
     bandwidth,
-    draw_direction,
     null_moments,
     statistic_matrix,
 )
@@ -243,19 +241,6 @@ def test_acceptance_oracle_statistic_moments():
         ok,
         f"mean err {mean_err:.4f} (SE {se:.4f}), diag var rel {var_rel:.3f}, "
         f"offdiag var rel {off_rel:.3f}",
-    )
-
-
-def test_acceptance_oracle_direction_draws():
-    degrees = DegreeRange(1, 1)
-    draws = np.concatenate(
-        [draw_direction(degrees, seed=33, stream_id=k).coeffs.ravel() for k in range(1200)]
-    )
-    ks = stats.kstest(draws, "norm").statistic
-    _verdict(
-        "oracle: random-direction draws standard normal (KS < 0.02 on >1e4 draws)",
-        draws.size > 10000 and ks < 0.02,
-        f"KS = {ks:.4f} on {draws.size} draws",
     )
 
 

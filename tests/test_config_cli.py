@@ -183,6 +183,8 @@ def test_cli_spectrum(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"]
     assert len(rows) == 1 + 65 * 8
+    # every pair is diagonal, and f_hat[a, a] is real
+    assert all(float(row[6]) == 0.0 for row in rows[1:])
 
 
 def test_cli_test_report(tmp_path):
@@ -195,6 +197,7 @@ def test_cli_test_report(tmp_path):
     assert main(["test", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     payload = json.loads((out / "test_report.json").read_text())
     assert len(payload["results"]) == 8
+    assert payload["mode"] == "projected" and payload["one_sided"] is False
 
 
 def test_cli_test_report_honours_directions(tmp_path):

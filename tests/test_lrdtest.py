@@ -14,21 +14,16 @@ from spherelrd.lrdtest import (
     BandwidthRule,
     CalibrationUnderAlternative,
     DegenerateBandwidth,
-    Direction,
     EmptyWindow,
     TestError,
     TestReport,
-    ZeroVarianceDirection,
     bandwidth,
     critical_value,
     default_pairs,
-    direction_from_pair,
-    draw_direction,
     g_weights,
     null_moments,
     projected_hs_norm,
     projected_test,
-    random_projection_test,
     statistic_matrix,
     window_indices,
 )
@@ -279,15 +274,13 @@ def test_statistic_moments_match_monte_carlo(small_model):
 
 def test_critical_value():
     assert critical_value(0.05) == pytest.approx(1.959963985, abs=1e-6)
-    assert critical_value(0.05, one_sided=True) == pytest.approx(1.644853627, abs=1e-6)
     with pytest.raises(TestError):
         critical_value(0.0)
 
 
 def test_report_rows_and_csv(tmp_path):
-    report = TestReport(mode="projected", level=0.05, one_sided=False)
-    report.add("x", 1.0, 0.5)
-    report.add("y", 4.0, 3.5)
+    report = TestReport(level=0.05)
+    report.extend(["x", "y"], [1.0, 4.0], [0.5, 3.5])
     assert report.rejections() == [False, True]
     assert report.rows[0]["p"] == pytest.approx(2 * stats.norm.sf(0.5))
     path = tmp_path / "report.csv"
@@ -300,21 +293,19 @@ def test_report_rows_and_csv(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("one_sided", [False, True])
-def test_report_extend_decides_like_scalar_formulas(one_sided):
+def test_report_extend_decides_like_scalar_formulas():
     # one vector call gives the rows the per-row scalar formulas give
     zs = [-2.5, -0.3, 0.0, 1.7, 1.96, 3.2]
-    report = TestReport(mode="projected", level=0.05, one_sided=one_sided)
+    report = TestReport(level=0.05)
     report.extend([f"r{k}" for k in range(len(zs))], np.multiply(zs, 10.0), np.array(zs))
-    crit = critical_value(0.05, one_sided)
+    crit = critical_value(0.05)
     for k, (z, row) in enumerate(zip(zs, report.rows)):
-        p = stats.norm.sf(z) if one_sided else 2.0 * stats.norm.sf(abs(z))
         assert row == {
             "label": f"r{k}",
             "statistic": 10.0 * z,
             "z": z,
-            "p": float(p),
-            "reject": (z if one_sided else abs(z)) > crit,
+            "p": float(2.0 * stats.norm.sf(abs(z))),
+            "reject": abs(z) > crit,
         }
 
 
@@ -340,92 +331,6 @@ def test_projected_test_report(small_dft, small_model):
     assert len(report.rows) == 8
     assert all(np.isfinite(r["z"]) for r in report.rows)
     assert all(0.0 <= r["p"] <= 1.0 for r in report.rows)
-
-
-# --- directions -------------------------------------------------------------
-
-def test_draw_direction_deterministic():
-    degrees = DegreeRange(1, 2)
-    d1 = draw_direction(degrees, seed=9, stream_id=2)
-    d2 = draw_direction(degrees, seed=9, stream_id=2)
-    np.testing.assert_array_equal(d1.coeffs, d2.coeffs)
-    d3 = draw_direction(degrees, seed=9, stream_id=3)
-    assert not np.array_equal(d1.coeffs, d3.coeffs)
-
-
-def test_direction_streams_apart_from_panel_streams():
-    # a direction key must never equal the panel key (seed, stream 0, degree k)
-    degrees = DegreeRange(1, 2)
-    for seed, k in ((5, 0), (5, 3), (20260825, 2)):
-        y = draw_direction(degrees, seed=seed, stream_id=k).coeffs.ravel()
-        z = SeedSpec(base_seed=seed, stream_id=0).generator(k).standard_normal(y.size)
-        assert not np.array_equal(y, z)
-    with pytest.raises(TestError):
-        draw_direction(degrees, seed=5, stream_id=2**40)
-
-
-def test_direction_variance_table_applied():
-    degrees = DegreeRange(1, 2)
-    lam = np.array([[0.0, 0.0], [0.0, 4.0]])
-    d = draw_direction(degrees, seed=1, lambdas=lam)
-    assert np.all(d.coeffs[:3, :] == 0.0)
-    assert np.all(d.coeffs[:, :3] == 0.0)
-    unit = draw_direction(degrees, seed=1)
-    np.testing.assert_allclose(d.coeffs[3:, 3:], 2.0 * unit.coeffs[3:, 3:], atol=1e-12)
-
-
-def test_direction_validation():
-    degrees = DegreeRange(1, 1)
-    with pytest.raises(TestError):
-        Direction(degrees=degrees, lambdas=np.ones((2, 2)), coeffs=np.zeros((3, 3)))
-    with pytest.raises(TestError):
-        Direction(degrees=degrees, lambdas=-np.ones((1, 1)), coeffs=np.zeros((3, 3)))
-    with pytest.raises(TestError):
-        Direction(degrees=degrees, lambdas=np.ones((1, 1)), coeffs=np.zeros((2, 2)))
-
-
-def test_direction_draws_are_standard_normal():
-    degrees = DegreeRange(1, 1)
-    draws = np.concatenate(
-        [draw_direction(degrees, seed=33, stream_id=k).coeffs.ravel() for k in range(1200)]
-    )
-    assert stats.kstest(draws, "norm").statistic < 0.02
-
-
-def test_single_pair_direction_matches_projected_test(small_dft, small_model):
-    T = small_dft.T
-    B = bandwidth(T, BandwidthRule(beta=0.25))
-    moments = null_moments(small_model, T, B)
-    pair = ((2, 3), (2, 3))
-    proj = projected_test(small_dft, moments, pairs=[pair])
-    direction = direction_from_pair(small_dft.degrees, *pair)
-    rand = random_projection_test(small_dft, direction, moments)
-    assert rand.rows[0]["z"] == pytest.approx(proj.rows[0]["z"], abs=1e-10)
-    assert rand.rows[0]["reject"] == proj.rows[0]["reject"]
-
-
-def test_zero_variance_direction_raises(small_dft, small_model):
-    T = small_dft.T
-    B = bandwidth(T, BandwidthRule(beta=0.25))
-    moments = null_moments(small_model, T, B)
-    zero = Direction(
-        degrees=small_dft.degrees,
-        lambdas=np.ones((2, 2)),
-        coeffs=np.zeros((8, 8)),
-    )
-    with pytest.raises(ZeroVarianceDirection):
-        random_projection_test(small_dft, zero, moments)
-
-
-def test_random_projection_report(small_dft, small_model):
-    T = small_dft.T
-    B = bandwidth(T, BandwidthRule(beta=0.25))
-    moments = null_moments(small_model, T, B)
-    dirs = [draw_direction(small_dft.degrees, seed=5, stream_id=k) for k in range(4)]
-    report = random_projection_test(small_dft, dirs, moments)
-    assert len(report.rows) == 4
-    assert report.mode == "random-projection"
-    assert all(np.isfinite(r["z"]) for r in report.rows)
 
 
 # --- norms ------------------------------------------------------------------

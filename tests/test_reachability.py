@@ -2,8 +2,7 @@
 
 A public function, class or constant, or a public method or property of a
 package class, that no module of the package references is reachable from
-neither the CLI nor the harness.  The only such names kept on purpose are the
-random-projection direction API, which the experiments do not run yet,
+neither the CLI nor the harness.  The only such names kept on purpose are
 ``read_panel_csv``, kept for reading observed panels, and
 ``cli._Parser.error``, which argparse calls.
 """
@@ -13,12 +12,7 @@ import pathlib
 
 import spherelrd
 
-ALLOWED_ORPHANS = {
-    "lrdtest.direction_from_pair",
-    "lrdtest.draw_direction",
-    "lrdtest.random_projection_test",
-    "simulate.read_panel_csv",
-}
+ALLOWED_ORPHANS = {"simulate.read_panel_csv"}
 
 ALLOWED_ORPHAN_MEMBERS = {"cli._Parser.error"}
 

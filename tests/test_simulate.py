@@ -6,9 +6,10 @@ from spherelrd.harmonics import DegreeRange
 from spherelrd.models import AlphaProfile, build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import (
     CoefficientPanel,
-    FracFilterSpec,
     SeedSpec,
     SimulationError,
+    _BURN_IN,
+    _TRUNCATION,
     _weight_spectrum,
     fractional_weights,
     read_panel_csv,
@@ -38,20 +39,20 @@ def test_fractional_weights_basics():
         fractional_weights(-0.1, 5)
 
 
-def _full_convolution_panel(model, T, seed, frac=FracFilterSpec()):
+def _full_convolution_panel(model, T, seed):
     """Reference simulator: the same draws and ARMA step, then the truncated MA
     evaluated by direct full-length convolution over the whole pre-sample."""
     data = np.empty((T, model.degrees.dim))
     for i, n in enumerate(model.degrees.degrees):
         m = 2 * n + 1
         a = float(model.alpha.values[i])
-        pre = frac.burn_in + (frac.truncation if a > 0 else 0)
+        pre = _BURN_IN + (_TRUNCATION if a > 0 else 0)
         eps = seed.generator(n).standard_normal((pre + T, m)) * np.sqrt(model.innov[i])
         b = np.concatenate(([1.0], model.psi[i]))
         aa = np.concatenate(([1.0], -model.phi[i]))
         x = signal.lfilter(b, aa, eps, axis=0)
         if a > 0:
-            psi = fractional_weights(a, frac.truncation)
+            psi = fractional_weights(a, _TRUNCATION)
             x = np.column_stack(
                 [np.convolve(x[:, j], psi, mode="full")[: pre + T] for j in range(m)]
             )
@@ -63,7 +64,7 @@ def _full_convolution_panel(model, T, seed, frac=FracFilterSpec()):
 def test_fractional_filter_matches_full_convolution():
     model = example_model(1, 1, 2)
     seed = SeedSpec(base_seed=31, stream_id=4)
-    K = FracFilterSpec().truncation
+    K = _TRUNCATION
     assert fft.next_fast_len(K + 48, real=True) == K + 48  # no zero padding at T = 48
     for T in (2, 48, 50, 1000):
         ref = _full_convolution_panel(model, T, seed)
@@ -85,10 +86,6 @@ def test_seed_spec_validation():
         SeedSpec(base_seed=-1)
     with pytest.raises(SimulationError):
         SeedSpec(base_seed=1, stream_id=2**40)
-    with pytest.raises(SimulationError):
-        FracFilterSpec(truncation=0)
-    with pytest.raises(SimulationError):
-        FracFilterSpec(burn_in=-1)
 
 
 def test_same_seed_reproduces_panel(small_model):
