@@ -53,7 +53,7 @@ from .lrdtest import (
 )
 from .models import ModelError
 from .simulate import SeedSpec, SimulationError, simulate_panel, write_panel_csv
-from .spectral import SmoothingSpec, fdft_panel, write_spectrum_csv
+from .spectral import fdft_panel, write_spectrum_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,9 +131,7 @@ def _cmd_spectrum(doc, args) -> None:
     dft = fdft_panel(panel)
     pairs = [((n, j), (n, j)) for n, j in panel.degrees.index_list()]
     omegas = np.linspace(0.0, np.pi, 65)
-    write_spectrum_csv(
-        _out_path(args, "spectrum.csv"), dft, pairs, omegas, SmoothingSpec(bandwidth=B)
-    )
+    write_spectrum_csv(_out_path(args, "spectrum.csv"), dft, pairs, omegas, B)
 
 
 def _cmd_test(doc, args) -> None:

@@ -36,17 +36,17 @@ from . import __version__
 from .harmonics import DegreeRange
 from .models import SpectralModel
 from .simulate import SeedSpec, simulate_panel
-from .spectral import SmoothingSpec, fdft_panel, reduce_frequency, smoothed_spectrum_grid
+from .spectral import fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
     BandwidthRule,
     _entries,
     bandwidth,
+    critical_value,
     default_pairs,
     g_weights,
     null_moments,
+    pair_calibration,
     pair_degrees,
-    projected_hs_norm,
-    projected_test,
     statistic_matrix,
 )
 
@@ -275,23 +275,23 @@ def _gather(plans: list, results, n_chunks: int) -> list:
 
 # --- reducers: (dft, out, *args), top-level so that plans pickle --------------
 
-def _rejections(dft, counts, moments, pairs, level) -> None:
-    counts += projected_test(dft, moments, pairs=pairs, level=level).rejections()
-
-
-def _diagonal_z(dft, z, B, means, sds) -> None:
-    z[:] = (_entries(dft, B) - means) / sds
+def _pair_entries(dft, row, B, ia, ib) -> None:
+    row[:] = _entries(dft, B, ia, ib)
 
 
 def _hs_norms(dft, norms, B) -> None:
-    coeffs = statistic_matrix(dft, B)
-    norms[0] = projected_hs_norm(coeffs, scale="statistic")
-    norms[1] = projected_hs_norm(coeffs, scale="gridsum")
+    """Frobenius norm of the statistic matrix, on the statistic scale and on
+    the grid-sum scale: times T^2 / (2 pi)^4, which replaces both Riemann
+    weights by plain grid sums and expresses frequencies in cycles, the
+    convention for comparing divergence magnitudes across T."""
+    norm = np.sqrt(np.sum(np.abs(statistic_matrix(dft, B)) ** 2))
+    norms[0] = norm
+    norms[1] = norm * dft.T**2 / (2 * np.pi) ** 4
 
 
-def _spectrum_moments(dft, acc, spec) -> None:
+def _spectrum_moments(dft, acc, B) -> None:
     """Add the diagonal f_hat over the Fourier grid to acc[0], its square to acc[1]."""
-    vals = smoothed_spectrum_grid(dft, spec)
+    vals = smoothed_spectrum_grid(dft, B)
     acc[0] += vals
     acc[1] += np.square(vals, out=vals)
 
@@ -303,6 +303,22 @@ def _calibrate(config: ExperimentConfig) -> list:
     with a degenerate bandwidth or an empty window fails first."""
     calib = config.null_model()
     return [null_moments(calib, T, bandwidth(T, config.rule())) for T in config.T_values]
+
+
+def _standardized_entries(config: ExperimentConfig, pairs, degrees: DegreeRange) -> list:
+    """Per T, the (R, len(pairs)) standardized entries of the pairs.
+
+    Each replication stacks its raw entries; they are standardized once per
+    table, which gives the same floats as standardizing row by row.
+    """
+    plans, calibrations = [], []
+    for T, moments in zip(config.T_values, _calibrate(config)):
+        ia, ib, mean, sd = pair_calibration(degrees, moments, pairs)
+        plans.append(_Plan(config.model, T, config.seed, _pair_entries, (moments.B, ia, ib),
+                           (len(pairs),), stack=True, degrees=degrees))
+        calibrations.append((mean, sd))
+    entries = _replicate(plans, config.R, config.threads)
+    return [(s - mean) / sd for s, (mean, sd) in zip(entries, calibrations)]
 
 
 def _norm_plan(config: ExperimentConfig, T: int, B: float) -> _Plan:
@@ -327,14 +343,11 @@ def run_power(config: ExperimentConfig) -> McTable:
 def _rejection_experiment(config: ExperimentConfig, name: str) -> McTable:
     table = McTable(name, manifest=_config_manifest(config, name))
     pairs = default_pairs(config.model.degrees, config.n_directions)
-    plans = [
-        _Plan(config.model, T, config.seed, _rejections, (moments, pairs, config.level),
-              (len(pairs),), degrees=pair_degrees(pairs))
-        for T, moments in zip(config.T_values, _calibrate(config))
-    ]
-    for plan, counts in zip(plans, _replicate(plans, config.R, config.threads)):
+    crit = critical_value(config.level)
+    for T, z in zip(config.T_values, _standardized_entries(config, pairs, pair_degrees(pairs))):
+        counts = (np.abs(z) > crit).sum(axis=0)
         for i, rate in enumerate(counts / config.R):
-            table.add(plan.T, config.R, config.beta, f"direction_{i}", rate, _binomial_se(rate, config.R))
+            table.add(T, config.R, config.beta, f"direction_{i}", rate, _binomial_se(rate, config.R))
     return table
 
 
@@ -343,23 +356,18 @@ def run_distribution(config: ExperimentConfig, n_bins: int = 41) -> McTable:
     degrees = config.model.degrees
     table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
     edges = np.linspace(-5.0, 5.0, n_bins + 1)
-    plans = []
-    for T, moments in zip(config.T_values, _calibrate(config)):
-        means = np.array([moments.mean_diag[n] for n, _ in degrees.index_list()])
-        sds = np.sqrt([moments.variance(a, a) for a in degrees.index_list()])
-        plans.append(_Plan(config.model, T, config.seed, _diagonal_z, (moments.B, means, sds),
-                           (degrees.dim,), stack=True))
-    for plan, z in zip(plans, _replicate(plans, config.R, config.threads)):
+    diagonal = [(a, a) for a in degrees.index_list()]
+    for T, z in zip(config.T_values, _standardized_entries(config, diagonal, degrees)):
         for n in degrees.degrees:
             off = degrees.column_offset(n)
             pooled = z[:, off : off + 2 * n + 1].ravel()
             ks = stats.kstest(pooled, "norm").statistic
-            table.add(plan.T, config.R, config.beta, f"ks_n{n}", ks)
-            table.add(plan.T, config.R, config.beta, f"mean_n{n}", float(pooled.mean()))
-            table.add(plan.T, config.R, config.beta, f"var_n{n}", float(pooled.var()))
+            table.add(T, config.R, config.beta, f"ks_n{n}", ks)
+            table.add(T, config.R, config.beta, f"mean_n{n}", float(pooled.mean()))
+            table.add(T, config.R, config.beta, f"var_n{n}", float(pooled.var()))
             hist, _ = np.histogram(pooled, bins=edges, density=True)
             for b, h in enumerate(hist):
-                table.add(plan.T, config.R, config.beta, f"hist_n{n}_bin{b}", float(h))
+                table.add(T, config.R, config.beta, f"hist_n{n}_bin{b}", float(h))
     return table
 
 
@@ -432,7 +440,7 @@ def run_consistency(config: ExperimentConfig) -> McTable:
     table = McTable("consistency", manifest=_config_manifest(config, "consistency"))
     Bs = [bandwidth(T, config.rule()) for T in config.T_values]
     plans = [
-        _Plan(config.model, T, config.seed, _spectrum_moments, (SmoothingSpec(bandwidth=B),),
+        _Plan(config.model, T, config.seed, _spectrum_moments, (B,),
               (2, config.model.degrees.dim, T))
         for T, B in zip(config.T_values, Bs)
     ]

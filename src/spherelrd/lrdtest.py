@@ -19,7 +19,9 @@ about a tenth of the half grid at B = T^(-1/4)).  All null means and
 (co)variances are evaluated on the same Fourier grid with the same g
 weights, which removes the O(1/(T sqrt(B))) centering bias a continuous
 approximation would leave at small T.  A continuous midpoint-quadrature mode
-is kept for cross-checking.
+integrates the limiting window profile instead; the bandwidth sweep's default
+``expected`` mode runs on it, because its mean scales exactly as sqrt(B T)
+even when B falls below the grid spacing.
 
 Under a short-range null the standardized entries are asymptotically
 standard normal; rejection is two-sided at level alpha.
@@ -38,13 +40,7 @@ from scipy import stats
 
 from .harmonics import DegreeRange
 from .models import Hypothesis, SpectralModel, spectral_eigenvalue
-from .spectral import (
-    DftPanel,
-    SmoothingSpec,
-    epanechnikov_cdf,
-    kernel_row,
-    reduce_frequency,
-)
+from .spectral import DftPanel, epanechnikov_cdf, kernel_row, reduce_frequency
 
 
 class TestError(ValueError):
@@ -65,23 +61,24 @@ class CalibrationUnderAlternative(TestError):
 
 @dataclass(frozen=True)
 class BandwidthRule:
-    """Bandwidth B = T^(-beta), or an explicit value of B."""
+    """Bandwidth B = T^(-beta)."""
 
-    beta: float | None = None
-    explicit: float | None = None
+    beta: float
 
     def __post_init__(self) -> None:
-        if (self.beta is None) == (self.explicit is None):
-            raise TestError("give exactly one of beta or explicit bandwidth")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
+        if not 0.0 < self.beta < 1.0:
             raise DegenerateBandwidth(f"beta must lie in (0, 1), got {self.beta}")
 
 
 def bandwidth(T: int, rule: BandwidthRule) -> float:
-    """Resolve the rule to a bandwidth value, enforcing B < 1 and B * T > 1."""
+    """Resolve the rule to a bandwidth value, enforcing B < 1 and B * T > 1.
+
+    A beta inside (0, 1) can still round B to 1 (beta near 0) or B * T to 1
+    (beta near 1), so both bounds are checked on B itself.
+    """
     if T < 2:
         raise TestError("T must be at least 2")
-    B = float(T) ** (-rule.beta) if rule.beta is not None else float(rule.explicit)
+    B = float(T) ** (-rule.beta)
     if not 0.0 < B < 1.0:
         raise DegenerateBandwidth(f"bandwidth {B:.6g} outside (0, 1)")
     if B * T <= 1.0:
@@ -121,7 +118,7 @@ def g_weights(T: int, B: float) -> np.ndarray:
     """
     win = window_indices(T, B)
     # kernel row over index differences k = (s - v) mod T
-    kern = kernel_row(T, SmoothingSpec(bandwidth=B)) / B
+    kern = kernel_row(T, B) / B
     ind = np.zeros(T)
     ind[win] = 1.0
     # sum_{s in win} kern[(s - v) % T] as a circular convolution (kern is
@@ -141,7 +138,7 @@ def _half_support(T: int, B: float) -> tuple:
     thresholded.  The weight 2 g_v adds the mirror ordinate T - v; a Nyquist
     ordinate v = T/2 has none (the support ends below T/4 at any B < 1).
     """
-    lags = np.flatnonzero(kernel_row(T, SmoothingSpec(bandwidth=B)))
+    lags = np.flatnonzero(kernel_row(T, B))
     hit = np.zeros(T, dtype=bool)
     hit[(window_indices(T, B)[:, None] + lags) % T] = True
     v = np.flatnonzero(hit[1 : T // 2 + 1]) + 1
@@ -150,38 +147,20 @@ def _half_support(T: int, B: float) -> tuple:
     return v, w
 
 
-def _entries(dft: DftPanel, B: float, ia=slice(None), ib=slice(None)) -> np.ndarray:
-    """S[ia[k], ib[k]] for every k (the diagonal by default), over the support of g."""
+def _entries(dft: DftPanel, B: float, ia, ib) -> np.ndarray:
+    """S[ia[k], ib[k]] for every k, over the support of g."""
     v, w = _half_support(dft.T, B)
     A = dft.coeffs[v]
     a, b = A[:, ia], A[:, ib]
     return math.sqrt(dft.T) * (2 * np.pi / dft.T) * (w @ (a.real * b.real + a.imag * b.imag))
 
 
-@dataclass(frozen=True)
-class StatisticCoeffs:
-    """Real symmetric matrix of statistic entries S[a, b] over all basis pairs."""
-
-    T: int
-    B: float
-    degrees: DegreeRange
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        D = self.degrees.dim
-        if m.shape != (D, D):
-            raise TestError(f"statistic matrix shape {m.shape} != ({D}, {D})")
-        object.__setattr__(self, "matrix", m)
-
-
-def statistic_matrix(dft: DftPanel, B: float) -> StatisticCoeffs:
-    """Evaluate S[a, b] for every ordered pair of basis columns."""
+def statistic_matrix(dft: DftPanel, B: float) -> np.ndarray:
+    """S[a, b] for every ordered pair of basis columns: a real symmetric (D, D) array."""
     v, w = _half_support(dft.T, B)
     A = dft.coeffs[v]
     wA = w[:, None] * A
-    mat = math.sqrt(dft.T) * (2 * np.pi / dft.T) * (A.real.T @ wA.real + A.imag.T @ wA.imag)
-    return StatisticCoeffs(T=dft.T, B=B, degrees=dft.degrees, matrix=mat)
+    return math.sqrt(dft.T) * (2 * np.pi / dft.T) * (A.real.T @ wA.real + A.imag.T @ wA.imag)
 
 
 # --- null calibration -------------------------------------------------------
@@ -219,9 +198,11 @@ def null_moments(
     """Null mean and variance kernel for all degrees of a short-memory model.
 
     ``mode="grid"`` evaluates the exact finite-T moments of the Gaussian
-    quadratic form on the Fourier grid.  ``mode="continuous"`` integrates the
-    limiting window profile G by midpoint quadrature with ``nodes`` nodes
-    (cross-check only; it carries an O(1/(T sqrt(B))) centering offset).
+    quadratic form on the Fourier grid; the tests calibrate against it.
+    ``mode="continuous"`` integrates the limiting window profile G by midpoint
+    quadrature with ``nodes`` nodes.  It carries an O(1/(T sqrt(B))) centering
+    offset, and its mean scales exactly as sqrt(B T); the bandwidth sweep's
+    default ``expected`` mode runs on it.
     A long-memory model is rejected: calibrate against its ``srd_part()``.
     """
     if not model.alpha.is_null:
@@ -300,9 +281,6 @@ class TestReport:
             for label, s, z, pv, rej in zip(labels, statistics, zs, p, reject)
         )
 
-    def rejections(self) -> list[bool]:
-        return [r["reject"] for r in self.rows]
-
     def to_dict(self) -> dict:
         return {
             "mode": "projected",
@@ -344,6 +322,19 @@ def pair_degrees(pairs) -> DegreeRange:
     return DegreeRange(min(touched), max(touched))
 
 
+def pair_calibration(degrees: DegreeRange, moments: NullMoments, pairs) -> tuple:
+    """Columns ``ia``, ``ib`` of the pairs' entries in a panel over ``degrees``,
+    and the entries' null means and standard deviations.
+
+    An entry S[ia[k], ib[k]] standardizes to (S - mean[k]) / sd[k].
+    """
+    ia = [degrees.column(*a) for a, _ in pairs]
+    ib = [degrees.column(*b) for _, b in pairs]
+    mean = np.array([moments.mean(a, b) for a, b in pairs])
+    sd = np.sqrt([moments.variance(a, b) for a, b in pairs])
+    return ia, ib, mean, sd
+
+
 def projected_test(
     dft: DftPanel,
     moments: NullMoments,
@@ -357,31 +348,10 @@ def projected_test(
     """
     if pairs is None:
         pairs = default_pairs(dft.degrees)
-    ia = [dft.degrees.column(*a) for a, _ in pairs]
-    ib = [dft.degrees.column(*b) for _, b in pairs]
+    ia, ib, mean, sd = pair_calibration(dft.degrees, moments, pairs)
     s = _entries(dft, moments.B, ia, ib)
-    mean = np.array([moments.mean(a, b) for a, b in pairs])
-    sd = np.sqrt([moments.variance(a, b) for a, b in pairs])
     report = TestReport(level=level)
     labels = [f"({a[0]},{a[1]})x({b[0]},{b[1]})" for a, b in pairs]
     report.extend(labels, s, (s - mean) / sd)
     return report
 
-
-# --- aggregate norms --------------------------------------------------------
-
-def projected_hs_norm(coeffs: StatisticCoeffs, scale: str = "gridsum") -> float:
-    """Frobenius norm of the statistic matrix.
-
-    ``scale="statistic"`` uses the entries as defined here.  ``scale="gridsum"``
-    multiplies every entry by T^2 / (2 pi)^4: both Riemann weights (one from
-    the smoothing sum, one from the window sum) are replaced by plain grid
-    sums and frequencies are expressed in cycles rather than radians.  This is
-    the convention used when comparing divergence magnitudes across T.
-    """
-    norm = float(np.sqrt(np.sum(np.abs(coeffs.matrix) ** 2)))
-    if scale == "statistic":
-        return norm
-    if scale == "gridsum":
-        return norm * coeffs.T**2 / (2 * np.pi) ** 4
-    raise TestError(f"unknown norm scale {scale!r}")

@@ -50,20 +50,6 @@ def epanechnikov_cdf(x):
     return val if val.shape else float(val)
 
 
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """Bandwidth B in (0, 1) of the Epanechnikov smoother."""
-
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.bandwidth < 1.0:
-            raise SpectralError(f"bandwidth must lie in (0, 1), got {self.bandwidth}")
-
-    def weight(self, x):
-        return epanechnikov(x)
-
-
 def reduce_frequency(omega):
     """Map a frequency to its representative in (-pi, pi]."""
     w = np.asarray(omega, dtype=float)
@@ -72,7 +58,7 @@ def reduce_frequency(omega):
     return red if red.shape else float(red)
 
 
-def kernel_row(T: int, spec: SmoothingSpec) -> np.ndarray:
+def kernel_row(T: int, B: float) -> np.ndarray:
     """W(reduce(w_k) / B) at every grid lag k = 0..T-1, before any scaling.
 
     The periodized kernel W^(T)(w_s - w_v) depends on (s - v) mod T only, so
@@ -80,7 +66,7 @@ def kernel_row(T: int, spec: SmoothingSpec) -> np.ndarray:
     apply their scale factors themselves, in an order that fixes their rounding.
     """
     diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
-    return spec.weight(diffs / spec.bandwidth)
+    return epanechnikov(diffs / B)
 
 
 # --- DFT panel -------------------------------------------------------------
@@ -115,11 +101,11 @@ def fdft_panel(panel: CoefficientPanel) -> DftPanel:
     return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
 
 
-def _smoothing_weights(dft: DftPanel, omega: float, spec: SmoothingSpec) -> np.ndarray:
+def _smoothing_weights(dft: DftPanel, omega: float, B: float) -> np.ndarray:
     """(2 pi / T) W^(T)(omega - w_s) for s = 1..T-1 (index 0 of the result is s=1)."""
     s = np.arange(1, dft.T)
     diffs = reduce_frequency(omega - 2 * np.pi * s / dft.T)
-    return (2 * np.pi / dft.T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
+    return (2 * np.pi / dft.T) * epanechnikov(diffs / B) / B
 
 
 def smoothed_cross_spectrum(
@@ -127,7 +113,7 @@ def smoothed_cross_spectrum(
     a: tuple[int, int],
     b: tuple[int, int],
     omega: float,
-    spec: SmoothingSpec,
+    B: float,
 ) -> complex:
     """Weighted periodogram projection f_hat_omega[a, b] over the Fourier grid.
 
@@ -136,7 +122,7 @@ def smoothed_cross_spectrum(
     """
     if abs(omega) > np.pi + 1e-12:
         raise SpectralError("omega must lie in [-pi, pi]")
-    wts = _smoothing_weights(dft, omega, spec)
+    wts = _smoothing_weights(dft, omega, B)
     ca = dft.column(*a)[1:]
     cb = dft.column(*b)[1:]
     re = wts @ (ca.real * cb.real + ca.imag * cb.imag)
@@ -144,7 +130,7 @@ def smoothed_cross_spectrum(
     return complex(re, im)
 
 
-def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:
+def smoothed_spectrum_grid(dft: DftPanel, B: float) -> np.ndarray:
     """Diagonal f_hat_{w_s}[a, a] for every column a and every s = 0..T-1, shape (D, T).
 
     Each row is the circular convolution of the column's periodogram (s = 0
@@ -153,7 +139,7 @@ def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:
     (2n+1, T) buffer, which bounds the temporaries by the largest degree.
     """
     T = dft.T
-    kf = np.fft.rfft((2 * np.pi / T) * kernel_row(T, spec) / spec.bandwidth)
+    kf = np.fft.rfft((2 * np.pi / T) * kernel_row(T, B) / B)
     A = dft.coeffs
     out = np.empty((dft.degrees.dim, T))
     for n in dft.degrees.degrees:
@@ -169,14 +155,14 @@ def smoothed_spectrum_grid(dft: DftPanel, spec: SmoothingSpec) -> np.ndarray:
     return out
 
 
-def write_spectrum_csv(path, dft: DftPanel, pairs, omegas, spec: SmoothingSpec) -> None:
+def write_spectrum_csv(path, dft: DftPanel, pairs, omegas, B: float) -> None:
     """Write f_hat_omega[a, b] per omega and pair: rows (omega, n_a, j_a, n_b, j_b, re, im)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"])
         for w in omegas:
             for a, b in pairs:
-                val = smoothed_cross_spectrum(dft, a, b, float(w), spec)
+                val = smoothed_cross_spectrum(dft, a, b, float(w), B)
                 writer.writerow(
                     [f"{w:.10g}", a[0], a[1], b[0], b[1], f"{val.real:.10g}", f"{val.imag:.10g}"]
                 )

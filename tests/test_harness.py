@@ -21,6 +21,8 @@ from spherelrd.harness import (
     thread_count,
 )
 from spherelrd.lrdtest import bandwidth
+from spherelrd.simulate import SeedSpec, simulate_panel
+from spherelrd.spectral import fdft_panel
 
 
 def _config(model, **kw):
@@ -137,6 +139,24 @@ def test_extreme_level_always_rejects(small_model):
     assert min(tab.values("direction_")) >= 0.8
 
 
+def test_rejection_experiments_build_no_report(small_model, monkeypatch):
+    # size and power decide on the stacked z table; no replication builds a
+    # TestReport (one worker, so the patched class sees every replication)
+    from spherelrd import lrdtest
+
+    built = []
+    post_init = lrdtest.TestReport.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(lrdtest.TestReport, "__post_init__", counting)
+    run_size(_config(small_model, T_values=(128, 256), R=5, threads=1))
+    run_power(_config(example_model(1, 1, 2), T_values=(128, 256), R=5, threads=1))
+    assert built == []
+
+
 def test_run_power_warns_on_null(small_model):
     with pytest.warns(UserWarning, match="reduces to run_size"):
         run_power(_config(small_model, R=2))
@@ -169,14 +189,14 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
 
     calls = []
     rows = []
-    reduce = harness._diagonal_z
+    reduce = harness._pair_entries
 
-    def recording(dft, z, *args):
-        reduce(dft, z, *args)
-        rows.append((dft, z.copy()))
+    def recording(dft, row, *args):
+        reduce(dft, row, *args)
+        rows.append((dft, row.copy()))
 
     monkeypatch.setattr(harness, "statistic_matrix", lambda *a: calls.append(a))
-    monkeypatch.setattr(harness, "_diagonal_z", recording)
+    monkeypatch.setattr(harness, "_pair_entries", recording)
     config = _config(small_model, T_values=(512,), R=6, threads=1)
     run_distribution(config)
     assert calls == []
@@ -185,8 +205,9 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
     index = small_model.degrees.index_list()
     means = np.array([moments.mean(a, a) for a in index])
     sds = np.sqrt([moments.variance(a, a) for a in index])
-    for dft, z in rows:
-        want = (np.diag(statistic_matrix(dft, moments.B).matrix) - means) / sds
+    for dft, row in rows:
+        z = (row - means) / sds
+        want = (np.diag(statistic_matrix(dft, moments.B)) - means) / sds
         np.testing.assert_allclose(z, want, rtol=0, atol=1e-12)
 
 
@@ -203,6 +224,22 @@ def test_run_divergence_modes(small_model):
     assert max(stat) / min(stat) < 20.0
     # the grid-sum scale inflates by ~T^2
     assert grid[1] / grid[0] > 4.0
+
+
+def test_run_divergence_norm_scales(small_model):
+    # the statistic-scale column is the Frobenius norm of the statistic
+    # matrix; the grid-sum column multiplies it by T^2 / (2 pi)^4
+    from spherelrd.lrdtest import statistic_matrix
+
+    config = _config(small_model, T_values=(256, 1024), R=1)
+    tab = run_divergence(config, mode="single")
+    for T in config.T_values:
+        stat = tab.values("hs_norm_statistic", T=T)[0]
+        grid = tab.values("hs_norm_gridsum", T=T)[0]
+        assert grid / stat == pytest.approx(T**2 / (2 * np.pi) ** 4, rel=1e-12)
+        panel = simulate_panel(small_model, T, SeedSpec(base_seed=config.seed, stream_id=0))
+        S = statistic_matrix(fdft_panel(panel), bandwidth(T, config.rule()))
+        assert stat == pytest.approx(np.linalg.norm(S), rel=1e-12)
 
 
 def test_run_divergence_growth_under_alternative():

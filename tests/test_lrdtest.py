@@ -9,7 +9,7 @@ from spherelrd.harmonics import DegreeRange
 from spherelrd.harness import ExperimentConfig
 from spherelrd.models import build_spharma
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
-from spherelrd.spectral import SmoothingSpec, fdft_panel, reduce_frequency, smoothed_cross_spectrum
+from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency, smoothed_cross_spectrum
 from spherelrd.lrdtest import (
     BandwidthRule,
     CalibrationUnderAlternative,
@@ -22,7 +22,6 @@ from spherelrd.lrdtest import (
     default_pairs,
     g_weights,
     null_moments,
-    projected_hs_norm,
     projected_test,
     statistic_matrix,
     window_indices,
@@ -32,12 +31,9 @@ from spherelrd.lrdtest import (
 # --- bandwidth and window ---------------------------------------------------
 
 def test_bandwidth_rule_validation():
-    with pytest.raises(TestError):
-        BandwidthRule()
-    with pytest.raises(TestError):
-        BandwidthRule(beta=0.25, explicit=0.1)
-    with pytest.raises(DegenerateBandwidth):
-        BandwidthRule(beta=1.5)
+    for beta in (0.0, 1.0, 1.5):
+        with pytest.raises(DegenerateBandwidth):
+            BandwidthRule(beta=beta)
 
 
 def test_bandwidth_values():
@@ -45,11 +41,11 @@ def test_bandwidth_values():
     assert bandwidth(1000, BandwidthRule(beta=0.25)) == pytest.approx(
         0.1778279410038923, abs=1e-15
     )
-    assert bandwidth(50, BandwidthRule(explicit=0.1)) == 0.1
-    with pytest.raises(DegenerateBandwidth):
-        bandwidth(100, BandwidthRule(explicit=1.5))
-    with pytest.raises(DegenerateBandwidth):
-        bandwidth(100, BandwidthRule(explicit=0.005))  # B * T <= 1
+    # a beta inside (0, 1) can still round B to 1, or B * T down to 1
+    with pytest.raises(DegenerateBandwidth, match="outside"):
+        bandwidth(100, BandwidthRule(beta=1e-20))
+    with pytest.raises(DegenerateBandwidth, match="B \\* T"):
+        bandwidth(2, BandwidthRule(beta=math.nextafter(1.0, 0.0)))
     with pytest.raises(TestError):
         bandwidth(1, BandwidthRule(beta=0.25))
 
@@ -78,14 +74,13 @@ def test_window_empty_raises():
 
 def test_g_weights_match_direct_sum():
     for T, B in ((127, 0.3), (200, 0.12)):
-        spec = SmoothingSpec(bandwidth=B)
         win = window_indices(T, B)
         g = g_weights(T, B)
         omegas = 2 * np.pi * np.arange(T) / T
         direct = np.zeros(T)
         for s in win:
             diffs = reduce_frequency(2 * np.pi * s / T - omegas)
-            direct += spec.weight(diffs / B) / B
+            direct += epanechnikov(diffs / B) / B
         direct *= 2 * np.pi / T
         np.testing.assert_allclose(g, direct, atol=1e-12)
 
@@ -129,15 +124,14 @@ def test_statistic_matches_window_sum_definition(small_model):
     panel = simulate_panel(small_model, 64, SeedSpec(base_seed=17))
     dft = fdft_panel(panel)
     B = 0.3
-    spec = SmoothingSpec(bandwidth=B)
-    coeffs = statistic_matrix(dft, B)
+    S = statistic_matrix(dft, B)
     for a, b in (((1, 1), (1, 1)), ((1, 2), (2, 3))):
         brute = 0.0 + 0.0j
         for s in window_indices(64, B):
             w = reduce_frequency(2 * np.pi * s / 64)
-            brute += smoothed_cross_spectrum(dft, a, b, w, spec)
+            brute += smoothed_cross_spectrum(dft, a, b, w, B)
         brute *= math.sqrt(64) * 2 * np.pi / 64
-        entry = coeffs.matrix[dft.degrees.column(*a), dft.degrees.column(*b)]
+        entry = S[dft.degrees.column(*a), dft.degrees.column(*b)]
         assert entry == pytest.approx(brute, abs=1e-10)
 
 
@@ -153,7 +147,7 @@ def test_statistic_matches_full_grid_complex_definition(small_model, T):
     g = g_weights(T, B)[1:]
     full = math.sqrt(T) * (2 * np.pi / T) * ((A * g[:, None]).T @ np.conj(A))
     dft = fdft_panel(panel)
-    got = statistic_matrix(dft, B).matrix
+    got = statistic_matrix(dft, B)
     np.testing.assert_allclose(got, full.real, rtol=1e-12, atol=0)
     np.testing.assert_allclose(full.imag, 0.0, atol=1e-12 * np.abs(full).max())
     moments = null_moments(small_model, T, B)
@@ -165,10 +159,11 @@ def test_statistic_matches_full_grid_complex_definition(small_model, T):
 
 def test_statistic_hermitian_real_diagonal(small_dft):
     B = 0.2
-    coeffs = statistic_matrix(small_dft, B)
-    np.testing.assert_allclose(coeffs.matrix, coeffs.matrix.conj().T, atol=1e-10)
-    assert np.all(np.abs(np.diag(coeffs.matrix).imag) < 1e-10)
-    assert np.all(np.diag(coeffs.matrix).real > 0)
+    S = statistic_matrix(small_dft, B)
+    assert S.shape == (small_dft.degrees.dim,) * 2
+    np.testing.assert_allclose(S, S.conj().T, atol=1e-10)
+    assert np.all(np.abs(np.diag(S).imag) < 1e-10)
+    assert np.all(np.diag(S).real > 0)
 
 
 def test_projected_test_matches_statistic_matrix(small_dft, small_model):
@@ -178,7 +173,7 @@ def test_projected_test_matches_statistic_matrix(small_dft, small_model):
     moments = null_moments(small_model, T, 0.2)
     pairs = [((1, 1), (1, 1)), ((2, 5), (2, 5)), ((2, 5), (1, 3)), ((1, 2), (1, 3))]
     report = projected_test(small_dft, moments, pairs=pairs)
-    full = statistic_matrix(small_dft, 0.2).matrix
+    full = statistic_matrix(small_dft, 0.2)
     col = small_dft.degrees.column
     for (a, b), row in zip(pairs, report.rows):
         want = full[col(*a), col(*b)].real
@@ -190,15 +185,14 @@ def test_projected_test_matches_statistic_matrix(small_dft, small_model):
 def test_statistic_quadratic_scaling(small_model):
     panel = simulate_panel(small_model, 128, SeedSpec(base_seed=4))
     scaled = CoefficientPanel(T=128, degrees=panel.degrees, data=3.0 * panel.data)
-    s1 = statistic_matrix(fdft_panel(panel), 0.25).matrix
-    s9 = statistic_matrix(fdft_panel(scaled), 0.25).matrix
+    s1 = statistic_matrix(fdft_panel(panel), 0.25)
+    s9 = statistic_matrix(fdft_panel(scaled), 0.25)
     np.testing.assert_allclose(s9, 9.0 * s1, rtol=1e-10)
 
 
 def test_statistic_zero_panel():
     panel = CoefficientPanel(T=64, degrees=DegreeRange(1, 1), data=np.zeros((64, 3)))
-    coeffs = statistic_matrix(fdft_panel(panel), 0.3)
-    np.testing.assert_array_equal(coeffs.matrix, 0.0)
+    np.testing.assert_array_equal(statistic_matrix(fdft_panel(panel), 0.3), 0.0)
 
 
 # --- null moments -----------------------------------------------------------
@@ -264,7 +258,7 @@ def test_statistic_moments_match_monte_carlo(small_model):
     vals = np.empty(R)
     for r in range(R):
         panel = simulate_panel(small_model, T, SeedSpec(base_seed=808, stream_id=r))
-        vals[r] = statistic_matrix(fdft_panel(panel), B).matrix[0, 0].real
+        vals[r] = statistic_matrix(fdft_panel(panel), B)[0, 0]
     se = vals.std(ddof=1) / math.sqrt(R)
     assert abs(vals.mean() - m.mean_diag[1]) < 4 * se
     assert vals.var(ddof=1) == pytest.approx(2.0 * m.second_moment[(1, 1)], rel=0.25)
@@ -281,7 +275,7 @@ def test_critical_value():
 def test_report_rows_and_csv(tmp_path):
     report = TestReport(level=0.05)
     report.extend(["x", "y"], [1.0, 4.0], [0.5, 3.5])
-    assert report.rejections() == [False, True]
+    assert [row["reject"] for row in report.rows] == [False, True]
     assert report.rows[0]["p"] == pytest.approx(2 * stats.norm.sf(0.5))
     path = tmp_path / "report.csv"
     report.write_csv(path)
@@ -332,14 +326,3 @@ def test_projected_test_report(small_dft, small_model):
     assert all(np.isfinite(r["z"]) for r in report.rows)
     assert all(0.0 <= r["p"] <= 1.0 for r in report.rows)
 
-
-# --- norms ------------------------------------------------------------------
-
-def test_projected_hs_norm_scales(small_dft):
-    coeffs = statistic_matrix(small_dft, 0.2)
-    stat = projected_hs_norm(coeffs, scale="statistic")
-    grid = projected_hs_norm(coeffs, scale="gridsum")
-    assert grid / stat == pytest.approx(coeffs.T**2 / (2 * np.pi) ** 4, rel=1e-12)
-    assert stat == pytest.approx(np.linalg.norm(coeffs.matrix), rel=1e-12)
-    with pytest.raises(TestError):
-        projected_hs_norm(coeffs, scale="cycles")

@@ -8,7 +8,6 @@ from spherelrd.models import example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import (
     DftPanel,
-    SmoothingSpec,
     SpectralError,
     epanechnikov,
     epanechnikov_cdf,
@@ -32,10 +31,10 @@ def fdft_direct(panel: CoefficientPanel) -> DftPanel:
     return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
 
 
-def periodized_weight(x, spec: SmoothingSpec):
+def periodized_weight(x, B: float):
     """W^(T)(x) = (1/B) W(x_reduced / B) for B < 1 (single periodization term)."""
     xr = reduce_frequency(x)
-    return spec.weight(np.asarray(xr) / spec.bandwidth) / spec.bandwidth
+    return epanechnikov(np.asarray(xr) / B) / B
 
 
 def half_grid_weights(T: int) -> np.ndarray:
@@ -48,19 +47,19 @@ def half_grid_weights(T: int) -> np.ndarray:
     return w
 
 
-def smoothing_kernel(T: int, spec: SmoothingSpec) -> np.ndarray:
+def smoothing_kernel(T: int, B: float) -> np.ndarray:
     diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
-    return (2 * np.pi / T) * spec.weight(diffs / spec.bandwidth) / spec.bandwidth
+    return (2 * np.pi / T) * epanechnikov(diffs / B) / B
 
 
-def smoothed_column_grid(dft: DftPanel, a, spec: SmoothingSpec) -> np.ndarray:
+def smoothed_column_grid(dft: DftPanel, a, B: float) -> np.ndarray:
     """f_hat[a, a] at every Fourier frequency for one column, by one real
     circular convolution per column: the oracle for the batched diagonal grid."""
     T = dft.T
     c = dft.column(*a)
     p = np.square(c.real) + np.square(c.imag)
     p[0] = 0.0
-    return np.fft.irfft(np.fft.rfft(p) * np.fft.rfft(smoothing_kernel(T, spec)), n=T)
+    return np.fft.irfft(np.fft.rfft(p) * np.fft.rfft(smoothing_kernel(T, B)), n=T)
 
 
 def test_epanechnikov_axioms():
@@ -81,17 +80,6 @@ def test_epanechnikov_axioms():
     assert l2 == pytest.approx(0.6, abs=1e-6)  # integral of W^2
 
 
-def test_smoothing_spec_validation():
-    with pytest.raises(SpectralError):
-        SmoothingSpec(bandwidth=0.0)
-    with pytest.raises(SpectralError):
-        SmoothingSpec(bandwidth=1.0)
-    SmoothingSpec(bandwidth=0.3)
-    # the smoother is Epanechnikov: no kernel option to accept and ignore
-    with pytest.raises(TypeError):
-        SmoothingSpec(bandwidth=0.3, kernel=epanechnikov)
-
-
 def test_reduce_frequency():
     assert reduce_frequency(0.0) == 0.0
     assert reduce_frequency(2 * np.pi) == pytest.approx(0.0, abs=1e-12)
@@ -103,19 +91,17 @@ def test_reduce_frequency():
 
 
 def test_periodized_weight_is_periodic():
-    spec = SmoothingSpec(bandwidth=0.25)
     x = np.linspace(-0.4, 0.4, 33)
     np.testing.assert_allclose(
-        periodized_weight(x, spec), periodized_weight(x + 2 * np.pi, spec), atol=1e-12
+        periodized_weight(x, 0.25), periodized_weight(x + 2 * np.pi, 0.25), atol=1e-12
     )
-    assert periodized_weight(0.0, spec) == pytest.approx(0.75 / 0.25)
+    assert periodized_weight(0.0, 0.25) == pytest.approx(0.75 / 0.25)
 
 
 def test_kernel_row_matches_periodized_weight():
     for T, B in ((64, 0.3), (1001, 0.1), (8192, 0.05)):
-        spec = SmoothingSpec(bandwidth=B)
         lags = 2 * np.pi * np.arange(T) / T
-        np.testing.assert_array_equal(kernel_row(T, spec) / B, periodized_weight(lags, spec))
+        np.testing.assert_array_equal(kernel_row(T, B) / B, periodized_weight(lags, B))
 
 
 def test_fdft_matches_direct_transform(small_model):
@@ -151,31 +137,29 @@ def test_fdft_zero_frequency(small_model):
 
 
 def test_smoothed_spectrum_hermitian(small_dft):
-    spec = SmoothingSpec(bandwidth=0.2)
     a, b = (1, 1), (2, 4)
-    fab = smoothed_cross_spectrum(small_dft, a, b, 0.9, spec)
-    fba = smoothed_cross_spectrum(small_dft, b, a, 0.9, spec)
+    fab = smoothed_cross_spectrum(small_dft, a, b, 0.9, 0.2)
+    fba = smoothed_cross_spectrum(small_dft, b, a, 0.9, 0.2)
     assert fab == pytest.approx(np.conj(fba), abs=1e-12)
-    faa = smoothed_cross_spectrum(small_dft, a, a, 0.9, spec)
+    faa = smoothed_cross_spectrum(small_dft, a, a, 0.9, 0.2)
     assert abs(faa.imag) < 1e-12
     assert faa.real > 0
 
 
 def test_smoothed_spectrum_rejects_out_of_range(small_dft):
     with pytest.raises(SpectralError):
-        smoothed_cross_spectrum(small_dft, (1, 1), (1, 1), 4.0, SmoothingSpec(bandwidth=0.2))
+        smoothed_cross_spectrum(small_dft, (1, 1), (1, 1), 4.0, 0.2)
 
 
 def test_smoothed_spectrum_grid_matches_pointwise(small_dft):
-    spec = SmoothingSpec(bandwidth=0.2)
     T = small_dft.T
-    grid = smoothed_spectrum_grid(small_dft, spec)
+    grid = smoothed_spectrum_grid(small_dft, 0.2)
     assert grid.shape == (small_dft.degrees.dim, T)
     for a in ((1, 2), (2, 5)):
         row = grid[small_dft.degrees.column(*a)]
         for s in (1, 7, 100, 300, T - 1):
             w = reduce_frequency(2 * np.pi * s / T)
-            direct = smoothed_cross_spectrum(small_dft, a, a, w, spec)
+            direct = smoothed_cross_spectrum(small_dft, a, a, w, 0.2)
             assert row[s] == pytest.approx(direct.real, abs=1e-10)
 
 
@@ -183,9 +167,9 @@ def test_smoothed_spectrum_grid_matches_pointwise(small_dft):
 @pytest.mark.parametrize("model", [example_model(1), reference_spharma11()], ids=["ex1", "h0"])
 def test_smoothed_spectrum_grid_matches_per_column_oracle(model, T):
     dft = fdft_panel(simulate_panel(model, T, SeedSpec(base_seed=13, stream_id=2)))
-    spec = SmoothingSpec(bandwidth=T**-0.25)
-    expected = np.array([smoothed_column_grid(dft, a, spec) for a in dft.degrees.index_list()])
-    np.testing.assert_array_equal(smoothed_spectrum_grid(dft, spec), expected)
+    B = T**-0.25
+    expected = np.array([smoothed_column_grid(dft, a, B) for a in dft.degrees.index_list()])
+    np.testing.assert_array_equal(smoothed_spectrum_grid(dft, B), expected)
 
 
 @pytest.mark.parametrize("T", [64, 1001, 8192])
@@ -193,13 +177,13 @@ def test_smoothed_spectrum_grid_matches_complex_convolution(T):
     # The half-spectrum grid equals the complex circular convolution of the
     # full-grid periodogram from the complex FFT of the panel.
     panel = simulate_panel(example_model(1), T, SeedSpec(base_seed=13, stream_id=2))
-    spec = SmoothingSpec(bandwidth=T**-0.25)
+    B = T**-0.25
     A = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
     p = A * np.conj(A)
     p[0] = 0.0
-    kf = np.fft.fft(smoothing_kernel(T, spec))
+    kf = np.fft.fft(smoothing_kernel(T, B))
     expected = np.fft.ifft(np.fft.fft(p, axis=0) * kf[:, None], axis=0).real.T
-    got = smoothed_spectrum_grid(fdft_panel(panel), spec)
+    got = smoothed_spectrum_grid(fdft_panel(panel), B)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -217,7 +201,6 @@ def test_dft_column_mirrors_half_grid(small_model):
 def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
     # Averaged over replications, the smoothed periodogram of unit white noise
     # recovers the flat density 1 / (2 pi) away from the origin.
-    spec = SmoothingSpec(bandwidth=0.2)
     T, R = 512, 60
     target = 1.0 / (2 * np.pi)
     acc = 0.0
@@ -225,15 +208,14 @@ def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
     for r in range(R):
         dft = fdft_panel(simulate_panel(white_noise_model, T, SeedSpec(base_seed=31, stream_id=r)))
         for w in (0.8, 2.0):
-            acc += smoothed_cross_spectrum(dft, (1, 1), (1, 1), w, spec).real
+            acc += smoothed_cross_spectrum(dft, (1, 1), (1, 1), w, 0.2).real
             count += 1
     assert acc / count == pytest.approx(target, rel=0.05)
 
 
 def test_write_spectrum_csv(tmp_path, small_dft):
-    spec = SmoothingSpec(bandwidth=0.2)
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(path, small_dft, [((1, 1), (1, 1))], [0.5, 1.0], spec)
+    write_spectrum_csv(path, small_dft, [((1, 1), (1, 1))], [0.5, 1.0], 0.2)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"]
