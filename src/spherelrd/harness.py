@@ -10,7 +10,7 @@ replication into the chunk's running sum or writes it as one row of a stacked
 array.  All chunks of an experiment go to one process pool, or run inline at
 one worker.
 
-Replications are keyed by counter-based streams (stream_id = replication
+Replications are keyed by per-degree seeded streams (stream_id = replication
 index) and cut into at most four chunks whose boundaries depend on R alone,
 never on the worker count.  Chunks are summed or stacked in chunk order, so
 the tables agree bit for bit at any worker count.  Size and power simulate
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy
 from scipy import stats
 
 from . import __version__
@@ -185,6 +186,11 @@ def _model_manifest(model: SpectralModel) -> dict:
     }
 
 
+# The random streams and panel start behind every table; the config hash
+# covers it, so a table drawn from other streams gets another hash.
+_RNG = "sfc64-seedsequence/stationary-start"
+
+
 def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
     desc = {
         "experiment": experiment,
@@ -196,9 +202,16 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
         "seed": config.seed,
         **_model_manifest(config.model),
         "calibration": _model_manifest(config.null_model()),
+        "rng": _RNG,
     }
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
-    return {**desc, "config_hash": digest, "version": __version__}
+    return {
+        **desc,
+        "config_hash": digest,
+        "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 def _binomial_se(rate: float, R: int) -> float:
@@ -321,11 +334,6 @@ def _standardized_entries(config: ExperimentConfig, pairs, degrees: DegreeRange)
     return [(s - mean) / sd for s, (mean, sd) in zip(entries, calibrations)]
 
 
-def _norm_plan(config: ExperimentConfig, T: int, B: float) -> _Plan:
-    g_weights(T, B)  # an empty window fails here, before any replication
-    return _Plan(config.model, T, config.seed, _hs_norms, (B,), (2,), stack=True)
-
-
 def run_size(config: ExperimentConfig) -> McTable:
     """Per-direction empirical rejection rate under the null model."""
     if not config.model.is_null():
@@ -382,7 +390,11 @@ def run_divergence(config: ExperimentConfig, mode: str = "single") -> McTable:
         raise HarnessError(f"unknown divergence mode {mode!r}")
     R = 1 if mode == "single" else min(config.R, 20)
     table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
-    plans = [_norm_plan(config, T, bandwidth(T, config.rule())) for T in config.T_values]
+    plans = []
+    for T in config.T_values:
+        B = bandwidth(T, config.rule())
+        g_weights(T, B)  # an empty window fails here, before any replication
+        plans.append(_Plan(config.model, T, config.seed, _hs_norms, (B,), (2,), stack=True))
     for plan, norms in zip(plans, _replicate(plans, R, config.threads)):
         table.add(plan.T, R, config.beta, "hs_norm_statistic", float(np.median(norms[:, 0])))
         table.add(plan.T, R, config.beta, "hs_norm_gridsum", float(np.median(norms[:, 1])))
@@ -392,35 +404,25 @@ def run_divergence(config: ExperimentConfig, mode: str = "single") -> McTable:
 def run_bandwidth_sweep(config: ExperimentConfig, betas=(0.2, 0.55, 0.9), mode: str = "expected") -> McTable:
     """(T B_T)^(-1/2)-rescaled grid-sum norms over a beta x T grid.
 
-    The default ``mode="expected"`` evaluates the norm of the expected
+    The only mode, ``"expected"``, evaluates the norm of the expected
     statistic under the model's short-memory calibration, which is the
     deterministic quantity that is stable across bandwidth exponents (the
-    rescaling cancels its sqrt(B T) growth exactly).  Realized-norm modes
-    ``"single"`` and ``"averaged"`` are available for exploration; under long
-    memory their low-frequency pole contribution does not scale with
-    sqrt(B T), so they are not bandwidth-stable.
+    rescaling cancels its sqrt(B T) growth exactly).  No replication runs.
     """
-    if mode not in ("expected", "single", "averaged"):
-        raise HarnessError(f"unknown sweep mode {mode!r}")
+    if mode != "expected":
+        raise HarnessError(f"unknown sweep mode {mode!r}; the sweep has only 'expected'")
     table = McTable("bandwidth_sweep", manifest=_config_manifest(config, "bandwidth_sweep"))
-    grid = [(beta, T, bandwidth(T, BandwidthRule(beta=beta))) for beta in betas for T in config.T_values]
-    if mode == "expected":
-        R = 0
-        calib = config.null_model()
-        degs = calib.degrees.degrees
-        norms = []
-        for _, T, B in grid:
+    calib = config.null_model()
+    degs = calib.degrees.degrees
+    for beta in betas:
+        for T in config.T_values:
+            B = bandwidth(T, BandwidthRule(beta=beta))
             # continuous window profile: exact sqrt(B T) mean scaling even
             # when B falls below the Fourier grid spacing
             moments = null_moments(calib, T, B, mode="continuous")
             gridsum = float(T) ** 2 / (2 * math.pi) ** 4
-            norms.append(math.sqrt(sum((2 * n + 1) * moments.mean_diag[n] ** 2 for n in degs)) * gridsum)
-    else:
-        R = 1 if mode == "single" else min(config.R, 20)
-        plans = [_norm_plan(config, T, B) for _, T, B in grid]
-        norms = [float(np.median(n[:, 1])) for n in _replicate(plans, R, config.threads)]
-    for (beta, T, B), norm in zip(grid, norms):
-        table.add(T, R, beta, "rescaled_norm", norm / math.sqrt(B * T))
+            norm = math.sqrt(sum((2 * n + 1) * moments.mean_diag[n] ** 2 for n in degs)) * gridsum
+            table.add(T, 0, beta, "rescaled_norm", norm / math.sqrt(B * T))
     return table
 
 

@@ -3,13 +3,15 @@
 A model assigns to each spherical-harmonic degree n a scalar ARMA(p, q)
 transfer function with AR polynomial Phi_n(z) = 1 - sum phi_{n,i} z^i and MA
 polynomial Psi_n(z) = 1 + sum psi_{n,l} z^l, an innovation variance, and a
-memory exponent alpha(n) in [0, 1).  The short-memory spectral eigenvalue is
+memory exponent alpha(n).  The short-memory spectral eigenvalue is
 
-    f_n(w) = innov_n / (2 pi) * |Psi_n(e^{-iw})|^2 / |Phi_n(e^{-iw})|^2,
+    f_n(w) = innov_n / (2 pi) * |Psi_n(e^{-iw})|^2 / |Phi_n(e^{-iw})|^2.
 
-and under the long-memory alternative it is multiplied by
-(2 |sin(w/2)|)^(-alpha(n)), which has an integrable pole at w = 0 for
-alpha(n) < 1.
+The memory exponent is the fractional differencing order d of
+(1 - B)^(-alpha(n)), the filter the simulator applies, so under the
+long-memory alternative f_n is multiplied by |1 - e^{-iw}|^(-2 alpha(n)) =
+(2 |sin(w/2)|)^(-2 alpha(n)).  The process is stationary for alpha(n) < 1/2;
+the pole at w = 0 is integrable only there.
 """
 
 from __future__ import annotations
@@ -61,8 +63,10 @@ class Hypothesis(enum.Enum):
 class AlphaProfile:
     """Memory exponents alpha(n) over a degree range, plus the tail value for n beyond it.
 
-    Values must lie in [0, 1/2) unless ``extended`` is set, in which case the
-    full stationary-integrable range [0, 1) is allowed.
+    Each alpha(n) is a fractional differencing order d.  Values must lie in
+    the stationary range [0, 1/2) unless ``extended`` is set, which admits
+    d in [1/2, 1) as well; the simulator's truncated filter turns such a d
+    into a nonstationary-looking panel.
     """
 
     values: np.ndarray
@@ -230,8 +234,9 @@ def spectral_eigenvalue(
     omega,
     hyp: Hypothesis = Hypothesis.NULL,
 ) -> np.ndarray:
-    """Frequency-varying eigenvalue f_n(omega); +inf at omega = 0 under the
-    alternative when alpha(n) > 0.  Vectorized over omega in [-pi, pi]."""
+    """Frequency-varying eigenvalue f_n(omega); under the alternative times
+    (2 |sin(omega/2)|)^(-2 alpha(n)), +inf at omega = 0 when alpha(n) > 0.
+    Vectorized over omega in [-pi, pi]."""
     w = np.asarray(omega, dtype=float)
     if np.any(np.abs(w) > np.pi + 1e-12):
         raise ModelError("frequency outside [-pi, pi]")
@@ -248,7 +253,7 @@ def spectral_eigenvalue(
     if hyp is Hypothesis.ALTERNATIVE and a > 0:
         mod = 2.0 * np.abs(np.sin(w / 2.0))
         with np.errstate(divide="ignore"):
-            f = np.where(mod == 0.0, np.inf, f * mod ** (-a))
+            f = np.where(mod == 0.0, np.inf, f * mod ** (-2.0 * a))
     return f if f.shape else float(f)
 
 

@@ -6,18 +6,27 @@ are i.i.d. copies.  When alpha(n) > 0 the ARMA output is passed through the
 truncated fractional-integration filter (1 - B)^(-alpha(n)), realized as an
 MA convolution with the standard fractional-differencing weights (Hosking
 1981).  Filtering with exponent a multiplies the spectral density by
-|1 - e^{-iw}|^(-2a).
+|1 - e^{-iw}|^(-2a), so alpha(n) is the differencing order d.
+
+The ARMA recursion starts in its stationary law, so no warm-up rows are
+drawn and discarded.  ``scipy.signal.lfilter`` runs the recursion in direct
+form II transposed, whose r = max(p, q) state values s_t obey
+s_t = F s_{t-1} + g e_t; the initial state is drawn from N(0, innov_n P),
+where P = F P F' + g g' is the stationary state covariance (Gardner, Harvey &
+Phillips 1980).
 
 The convolution is computed only for the T kept output rows: it reads the
-last truncation + T ARMA rows and multiplies their real FFT by the weights'
+truncation + T ARMA rows and multiplies their real FFT by the weights'
 spectrum, which depends only on (alpha, truncation, FFT length) and is cached
 per process.  The FFT is at least truncation + T long and only rows with the
 full filter depth are kept, so the circular wrap never reaches a kept row.
 
-Randomness comes from counter-based Philox streams keyed per
-(base_seed, stream_id, degree), so panels are bit-reproducible under any
-parallel decomposition.  Every degree draws burn_in (+ truncation when
-alpha(n) > 0) + T normals per order, whatever the filter computes.
+Randomness comes from one SFC64 stream per (base_seed, stream_id, degree),
+keyed by ``SeedSequence(base_seed, spawn_key=(stream_id, degree))``, so panels
+are bit-reproducible under any parallel decomposition.  Each degree first
+draws its r x (2n+1) state normals (none for white noise), then its
+(pre + T) x (2n+1) innovations, where the pre-sample is the filter truncation
+when alpha(n) > 0 and empty otherwise.
 
 A panel may cover a contiguous sub-range of the model's degrees.  Because a
 degree's stream does not depend on which other degrees are drawn, the
@@ -31,7 +40,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, signal
+from scipy import fft, linalg, signal
 
 from .harmonics import DegreeRange, HarmonicsError
 from .models import SpectralModel
@@ -55,18 +64,12 @@ class SeedSpec:
             raise SimulationError("stream_id must be a nonnegative 40-bit integer")
 
     def generator(self, degree: int) -> np.random.Generator:
-        # injective (base_seed, stream_id, degree) -> Philox key
-        key = np.array(
-            [self.base_seed, (self.stream_id << 20) | (degree & 0xFFFFF)],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        key = np.random.SeedSequence(self.base_seed, spawn_key=(self.stream_id, degree))
+        return np.random.Generator(np.random.SFC64(key))
 
 
-# Length of the truncated fractional filter psi_0..psi_K, and the ARMA warm-up
-# steps every degree runs before its kept rows.
+# Length of the truncated fractional filter psi_0..psi_K.
 _TRUNCATION = 2000
-_BURN_IN = 1000
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,35 @@ def _weight_spectrum(alpha: float, truncation: int, nfft: int) -> np.ndarray:
     return spectrum
 
 
+# Distinct ARMA (b, a) pairs a process keeps; a model has at most one per degree.
+_STATE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_STATE_CACHE_SIZE)
+def _stationary_state_root(b: tuple, a: tuple) -> np.ndarray:
+    """Square root L (L L' = P) of the stationary covariance of the r lfilter
+    states of b(B) / a(B) driven by unit white noise; read-only, shared by callers.
+
+    P may be singular: a degree whose AR and MA orders fall below the
+    model's keeps a state at 0, and an MA factor that nearly cancels an AR
+    factor leaves P singular up to rounding.  So the root comes from an
+    eigendecomposition with negative rounding eigenvalues clipped to zero,
+    not from a Cholesky factor.
+    """
+    r = max(len(a), len(b)) - 1
+    bb = np.zeros(r + 1)
+    aa = np.zeros(r + 1)
+    bb[: len(b)] = b
+    aa[: len(a)] = a
+    F = np.eye(r, k=1)
+    F[:, 0] = -aa[1:]
+    g = bb[1:] - aa[1:] * bb[0]
+    vals, vecs = np.linalg.eigh(linalg.solve_discrete_lyapunov(F, np.outer(g, g)))
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    root.flags.writeable = False
+    return root
+
+
 def simulate_panel(
     model: SpectralModel,
     T: int,
@@ -123,10 +155,13 @@ def simulate_panel(
 ) -> CoefficientPanel:
     """Draw one panel of length T from the model.
 
-    The ARMA state starts at zero and runs ``_BURN_IN`` warm-up steps;
-    degrees with alpha(n) > 0 additionally carry a pre-sample of length
-    ``_TRUNCATION`` consumed by the fractional convolution.  ``degrees``
-    restricts the panel to a sub-range of ``model.degrees`` (default: all).
+    Every degree's ARMA recursion starts from a state drawn from its
+    stationary law, so the first kept row is already stationary.  Degrees
+    with alpha(n) > 0 filter a pre-sample of ``_TRUNCATION`` ARMA rows before
+    the T kept rows, so that every kept row sees the full filter depth.  Per
+    degree the stream yields the state normals, then the innovations.
+    ``degrees`` restricts the panel to a sub-range of ``model.degrees``
+    (default: all).
     """
     if T < 2:
         raise SimulationError("sample length must be at least 2")
@@ -135,28 +170,34 @@ def simulate_panel(
         degrees = full
     elif not full.n_min <= degrees.n_min <= degrees.n_max <= full.n_max:
         raise SimulationError(f"degrees {degrees} outside the model's {full}")
+    r = max(model.p, model.q)
     data = np.empty((T, degrees.dim))
     for n in degrees.degrees:
         i = n - full.n_min
         m = 2 * n + 1
         a = float(model.alpha.values[i])
-        pre = _BURN_IN + (_TRUNCATION if a > 0 else 0)
+        pre = _TRUNCATION if a > 0 else 0
         rng = seed.generator(n)
-        eps = rng.standard_normal((pre + T, m)) * np.sqrt(model.innov[i])
-        b = np.concatenate(([1.0], model.psi[i]))
-        aa = np.concatenate(([1.0], -model.phi[i]))
-        x = signal.lfilter(b, aa, eps, axis=0)
+        scale = np.sqrt(model.innov[i])
+        if r:
+            b = (1.0, *model.psi[i])
+            aa = (1.0, *-model.phi[i])
+            zi = _stationary_state_root(b, aa) @ rng.standard_normal((r, m)) * scale
+            eps = rng.standard_normal((pre + T, m)) * scale
+            x = signal.lfilter(b, aa, eps, axis=0, zi=zi)[0]
+        else:
+            x = rng.standard_normal((pre + T, m)) * scale
         off = degrees.column_offset(n)
         if a > 0:
-            # conv[t] = sum_k psi_k x_{t-k} for the kept t >= pre reads only
-            # x[pre-K:]; rows K..K+T-1 of its circular convolution are exact
+            # conv[t] = sum_k psi_k x_{t-k} for the kept t >= K reads all of
+            # x; rows K..K+T-1 of its circular convolution are exact
             K = _TRUNCATION
             nfft = fft.next_fast_len(K + T, real=True)
-            xs = fft.rfft(x[pre - K :], nfft, axis=0)
+            xs = fft.rfft(x, nfft, axis=0)
             xs *= _weight_spectrum(a, K, nfft)[:, None]
             data[:, off : off + m] = fft.irfft(xs, nfft, axis=0)[K : K + T]
         else:
-            data[:, off : off + m] = x[pre:]
+            data[:, off : off + m] = x
     return CoefficientPanel(T=T, degrees=degrees, data=data)
 
 

@@ -239,8 +239,6 @@ def test_cli_rejects_too_many_directions_before_running(tmp_path, monkeypatch):
         pytest.param("mc-divergence", {}, id="mc-divergence"),
         # T = 1 has no bandwidth at all
         pytest.param("mc-consistency", {"T": [1000, 1]}, id="mc-consistency"),
-        # the default sweep mode replicates nothing; the realized modes do
-        pytest.param("mc-sweep", {"mode": "averaged"}, id="mc-sweep"),
     ],
 )
 def test_cli_empty_window_fails_before_any_replication(tmp_path, monkeypatch, command, experiment):
@@ -285,6 +283,16 @@ def test_cli_mc_divergence_and_sweep(tmp_path):
     assert (out / "divergence.csv").exists()
     assert main(["mc-sweep", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "bandwidth_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["single", "averaged", "typo"])
+def test_cli_sweep_accepts_only_expected_mode(tmp_path, mode):
+    doc = dict(SMALL_DOC)
+    doc["experiment"] = {"T": [128], "R": 1, "seed": 3, "mode": mode}
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["mc-sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert not (out / "bandwidth_sweep.csv").exists()
 
 
 def test_cli_writes_only_under_out(tmp_path, monkeypatch):

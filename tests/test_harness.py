@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import build_spharma, example_model
@@ -264,10 +265,10 @@ def test_run_bandwidth_sweep_modes(small_model):
     assert len(vals) == 2
     assert all(v > 0 for v in vals)
     assert all(r["R"] == 0 for r in tab.rows)
-    single = run_bandwidth_sweep(
-        _config(small_model, T_values=(256,), R=1), betas=(0.3,), mode="single"
-    )
-    assert len(single.values("rescaled_norm")) == 1
+    # the realized-norm modes were removed: they were not bandwidth-stable
+    for mode in ("single", "averaged"):
+        with pytest.raises(HarnessError):
+            run_bandwidth_sweep(_config(small_model), mode=mode)
 
 
 def test_run_consistency_requires_replications(small_model):
@@ -291,6 +292,23 @@ def test_manifest_content(small_model):
     assert man["degrees"] == [1, 2]
     assert len(man["config_hash"]) == 16
     assert "version" in man
+
+
+def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch):
+    from spherelrd import harness
+
+    config = _config(small_model, R=1)
+    base = harness._config_manifest(config, "size")
+    assert base["rng"] == "sfc64-seedsequence/stationary-start"
+    assert base["numpy"] == np.__version__
+    assert base["scipy"] == scipy.__version__
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    monkeypatch.setattr(scipy, "__version__", "0.0.0")
+    bumped = harness._config_manifest(config, "size")
+    assert (bumped["numpy"], bumped["scipy"]) == ("0.0.0", "0.0.0")
+    assert bumped["config_hash"] == base["config_hash"]
+    monkeypatch.setattr(harness, "_RNG", "philox-packed-key/burn-in-1000")
+    assert harness._config_manifest(config, "size")["config_hash"] != base["config_hash"]
 
 
 def test_config_hash_covers_arma_coefficients():

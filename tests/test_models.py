@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from spherelrd.models import (
     reference_spharma11,
     spectral_eigenvalue,
 )
+from spherelrd.simulate import SeedSpec, simulate_panel
 
 
 def test_reference_coefficients_at_degree_one(reference_model):
@@ -58,7 +61,57 @@ def test_alternative_eigenvalue_pole(example1_model):
     a = example1_model.alpha.values[0]
     null = spectral_eigenvalue(example1_model, 1, w)
     alt = spectral_eigenvalue(example1_model, 1, w, Hypothesis.ALTERNATIVE)
-    assert alt == pytest.approx(null * (2 * np.sin(w / 2)) ** (-a), rel=1e-12)
+    assert alt == pytest.approx(null * (2 * np.sin(w / 2)) ** (-2 * a), rel=1e-12)
+
+
+@functools.cache
+def _example_periodograms(example: int, n: int) -> np.ndarray:
+    """Periodogram ordinates s = 1..T/2 - 1 of degree n of an example model:
+    T = 512, 40 replications, one column per (replication, order)."""
+    T, R = 512, 40
+    model = example_model(example)
+    dfts = [
+        np.fft.rfft(simulate_panel(model, T, SeedSpec(515, r), degrees=DegreeRange(n, n)).data, axis=0)
+        for r in range(R)
+    ]
+    return np.abs(np.concatenate(dfts, axis=1)[1 : T // 2]) ** 2 / (2 * np.pi * T)
+
+
+_FIRST_AND_LAST = [(1, 1), (1, 8), (2, 1), (2, 8)]
+
+
+@pytest.mark.parametrize("example, n", _FIRST_AND_LAST)
+def test_simulated_memory_exponent_is_differencing_order(example, n):
+    # GPH (Geweke & Porter-Hudak 1983): regress the log periodogram on
+    # -2 log(2 sin(w/2)) over the lowest sqrt(T) Fourier frequencies.  The
+    # periodogram is first divided by the known short-memory eigenvalue, so
+    # the ARMA factor adds no bias.  The slope estimates d; its mean over all
+    # columns lies within 3 SE of alpha(n).
+    model = example_model(example)
+    I = _example_periodograms(example, n)
+    T = 2 * (I.shape[0] + 1)
+    s = np.arange(1, int(np.sqrt(T)) + 1)
+    w = 2 * np.pi * s / T
+    x = -2 * np.log(2 * np.sin(w / 2))
+    x -= x.mean()
+    y = np.log(I[s - 1] / spectral_eigenvalue(model, n, w)[:, None])
+    d_hat = x @ (y - y.mean(axis=0)) / (x @ x)
+    se = d_hat.std(ddof=1) / np.sqrt(d_hat.size)
+    assert abs(d_hat.mean() - model.alpha.values[n - 1]) < 3 * se
+
+
+@pytest.mark.parametrize("example, n", _FIRST_AND_LAST)
+def test_mean_periodogram_matches_alternative_eigenvalue(example, n):
+    # Away from the pole (s = 8..127 of T = 512) the mean periodogram over
+    # f_n(w) under the alternative is 1 up to the periodogram's leakage bias
+    # (1-3% here); reading alpha as a density exponent would put the ratio
+    # 14-32% above 1.
+    model = example_model(example)
+    I = _example_periodograms(example, n)
+    T = 2 * (I.shape[0] + 1)
+    s = np.arange(8, 128)
+    f = spectral_eigenvalue(model, n, 2 * np.pi * s / T, Hypothesis.ALTERNATIVE)
+    assert abs(np.mean(I[s - 1] / f[:, None]) - 1.0) < 0.05
 
 
 def test_eigenvalue_frequency_domain_checked(reference_model):

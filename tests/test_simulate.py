@@ -8,8 +8,8 @@ from spherelrd.simulate import (
     CoefficientPanel,
     SeedSpec,
     SimulationError,
-    _BURN_IN,
     _TRUNCATION,
+    _stationary_state_root,
     _weight_spectrum,
     fractional_weights,
     read_panel_csv,
@@ -39,18 +39,34 @@ def test_fractional_weights_basics():
         fractional_weights(-0.1, 5)
 
 
-def _full_convolution_panel(model, T, seed):
-    """Reference simulator: the same draws and ARMA step, then the truncated MA
-    evaluated by direct full-length convolution over the whole pre-sample."""
+# Warm-up steps of the zero-state start that the stationary start replaced.
+_BURN_IN = 1000
+
+
+def _full_convolution_panel(model, T, seed, burn_in=False):
+    """Reference simulator: the ARMA step, then the truncated MA evaluated by
+    direct full-length convolution over the whole pre-sample.
+
+    By default it makes the package's draws and stationary start; with
+    ``burn_in`` the ARMA state starts at zero instead and runs ``_BURN_IN``
+    discarded warm-up steps, the start the stationary one replaced.
+    """
     data = np.empty((T, model.degrees.dim))
+    r = max(model.p, model.q)
     for i, n in enumerate(model.degrees.degrees):
         m = 2 * n + 1
         a = float(model.alpha.values[i])
-        pre = _BURN_IN + (_TRUNCATION if a > 0 else 0)
-        eps = seed.generator(n).standard_normal((pre + T, m)) * np.sqrt(model.innov[i])
+        pre = (_BURN_IN if burn_in else 0) + (_TRUNCATION if a > 0 else 0)
+        rng = seed.generator(n)
+        scale = np.sqrt(model.innov[i])
         b = np.concatenate(([1.0], model.psi[i]))
         aa = np.concatenate(([1.0], -model.phi[i]))
-        x = signal.lfilter(b, aa, eps, axis=0)
+        if burn_in:
+            x = signal.lfilter(b, aa, rng.standard_normal((pre + T, m)) * scale, axis=0)
+        else:
+            zi = _stationary_state_root(tuple(b), tuple(aa)) @ rng.standard_normal((r, m)) * scale
+            eps = rng.standard_normal((pre + T, m)) * scale
+            x = signal.lfilter(b, aa, eps, axis=0, zi=zi)[0]
         if a > 0:
             psi = fractional_weights(a, _TRUNCATION)
             x = np.column_stack(
@@ -86,6 +102,93 @@ def test_seed_spec_validation():
         SeedSpec(base_seed=-1)
     with pytest.raises(SimulationError):
         SeedSpec(base_seed=1, stream_id=2**40)
+
+
+def _start_rows(model, R):
+    """Rows t = 0 and t = 1 of R panels, pooled over the columns."""
+    return np.concatenate(
+        [simulate_panel(model, 2, SeedSpec(base_seed=61, stream_id=r)).data for r in range(R)],
+        axis=1,
+    )
+
+
+def _within_3se(samples, target):
+    se = samples.std(ddof=1) / np.sqrt(samples.size)
+    return abs(samples.mean() - target) < 3 * se
+
+
+def test_stationary_start_matches_arma11_autocovariances():
+    # [DERIVED] for x_t = phi x_{t-1} + e_t + theta e_{t-1}, unit innovations:
+    # gamma_0 = (1 + 2 phi theta + theta^2) / (1 - phi^2),
+    # gamma_1 = (1 + phi theta)(phi + theta) / (1 - phi^2).
+    model = reference_spharma11(1, 1)
+    phi, theta = model.phi[0, 0], model.psi[0, 0]
+    gamma0 = (1 + 2 * phi * theta + theta**2) / (1 - phi**2)
+    gamma1 = (1 + phi * theta) * (phi + theta) / (1 - phi**2)
+    x0, x1 = _start_rows(model, 3000)
+    assert _within_3se(x0**2, gamma0)
+    assert _within_3se(x0 * x1, gamma1)
+
+
+def test_stationary_start_second_order_state():
+    # [DERIVED] ARMA(2, 1) with r = 2 states: gamma_0 is the sum of the squared
+    # impulse-response weights, which decay like 0.8^k (2000 terms suffice).
+    model = build_spharma(DegreeRange(1, 1), [[0.5, 0.3]], [[0.4]], innov=2.0)
+    impulse = signal.lfilter([1.0, 0.4], [1.0, -0.5, -0.3], np.eye(1, 2000)[0])
+    gamma0 = 2.0 * float(np.sum(impulse**2))
+    x0, _ = _start_rows(model, 3000)
+    assert _within_3se(x0**2, gamma0)
+
+
+def test_white_noise_draws_no_state_normals(white_noise_model):
+    # r = 0: each degree's stream yields its innovations first
+    seed = SeedSpec(base_seed=8, stream_id=3)
+    panel = simulate_panel(white_noise_model, 16, seed)
+    for n in (1, 2):
+        off = white_noise_model.degrees.column_offset(n)
+        want = seed.generator(n).standard_normal((16, 2 * n + 1))
+        np.testing.assert_array_equal(panel.data[:, off : off + 2 * n + 1], want)
+
+
+def test_singular_state_covariance_simulates():
+    # The state covariance P is singular when a degree's AR order is below the
+    # model's (its last lfilter state stays 0), and numerically singular when
+    # an MA root lies ~4e-8 from an AR root, just above the model's
+    # common-root tolerance.  A Cholesky factor fails on the first.
+    padded = build_spharma(DegreeRange(1, 2), [[0.5, 0.2], [0.5, 0.0]], [])
+    near = build_spharma(DegreeRange(1, 1), [[0.5]], [[-0.5 + 1e-8]])
+    near2 = build_spharma(DegreeRange(1, 1), [[0.5, 0.3]], [[-0.5 + 1e-7, -0.3]])
+    for model in (padded, near, near2):
+        assert np.all(np.isfinite(simulate_panel(model, 64, SeedSpec(base_seed=2)).data))
+    # [DERIVED] AR(1), phi = 0.5, padded to r = 2: the first state is
+    # phi * x_t, so P = diag(phi^2 / (1 - phi^2), 0) = diag(1/3, 0)
+    root = _stationary_state_root((1.0,), (1.0, -0.5, -0.0))
+    np.testing.assert_allclose(root @ root.T, [[1 / 3, 0.0], [0.0, 0.0]], atol=1e-15)
+    assert not root.flags.writeable
+
+
+@pytest.mark.parametrize("model", [reference_spharma11(1, 2), example_model(1, 1, 1)], ids=["h0", "ex1"])
+def test_stationary_start_matches_burn_in_periodogram(model):
+    # The burn-in path and the stationary start, on independent seeds: their
+    # mean periodograms agree within 3 Monte Carlo SE in each of four bands of
+    # 8 ordinates.
+    T, R = 64, 150
+
+    def moments(simulate, base_seed):
+        I = np.concatenate(
+            [
+                np.abs(np.fft.rfft(simulate(model, T, SeedSpec(base_seed, r)), axis=0)[1:33]) ** 2
+                for r in range(R)
+            ],
+            axis=1,
+        )
+        return I.mean(axis=1), I.var(axis=1, ddof=1) / I.shape[1]
+
+    new_mean, new_var = moments(lambda *args: simulate_panel(*args).data, 71)
+    old_mean, old_var = moments(lambda *args: _full_convolution_panel(*args, burn_in=True), 72)
+    diff = (new_mean - old_mean).reshape(4, 8).mean(axis=1)
+    se = np.sqrt((new_var + old_var).reshape(4, 8).sum(axis=1)) / 8
+    assert np.all(np.abs(diff) < 3 * se)
 
 
 def test_same_seed_reproduces_panel(small_model):
