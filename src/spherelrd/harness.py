@@ -36,7 +36,7 @@ from scipy import stats
 from . import __version__
 from .harmonics import DegreeRange
 from .models import SpectralModel
-from .simulate import SeedSpec, simulate_panel
+from .simulate import STREAMS, SeedSpec, simulate_panel
 from .spectral import fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
     BandwidthRule,
@@ -186,11 +186,6 @@ def _model_manifest(model: SpectralModel) -> dict:
     }
 
 
-# The random streams and panel start behind every table; the config hash
-# covers it, so a table drawn from other streams gets another hash.
-_RNG = "sfc64-seedsequence/stationary-start"
-
-
 def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
     desc = {
         "experiment": experiment,
@@ -202,7 +197,7 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
         "seed": config.seed,
         **_model_manifest(config.model),
         "calibration": _model_manifest(config.null_model()),
-        "rng": _RNG,
+        "rng": STREAMS,
     }
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
     return {

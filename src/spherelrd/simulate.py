@@ -68,6 +68,12 @@ class SeedSpec:
         return np.random.Generator(np.random.SFC64(key))
 
 
+# Names the streams of SeedSpec.generator and the stationary start of
+# simulate_panel.  Every manifest hashes it, so a table drawn another way gets
+# another config hash: change it with either of them.
+STREAMS = "sfc64-seedsequence/stationary-start"
+
+
 # Length of the truncated fractional filter psi_0..psi_K.
 _TRUNCATION = 2000
 

@@ -295,11 +295,11 @@ def test_manifest_content(small_model):
 
 
 def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch):
-    from spherelrd import harness
+    from spherelrd import harness, simulate
 
     config = _config(small_model, R=1)
     base = harness._config_manifest(config, "size")
-    assert base["rng"] == "sfc64-seedsequence/stationary-start"
+    assert base["rng"] == simulate.STREAMS == "sfc64-seedsequence/stationary-start"
     assert base["numpy"] == np.__version__
     assert base["scipy"] == scipy.__version__
     monkeypatch.setattr(np, "__version__", "0.0.0")
@@ -307,7 +307,7 @@ def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch
     bumped = harness._config_manifest(config, "size")
     assert (bumped["numpy"], bumped["scipy"]) == ("0.0.0", "0.0.0")
     assert bumped["config_hash"] == base["config_hash"]
-    monkeypatch.setattr(harness, "_RNG", "philox-packed-key/burn-in-1000")
+    monkeypatch.setattr(harness, "STREAMS", "philox-packed-key/burn-in-1000")
     assert harness._config_manifest(config, "size")["config_hash"] != base["config_hash"]
 
 
