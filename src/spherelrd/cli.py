@@ -32,7 +32,6 @@ from .config import (
     load_config,
     model_from_config,
     sweep_betas,
-    table_mode,
 )
 from .harness import (
     HarnessError,
@@ -104,6 +103,8 @@ def _experiment(doc, args):
 
 
 def _single_panel(config, degrees=None):
+    if len(config.T_values) > 1:
+        raise ConfigError(f"one panel needs one T, not {list(config.T_values)}: pass --T")
     T = config.T_values[0]
     seed = SeedSpec(base_seed=config.seed, stream_id=0)
     return T, simulate_panel(config.model, T, seed, degrees=degrees)
@@ -160,41 +161,32 @@ def _cmd_validate_model(doc, args) -> None:
         )
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "spectrum": _cmd_spectrum,
+    "test": _cmd_test,
+    "validate-model": _cmd_validate_model,
+}
+
 _MC = {
     "mc-size": ("size", run_size),
     "mc-power": ("power", run_power),
     "mc-dist": ("distribution", run_distribution),
+    "mc-divergence": ("divergence", run_divergence),
     "mc-consistency": ("consistency", run_consistency),
 }
 
 
 def _dispatch(args) -> None:
     doc = load_config(args.config)
-    if args.command == "simulate":
-        _cmd_simulate(doc, args)
-    elif args.command == "spectrum":
-        _cmd_spectrum(doc, args)
-    elif args.command == "test":
-        _cmd_test(doc, args)
-    elif args.command == "validate-model":
-        _cmd_validate_model(doc, args)
-    elif args.command in _MC:
+    if args.command in _MC:
         name, runner = _MC[args.command]
-        config = _experiment(doc, args)
-        _emit_table(runner(config), args, name)
-    elif args.command == "mc-divergence":
-        config = _experiment(doc, args)
-        _emit_table(run_divergence(config, mode=table_mode(doc)), args, "divergence")
+        _emit_table(runner(_experiment(doc, args)), args, name)
     elif args.command == "mc-sweep":
         config = _experiment(doc, args)
-        mode = doc.get("experiment", {}).get("mode", "expected")
-        _emit_table(
-            run_bandwidth_sweep(config, betas=sweep_betas(doc), mode=mode),
-            args,
-            "bandwidth_sweep",
-        )
-    else:  # pragma: no cover - argparse enforces the command set
-        raise _UsageError(f"unknown command {args.command!r}")
+        _emit_table(run_bandwidth_sweep(config, sweep_betas(doc)), args, "bandwidth_sweep")
+    else:
+        _COMMANDS[args.command](doc, args)
 
 
 def main(argv=None) -> int:

@@ -13,18 +13,21 @@ A config document has two sections::
       "experiment": {
         "T": [1000], "R": 500, "beta": 0.25, "level": 0.05,
         "directions": 8, "seed": 20260825,
-        "mode": "single", "betas": [0.2, 0.55, 0.9]
+        "betas": [0.2, 0.55, 0.9]           # read by mc-sweep only
       }
     }
 
 ``generator`` expands the canonical closed-form models; explicit fields
 override nothing when a generator is named (mixing the two is an error,
 except that an explicit ``alpha`` section may be attached to "reference").
+``load_config`` rejects any key outside ``_KEYS``, so a misspelt option
+fails at load instead of being ignored.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,6 +50,26 @@ class ConfigError(ValueError):
 
 _GENERATORS = ("reference", "example1", "example2", "example3", "example4")
 
+# Every key some command reads, per section ("" is the top level); a key that
+# names a section must hold a JSON object.
+_KEYS = {
+    "": {"model", "experiment"},
+    "model": {"generator", "degrees", "phi", "psi", "innov", "alpha"},
+    "alpha": {"kind", "values", "endpoints", "peak", "tail", "extended"},
+    "experiment": {"T", "R", "beta", "level", "directions", "seed", "betas"},
+}
+
+
+def _check_keys(doc: dict, section: str = "") -> None:
+    for key, value in doc.items():
+        if key not in _KEYS[section]:
+            where = f"section {section!r}" if section else "the top level"
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        if key in _KEYS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key!r} must be a JSON object")
+            _check_keys(value, key)
+
 
 def load_config(path) -> dict:
     try:
@@ -56,6 +79,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _check_keys(doc)
     return doc
 
 
@@ -88,11 +112,7 @@ def model_from_config(doc: dict) -> SpectralModel:
             if gen == "reference":
                 model = reference_spharma11(n_min, n_max)
                 if "alpha" in spec:
-                    prof = _alpha_from_doc(spec["alpha"], model.n_degrees)
-                    model = SpectralModel(
-                        degrees=model.degrees, p=model.p, q=model.q,
-                        phi=model.phi, psi=model.psi, innov=model.innov, alpha=prof,
-                    )
+                    model = replace(model, alpha=_alpha_from_doc(spec["alpha"], model.n_degrees))
                 return model
             return example_model(int(gen[len("example"):]), n_min, n_max)
         degrees = DegreeRange(int(n_min), int(n_max))
@@ -142,7 +162,3 @@ def experiment_from_config(
 
 def sweep_betas(doc: dict) -> tuple:
     return tuple(float(b) for b in doc.get("experiment", {}).get("betas", (0.2, 0.55, 0.9)))
-
-
-def table_mode(doc: dict) -> str:
-    return str(doc.get("experiment", {}).get("mode", "single"))

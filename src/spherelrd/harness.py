@@ -76,7 +76,8 @@ class ExperimentConfig:
     """Shared experiment parameters.
 
     ``model`` is the data-generating model; it is calibrated against its
-    short-memory factor (see ``null_model``).
+    short-memory factor (see ``null_model``).  ``threads`` is resolved by
+    ``thread_count`` here, so a bad worker count fails before any run.
     """
 
     model: SpectralModel
@@ -89,6 +90,7 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "threads", thread_count(self.threads))
         if self.R < 1:
             raise HarnessError("R must be >= 1")
         if not 0.0 < self.level < 1.0:
@@ -186,7 +188,7 @@ def _model_manifest(model: SpectralModel) -> dict:
     }
 
 
-def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
+def _config_manifest(config: ExperimentConfig, experiment: str, **extra) -> dict:
     desc = {
         "experiment": experiment,
         "T_values": list(config.T_values),
@@ -198,6 +200,7 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
         **_model_manifest(config.model),
         "calibration": _model_manifest(config.null_model()),
         "rng": STREAMS,
+        **extra,
     }
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
     return {
@@ -256,12 +259,12 @@ def _chunks(R: int) -> list:
     return [list(range(i, min(i + per, R))) for i in range(0, R, per)]
 
 
-def _replicate(plans: list, R: int, threads: int | None) -> list:
+def _replicate(plans: list, R: int, threads: int) -> list:
     """R replications of every plan: per plan, its chunks summed or stacked in
     chunk order.  Every chunk of every plan goes to one pool."""
     chunks = _chunks(R)
     tasks = [(plan, c) for plan in plans for c in chunks]
-    workers = min(thread_count(threads), len(tasks))
+    workers = min(threads, len(tasks))
     if workers == 1:
         return _gather(plans, map(_run_chunk, tasks), len(chunks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -354,11 +357,15 @@ def _rejection_experiment(config: ExperimentConfig, name: str) -> McTable:
     return table
 
 
-def run_distribution(config: ExperimentConfig, n_bins: int = 41) -> McTable:
+# Histogram bins of the standardized statistic over [-5, 5].
+_N_BINS = 41
+
+
+def run_distribution(config: ExperimentConfig) -> McTable:
     """Pooled standardized diagonal statistics per eigenspace: KS, variance, histogram."""
     degrees = config.model.degrees
     table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
-    edges = np.linspace(-5.0, 5.0, n_bins + 1)
+    edges = np.linspace(-5.0, 5.0, _N_BINS + 1)
     diagonal = [(a, a) for a in degrees.index_list()]
     for T, z in zip(config.T_values, _standardized_entries(config, diagonal, degrees)):
         for n in degrees.degrees:
@@ -374,39 +381,36 @@ def run_distribution(config: ExperimentConfig, n_bins: int = 41) -> McTable:
     return table
 
 
-def run_divergence(config: ExperimentConfig, mode: str = "single") -> McTable:
+def run_divergence(config: ExperimentConfig) -> McTable:
     """Projected Hilbert-Schmidt norms of the statistic over the T grid.
 
-    ``mode="single"`` reports one seeded realization per T; ``mode="averaged"``
-    the median over min(R, 20) replications.  Both the statistic-scale and the
-    grid-sum (table-comparable) norms are reported.
+    Per T, the median over ``config.R`` replications of the statistic-scale
+    norm and of the grid-sum (table-comparable) norm; at R = 1 that is the
+    one seeded realization of stream 0.
     """
-    if mode not in ("single", "averaged"):
-        raise HarnessError(f"unknown divergence mode {mode!r}")
-    R = 1 if mode == "single" else min(config.R, 20)
     table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
     plans = []
     for T in config.T_values:
         B = bandwidth(T, config.rule())
         g_weights(T, B)  # an empty window fails here, before any replication
         plans.append(_Plan(config.model, T, config.seed, _hs_norms, (B,), (2,), stack=True))
-    for plan, norms in zip(plans, _replicate(plans, R, config.threads)):
-        table.add(plan.T, R, config.beta, "hs_norm_statistic", float(np.median(norms[:, 0])))
-        table.add(plan.T, R, config.beta, "hs_norm_gridsum", float(np.median(norms[:, 1])))
+    for plan, norms in zip(plans, _replicate(plans, config.R, config.threads)):
+        stat, gridsum = np.median(norms, axis=0)
+        table.add(plan.T, config.R, config.beta, "hs_norm_statistic", stat)
+        table.add(plan.T, config.R, config.beta, "hs_norm_gridsum", gridsum)
     return table
 
 
-def run_bandwidth_sweep(config: ExperimentConfig, betas=(0.2, 0.55, 0.9), mode: str = "expected") -> McTable:
+def run_bandwidth_sweep(config: ExperimentConfig, betas) -> McTable:
     """(T B_T)^(-1/2)-rescaled grid-sum norms over a beta x T grid.
 
-    The only mode, ``"expected"``, evaluates the norm of the expected
-    statistic under the model's short-memory calibration, which is the
-    deterministic quantity that is stable across bandwidth exponents (the
-    rescaling cancels its sqrt(B T) growth exactly).  No replication runs.
+    The norm is that of the expected statistic under the model's short-memory
+    calibration, the deterministic quantity that is stable across bandwidth
+    exponents (the rescaling cancels its sqrt(B T) growth exactly).  No
+    replication runs.  The manifest hashes ``betas``.
     """
-    if mode != "expected":
-        raise HarnessError(f"unknown sweep mode {mode!r}; the sweep has only 'expected'")
-    table = McTable("bandwidth_sweep", manifest=_config_manifest(config, "bandwidth_sweep"))
+    manifest = _config_manifest(config, "bandwidth_sweep", betas=list(betas))
+    table = McTable("bandwidth_sweep", manifest=manifest)
     calib = config.null_model()
     degs = calib.degrees.degrees
     for beta in betas:

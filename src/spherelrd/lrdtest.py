@@ -19,9 +19,9 @@ about a tenth of the half grid at B = T^(-1/4)).  All null means and
 (co)variances are evaluated on the same Fourier grid with the same g
 weights, which removes the O(1/(T sqrt(B))) centering bias a continuous
 approximation would leave at small T.  A continuous midpoint-quadrature mode
-integrates the limiting window profile instead; the bandwidth sweep's default
-``expected`` mode runs on it, because its mean scales exactly as sqrt(B T)
-even when B falls below the grid spacing.
+integrates the limiting window profile instead; the bandwidth sweep runs on
+it, because its mean scales exactly as sqrt(B T) even when B falls below the
+grid spacing.
 
 Under a short-range null the standardized entries are asymptotically
 standard normal; rejection is two-sided at level alpha.
@@ -188,21 +188,24 @@ class NullMoments:
         return (2.0 if a == b else 1.0) * v2
 
 
+# Midpoint-quadrature nodes of the continuous null moments.
+_NODES = 256
+
+
 def null_moments(
     model: SpectralModel,
     T: int,
     B: float,
     mode: str = "grid",
-    nodes: int = 256,
 ) -> NullMoments:
     """Null mean and variance kernel for all degrees of a short-memory model.
 
     ``mode="grid"`` evaluates the exact finite-T moments of the Gaussian
     quadratic form on the Fourier grid; the tests calibrate against it.
     ``mode="continuous"`` integrates the limiting window profile G by midpoint
-    quadrature with ``nodes`` nodes.  It carries an O(1/(T sqrt(B))) centering
-    offset, and its mean scales exactly as sqrt(B T); the bandwidth sweep's
-    default ``expected`` mode runs on it.
+    quadrature with ``_NODES`` nodes.  It carries an O(1/(T sqrt(B))) centering
+    offset, and its mean scales exactly as sqrt(B T); the bandwidth sweep runs
+    on it.
     A long-memory model is rejected: calibrate against its ``srd_part()``.
     """
     if not model.alpha.is_null:
@@ -226,8 +229,8 @@ def null_moments(
     elif mode == "continuous":
         half = math.sqrt(B) / 2.0
         lo, hi = -(half + B), half + B  # support of the window profile G
-        w = lo + (hi - lo) * (np.arange(nodes) + 0.5) / nodes
-        dw = (hi - lo) / nodes
+        w = lo + (hi - lo) * (np.arange(_NODES) + 0.5) / _NODES
+        dw = (hi - lo) / _NODES
         G = epanechnikov_cdf((half - w) / B) - epanechnikov_cdf((-half - w) / B)
         f = {n: spectral_eigenvalue(model, n, w, Hypothesis.NULL) for n in degs}
         mean_diag = {n: math.sqrt(T) * float(np.sum(G * f[n])) * dw for n in degs}

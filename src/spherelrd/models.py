@@ -17,7 +17,7 @@ the pole at w = 0 is integrable only there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,11 +177,7 @@ class SpectralModel:
 
     def srd_part(self) -> "SpectralModel":
         """The same ARMA model with all memory exponents set to zero."""
-        null_alpha = AlphaProfile(values=np.zeros(self.n_degrees), tail_value=0.0)
-        return SpectralModel(
-            degrees=self.degrees, p=self.p, q=self.q,
-            phi=self.phi, psi=self.psi, innov=self.innov, alpha=null_alpha,
-        )
+        return replace(self, alpha=AlphaProfile(values=np.zeros(self.n_degrees)))
 
     def is_null(self) -> bool:
         return self.alpha.is_null
@@ -295,23 +291,10 @@ def example_alpha_profile(example: int, n_degrees: int = 8) -> AlphaProfile:
         spec = _EXAMPLE_ALPHA[example]
     except KeyError:
         raise ModelError(f"unknown example number {example}") from None
-    if spec["peak"] is not None:
-        return alpha_profile(
-            "interpolated", n_degrees=n_degrees,
-            endpoints=(spec["endpoints"][0],), peak=spec["peak"],
-            tail=spec["tail"], extended=spec["extended"],
-        )
-    return alpha_profile(
-        "interpolated", n_degrees=n_degrees, endpoints=spec["endpoints"],
-        tail=spec["tail"], extended=spec["extended"],
-    )
+    return alpha_profile("interpolated", n_degrees=n_degrees, **spec)
 
 
 def example_model(example: int, n_min: int = 1, n_max: int = 8) -> SpectralModel:
     """Multifractionally integrated SPHARMA(1,1) models for Examples 1-4."""
     base = reference_spharma11(n_min, n_max)
-    prof = example_alpha_profile(example, n_degrees=base.n_degrees)
-    return SpectralModel(
-        degrees=base.degrees, p=base.p, q=base.q,
-        phi=base.phi, psi=base.psi, innov=base.innov, alpha=prof,
-    )
+    return replace(base, alpha=example_alpha_profile(example, n_degrees=base.n_degrees))

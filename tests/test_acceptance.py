@@ -107,7 +107,7 @@ def test_acceptance_divergence():
         model=example_model(1), T_values=(1000, 5000, 10000), R=1, beta=0.25,
         seed=1,
     )
-    norms = run_divergence(config, mode="single").values("hs_norm_gridsum")
+    norms = run_divergence(config).values("hs_norm_gridsum")
     reference_1000 = 2.3036e5
     increasing = norms[0] < norms[1] < norms[2]
     magnitude = reference_1000 / 5.0 <= norms[0] <= reference_1000 * 5.0
@@ -128,7 +128,7 @@ def test_acceptance_bandwidth_sweep():
         model=example_model(1), T_values=(1000, 50000, 100000), R=1, beta=0.25,
         seed=1,
     )
-    table = run_bandwidth_sweep(config, betas=(0.2, 0.55, 0.9), mode="expected")
+    table = run_bandwidth_sweep(config, betas=(0.2, 0.55, 0.9))
     at_1000 = [
         r["value"] for r in table.rows if r["T"] == 1000 and r["key"] == "rescaled_norm"
     ]
@@ -269,8 +269,8 @@ def test_acceptance_oracle_thread_invariance():
     d1 = run_distribution(ExperimentConfig(threads=1, **dist))
     d2 = run_distribution(ExperimentConfig(threads=2, **dist))
     div = dict(model=example_model(1, 1, 2), T_values=(128, 256), R=7, seed=321)
-    v1 = run_divergence(ExperimentConfig(threads=1, **div), mode="averaged")
-    v2 = run_divergence(ExperimentConfig(threads=2, **div), mode="averaged")
+    v1 = run_divergence(ExperimentConfig(threads=1, **div))
+    v2 = run_divergence(ExperimentConfig(threads=2, **div))
     pairs = [(t1, t2), (p1, p2), (w1, w2), (c1, c2), (d1, d2), (v1, v2)]
     ok = all(a.rows == b.rows for a, b in pairs)
     _verdict(

@@ -12,7 +12,6 @@ from spherelrd.config import (
     load_config,
     model_from_config,
     sweep_betas,
-    table_mode,
 )
 from spherelrd.models import example_alpha_profile
 
@@ -51,7 +50,6 @@ def test_shipped_configs_load(name):
     model = model_from_config(doc)
     config = experiment_from_config(doc)
     assert model.degrees.n_max == 8
-    assert table_mode(doc) in ("single", "averaged", "expected")
     if name not in PAPER_CONFIGS:
         return
     assert config.T_values == (1000,)
@@ -137,8 +135,6 @@ def test_experiment_overrides_win(tmp_path):
 def test_sweep_helpers():
     assert sweep_betas({}) == (0.2, 0.55, 0.9)
     assert sweep_betas({"experiment": {"betas": [0.3]}}) == (0.3,)
-    assert table_mode({}) == "single"
-    assert table_mode({"experiment": {"mode": "averaged"}}) == "averaged"
 
 
 # --- CLI --------------------------------------------------------------------
@@ -285,14 +281,97 @@ def test_cli_mc_divergence_and_sweep(tmp_path):
     assert (out / "bandwidth_sweep.csv").exists()
 
 
-@pytest.mark.parametrize("mode", ["single", "averaged", "typo"])
-def test_cli_sweep_accepts_only_expected_mode(tmp_path, mode):
+def test_cli_mc_divergence_reads_R(tmp_path):
+    from spherelrd.lrdtest import bandwidth, statistic_matrix
+    from spherelrd.simulate import SeedSpec, simulate_panel
+    from spherelrd.spectral import fdft_panel
+
     doc = dict(SMALL_DOC)
-    doc["experiment"] = {"T": [128], "R": 1, "seed": 3, "mode": mode}
+    doc["experiment"] = {"T": [128], "R": 5, "seed": 3}
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["mc-sweep", "--config", cfg, "--out", str(out)]) == 1
-    assert not (out / "bandwidth_sweep.csv").exists()
+    assert main(["mc-divergence", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "divergence.csv") as fh:
+        rows = {row["key"]: row for row in csv.DictReader(fh)}
+    assert {row["R"] for row in rows.values()} == {"5"}
+    model = model_from_config(doc)
+    B = bandwidth(128, experiment_from_config(doc).rule())
+    norms = [
+        np.linalg.norm(statistic_matrix(fdft_panel(simulate_panel(
+            model, 128, SeedSpec(base_seed=3, stream_id=r))), B))
+        for r in range(5)
+    ]
+    stat = float(rows["hs_norm_statistic"]["value"])
+    grid = float(rows["hs_norm_gridsum"]["value"])
+    assert stat == pytest.approx(np.median(norms), rel=1e-9)
+    assert grid == pytest.approx(np.median(norms) * 128**2 / (2 * np.pi) ** 4, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        pytest.param("mc-power", None, "mdoe", "single", id="top"),
+        pytest.param("mc-power", "model", "alpah", 0.2, id="model"),
+        pytest.param("mc-power", "alpha", "peek", [4, 0.4], id="alpha"),
+        pytest.param("mc-power", "experiment", "betaa", 0.3, id="experiment"),
+        # the divergence and sweep modes were removed: R says how many
+        # replications a divergence reads, and the sweep has one method
+        pytest.param("mc-divergence", "experiment", "mode", "single", id="mode-single"),
+        pytest.param("mc-divergence", "experiment", "mode", "averaged", id="mode-averaged"),
+        pytest.param("mc-sweep", "experiment", "mode", "expected", id="mode-expected"),
+    ],
+)
+def test_cli_unknown_key_exits_at_load(tmp_path, monkeypatch, command, section, key, value):
+    from spherelrd import harness
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(harness, "simulate_panel", no_replications)
+    doc = {
+        "model": {
+            "generator": "reference", "degrees": [1, 2],
+            "alpha": {"kind": "constant", "values": 0.0},
+        },
+        "experiment": {"T": [128], "R": 3, "seed": 99},
+    }
+    sections = {None: doc, "model": doc["model"], "alpha": doc["model"]["alpha"],
+                "experiment": doc["experiment"]}
+    sections[section][key] = value
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=repr(key)):
+        load_config(cfg)
+
+
+def test_load_config_rejects_non_object_section(tmp_path):
+    cfg = _write_config(tmp_path, {"model": {"generator": "reference", "alpha": 0.2}})
+    with pytest.raises(ConfigError, match="'alpha' must be a JSON object"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "spectrum"])
+def test_cli_single_panel_commands_take_one_T(tmp_path, command, capsys):
+    doc = dict(SMALL_DOC)
+    doc["experiment"] = dict(SMALL_DOC["experiment"], T=[128, 256])
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "--T" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--config", cfg, "--out", str(out), "--T", "256"]) == 0
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "mc-sweep"])
+def test_cli_rejects_zero_threads(tmp_path, monkeypatch, command):
+    cfg = _write_config(tmp_path, WN_DOC)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "0"]) == 1
+    monkeypatch.setenv("SPHARMA_LRD_THREADS", "0")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_writes_only_under_out(tmp_path, monkeypatch):

@@ -50,6 +50,8 @@ def test_config_validation(small_model):
         ExperimentConfig(model=small_model, T_values=(256,), level=1.5)
     with pytest.raises(HarnessError):
         ExperimentConfig(model=small_model, T_values=())
+    with pytest.raises(HarnessError, match="thread count"):
+        ExperimentConfig(model=small_model, T_values=(256,), threads=0)
     with pytest.warns(UserWarning, match="below 64") as record:
         ExperimentConfig(model=small_model, T_values=(50,))
     # the warning names the line that built the config
@@ -212,12 +214,8 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
         np.testing.assert_allclose(z, want, rtol=0, atol=1e-12)
 
 
-def test_run_divergence_modes(small_model):
-    with pytest.raises(HarnessError):
-        run_divergence(_config(small_model), mode="all")
-    tab = run_divergence(
-        _config(small_model, T_values=(256, 1024), R=1), mode="single"
-    )
+def test_run_divergence_short_memory_norms(small_model):
+    tab = run_divergence(_config(small_model, T_values=(256, 1024), R=1))
     stat = tab.values("hs_norm_statistic")
     grid = tab.values("hs_norm_gridsum")
     assert len(stat) == 2 and len(grid) == 2
@@ -233,7 +231,7 @@ def test_run_divergence_norm_scales(small_model):
     from spherelrd.lrdtest import statistic_matrix
 
     config = _config(small_model, T_values=(256, 1024), R=1)
-    tab = run_divergence(config, mode="single")
+    tab = run_divergence(config)
     for T in config.T_values:
         stat = tab.values("hs_norm_statistic", T=T)[0]
         grid = tab.values("hs_norm_gridsum", T=T)[0]
@@ -245,30 +243,27 @@ def test_run_divergence_norm_scales(small_model):
 
 def test_run_divergence_growth_under_alternative():
     model = example_model(1, 1, 2)
-    tab = run_divergence(_config(model, T_values=(256, 1024), R=1), mode="single")
+    tab = run_divergence(_config(model, T_values=(256, 1024), R=1))
     grid = tab.values("hs_norm_gridsum")
     assert grid[1] > 10.0 * grid[0]
 
 
 def test_run_divergence_averaged(small_model):
-    tab = run_divergence(_config(small_model, T_values=(256,), R=6), mode="averaged")
-    assert tab.rows[0]["R"] == 6
+    tab = run_divergence(_config(small_model, T_values=(256,), R=6))
+    assert [r["R"] for r in tab.rows] == [6, 6]
 
 
-def test_run_bandwidth_sweep_modes(small_model):
-    with pytest.raises(HarnessError):
-        run_bandwidth_sweep(_config(small_model), mode="typo")
-    tab = run_bandwidth_sweep(
-        _config(small_model, T_values=(1000,)), betas=(0.3, 0.6), mode="expected"
-    )
+def test_run_bandwidth_sweep_rows_and_manifest(small_model):
+    config = _config(small_model, T_values=(1000,))
+    tab = run_bandwidth_sweep(config, betas=(0.3, 0.6))
     vals = tab.values("rescaled_norm")
     assert len(vals) == 2
     assert all(v > 0 for v in vals)
     assert all(r["R"] == 0 for r in tab.rows)
-    # the realized-norm modes were removed: they were not bandwidth-stable
-    for mode in ("single", "averaged"):
-        with pytest.raises(HarnessError):
-            run_bandwidth_sweep(_config(small_model), mode=mode)
+    # the swept betas are part of what ran, so the hash covers them
+    assert tab.manifest["betas"] == [0.3, 0.6]
+    other = run_bandwidth_sweep(config, betas=(0.3, 0.7)).manifest
+    assert other["config_hash"] != tab.manifest["config_hash"]
 
 
 def test_run_consistency_requires_replications(small_model):

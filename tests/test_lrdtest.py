@@ -224,10 +224,14 @@ def test_null_moment_accessors(white_noise_model):
     assert m.variance(a, b) == pytest.approx(m.second_moment[(1, 1)])
 
 
-def test_continuous_moments_node_converged(small_model):
+def test_continuous_moments_node_converged(small_model, monkeypatch):
+    from spherelrd import lrdtest
+
     T, B = 1000, 0.17782794100389226
-    m1 = null_moments(small_model, T, B, mode="continuous", nodes=256)
-    m2 = null_moments(small_model, T, B, mode="continuous", nodes=512)
+    assert lrdtest._NODES == 256
+    m1 = null_moments(small_model, T, B, mode="continuous")
+    monkeypatch.setattr(lrdtest, "_NODES", 512)
+    m2 = null_moments(small_model, T, B, mode="continuous")
     for n in (1, 2):
         assert m1.mean_diag[n] == pytest.approx(m2.mean_diag[n], rel=1e-3)
         assert m1.second_moment[(n, n)] == pytest.approx(m2.second_moment[(n, n)], rel=1e-3)

@@ -1,10 +1,16 @@
-"""Every public name in ``spherelrd`` must be used by the package.
+"""Every public name in ``spherelrd``, and every option of its functions,
+must be used by the package.
 
 A public function, class or constant, or a public method or property of a
 package class, that no module of the package references is reachable from
 neither the CLI nor the harness.  The only such names kept on purpose are
 ``read_panel_csv``, kept for reading observed panels, and
 ``cli._Parser.error``, which argparse calls.
+
+Likewise a defaulted parameter of a module-level function that no call in
+the package passes, by keyword or by position, is a knob only tests turn.
+The one kept on purpose is ``cli.main``'s ``argv``: the console script calls
+``main()`` bare.
 """
 
 import ast
@@ -15,6 +21,8 @@ import spherelrd
 ALLOWED_ORPHANS = {"simulate.read_panel_csv"}
 
 ALLOWED_ORPHAN_MEMBERS = {"cli._Parser.error"}
+
+ALLOWED_UNPASSED_DEFAULTS = {"cli.main(argv)"}
 
 
 def _orphans() -> tuple:
@@ -55,3 +63,51 @@ def test_unreferenced_public_names_are_allowlisted():
 
 def test_unreferenced_public_members_are_allowlisted():
     assert _orphans()[1] == ALLOWED_ORPHAN_MEMBERS
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _unpassed_defaults() -> set:
+    """Defaulted parameters of module-level functions that no package call passes."""
+    defaults, calls = [], {}
+    for path in pathlib.Path(spherelrd.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaults += [
+                    (path.stem, node.name, a.arg, i)
+                    for i, a in enumerate(positional[first:], start=first)
+                ]
+                defaults += [
+                    (path.stem, node.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+
+    def passed(call, name, index) -> bool:
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return index is not None and len(call.args) > index
+
+    return {
+        f"{module}.{func}({name})"
+        for module, func, name, index in defaults
+        if not any(passed(c, name, index) for c in calls.get(func, []))
+    }
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert _unpassed_defaults() == ALLOWED_UNPASSED_DEFAULTS
