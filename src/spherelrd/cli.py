@@ -13,8 +13,10 @@ Subcommands map one-to-one onto library entry points:
     mc-consistency  integrated-variance decay of the spectral estimator
     validate-model  per-degree stationarity and exponent diagnostics
 
+Each command takes only the flags it reads (``_FLAGS``); any other flag is a
+usage error.  validate-model prints to stdout and takes --config alone; every
+other command writes its files under --out (default: current directory).
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
-All outputs are written under --out (default: current directory).
 """
 
 from __future__ import annotations
@@ -65,22 +67,39 @@ class _UsageError(Exception):
     pass
 
 
+_FLAG_SPECS = {
+    "seed": dict(type=int, default=None, help="override base seed"),
+    "out": dict(default=".", help="output directory"),
+    "threads": dict(type=int, default=1, help="worker count (default: 1)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "T": dict(type=int, default=None, help="override sample length"),
+}
+
+# The flags each command reads, besides --config.  The replicating mc-*
+# commands take all of them; mc-sweep runs no replication.
+_ALL = tuple(_FLAG_SPECS)
+_FLAGS = {
+    "simulate": ("seed", "out", "format", "T"),
+    "spectrum": ("seed", "out", "T"),
+    "test": ("seed", "out", "format", "T"),
+    "mc-size": _ALL,
+    "mc-power": _ALL,
+    "mc-dist": _ALL,
+    "mc-divergence": _ALL,
+    "mc-sweep": ("out", "format", "T"),
+    "mc-consistency": _ALL,
+    "validate-model": (),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spherelrd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        "simulate", "spectrum", "test", "mc-size", "mc-power", "mc-dist",
-        "mc-divergence", "mc-sweep", "mc-consistency", "validate-model",
-    ]
-    for name in commands:
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
-        p.add_argument("--seed", type=int, default=None, help="override base seed")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: SPHARMA_LRD_THREADS or 1)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--T", type=int, default=None, help="override sample length")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
     return parser
 
 
@@ -99,7 +118,9 @@ def _emit_table(table, args, name: str) -> None:
 
 
 def _experiment(doc, args):
-    return experiment_from_config(doc, seed=args.seed, T=args.T, threads=args.threads)
+    """The document's experiment with the overrides this command takes."""
+    overrides = {k: getattr(args, k) for k in ("seed", "T", "threads") if hasattr(args, k)}
+    return experiment_from_config(doc, **overrides)
 
 
 def _single_panel(config, degrees=None):
@@ -122,7 +143,7 @@ def _cmd_simulate(doc, args) -> None:
         with open(_out_path(args, "panel.json"), "w") as fh:
             json.dump(payload, fh)
     else:
-        write_panel_csv(_out_path(args, "panel.csv"), panel, layout="wide")
+        write_panel_csv(_out_path(args, "panel.csv"), panel)
 
 
 def _cmd_spectrum(doc, args) -> None:
@@ -148,6 +169,11 @@ def _cmd_test(doc, args) -> None:
         report.write_csv(_out_path(args, "test_report.csv"))
 
 
+def _cmd_sweep(doc, args) -> None:
+    table = run_bandwidth_sweep(_experiment(doc, args), sweep_betas(doc))
+    _emit_table(table, args, "bandwidth_sweep")
+
+
 def _cmd_validate_model(doc, args) -> None:
     model = model_from_config(doc)
     hi = 1.0 if model.alpha.extended else 0.5
@@ -165,6 +191,7 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "spectrum": _cmd_spectrum,
     "test": _cmd_test,
+    "mc-sweep": _cmd_sweep,
     "validate-model": _cmd_validate_model,
 }
 
@@ -182,9 +209,6 @@ def _dispatch(args) -> None:
     if args.command in _MC:
         name, runner = _MC[args.command]
         _emit_table(runner(_experiment(doc, args)), args, name)
-    elif args.command == "mc-sweep":
-        config = _experiment(doc, args)
-        _emit_table(run_bandwidth_sweep(config, sweep_betas(doc)), args, "bandwidth_sweep")
     else:
         _COMMANDS[args.command](doc, args)
 

@@ -21,7 +21,8 @@ A config document has two sections::
 override nothing when a generator is named (mixing the two is an error,
 except that an explicit ``alpha`` section may be attached to "reference").
 ``load_config`` rejects any key outside ``_KEYS``, so a misspelt option
-fails at load instead of being ignored.
+fails at load instead of being ignored; a known key whose value does not
+convert fails as the config is built, with a ``ConfigError`` naming the key.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .harmonics import DegreeRange
 from .models import (
     AlphaProfile,
-    ModelError,
     SpectralModel,
     alpha_profile,
     build_spharma,
@@ -42,6 +42,7 @@ from .models import (
     reference_spharma11,
 )
 from .harness import ExperimentConfig, HarnessError
+from .simulate import SimulationError
 
 
 class ConfigError(ValueError):
@@ -83,39 +84,73 @@ def load_config(path) -> dict:
     return doc
 
 
+def _field(section: str, key: str, value, convert):
+    """``convert(value)``; a value it cannot convert is a ConfigError naming the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"invalid {key!r} in section {section!r}: {value!r} ({exc})") from None
+
+
+def _list_of(convert):
+    """Converter of a JSON list to a tuple of its items, each ``convert``ed."""
+
+    def to_tuple(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("expected a list")
+        return tuple(convert(v) for v in value)
+
+    return to_tuple
+
+
+def _degree_pair(value) -> tuple:
+    n_min, n_max = _list_of(int)(value)
+    return n_min, n_max
+
+
 def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
     kind = doc.get("kind", "explicit")
+    if kind == "interpolated" and "endpoints" not in doc and "peak" not in doc:
+        raise ConfigError("an interpolated alpha profile without a 'peak' needs 'endpoints'")
     peak = doc.get("peak")
-    return alpha_profile(
-        kind,
-        n_degrees=n_degrees,
-        values=doc.get("values"),
-        endpoints=doc.get("endpoints"),
-        peak=tuple(peak) if peak is not None else None,
-        tail=doc.get("tail"),
-        extended=bool(doc.get("extended", False)),
-    )
+    try:
+        return alpha_profile(
+            kind,
+            n_degrees=n_degrees,
+            values=doc.get("values"),
+            endpoints=doc.get("endpoints"),
+            peak=tuple(peak) if peak is not None else None,
+            tail=doc.get("tail"),
+            extended=bool(doc.get("extended", False)),
+        )
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"invalid section 'alpha': {doc!r} ({exc})") from None
 
 
 def model_from_config(doc: dict) -> SpectralModel:
     spec = doc.get("model")
     if not isinstance(spec, dict):
         raise ConfigError("config is missing a 'model' object")
-    n_min, n_max = spec.get("degrees", [1, 8])
+    n_min, n_max = _field("model", "degrees", spec.get("degrees", [1, 8]), _degree_pair)
     gen = spec.get("generator")
+    if gen is not None:
+        if gen not in _GENERATORS:
+            raise ConfigError(f"unknown model generator {gen!r}")
+        # only "reference" takes an alpha section; the examples fix their own
+        explicit = {"phi", "psi", "innov"} | ({"alpha"} if gen != "reference" else set())
+        if explicit & spec.keys():
+            raise ConfigError(
+                f"generator {gen!r} does not accept explicit fields {sorted(explicit & spec.keys())}"
+            )
     try:
+        if gen == "reference":
+            model = reference_spharma11(n_min, n_max)
+            if "alpha" in spec:
+                model = replace(model, alpha=_alpha_from_doc(spec["alpha"], model.n_degrees))
+            return model
         if gen is not None:
-            if gen not in _GENERATORS:
-                raise ConfigError(f"unknown model generator {gen!r}")
-            if any(k in spec for k in ("phi", "psi", "innov")):
-                raise ConfigError("generator models do not accept explicit ARMA fields")
-            if gen == "reference":
-                model = reference_spharma11(n_min, n_max)
-                if "alpha" in spec:
-                    model = replace(model, alpha=_alpha_from_doc(spec["alpha"], model.n_degrees))
-                return model
             return example_model(int(gen[len("example"):]), n_min, n_max)
-        degrees = DegreeRange(int(n_min), int(n_max))
+        degrees = DegreeRange(n_min, n_max)
         n_deg = len(degrees.degrees)
         alpha = (
             _alpha_from_doc(spec["alpha"], n_deg) if "alpha" in spec else None
@@ -127,7 +162,7 @@ def model_from_config(doc: dict) -> SpectralModel:
             innov=spec.get("innov", 1.0),
             alpha=alpha,
         )
-    except ModelError as exc:
+    except ValueError as exc:  # ModelError, HarmonicsError, mismatched shapes
         raise ConfigError(f"invalid model config: {exc}") from exc
 
 
@@ -135,30 +170,39 @@ def experiment_from_config(
     doc: dict,
     seed: int | None = None,
     T: int | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ExperimentConfig:
     """Build an ExperimentConfig; CLI-level overrides win over the document."""
     model = model_from_config(doc)
     exp = doc.get("experiment", {})
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' must be a JSON object")
-    t_values = [T] if T is not None else exp.get("T", [1000])
-    if isinstance(t_values, (int, float)):
-        t_values = [int(t_values)]
+    values = dict(exp)
+    if seed is not None:
+        values["seed"] = seed
+    if T is not None:
+        values["T"] = [T]
+    if isinstance(values.get("T"), (int, float)):
+        values["T"] = [values["T"]]
+
+    def get(key, default, convert):
+        return _field("experiment", key, values.get(key, default), convert)
+
     try:
         return ExperimentConfig(
             model=model,
-            T_values=tuple(int(t) for t in t_values),
-            R=int(exp.get("R", 500)),
-            beta=float(exp.get("beta", 0.25)),
-            level=float(exp.get("level", 0.05)),
-            n_directions=int(exp.get("directions", 8)),
-            seed=int(seed if seed is not None else exp.get("seed", 20260825)),
+            T_values=get("T", [1000], _list_of(int)),
+            R=get("R", 500, int),
+            beta=get("beta", 0.25, float),
+            level=get("level", 0.05, float),
+            n_directions=get("directions", 8, int),
+            seed=get("seed", 20260825, int),
             threads=threads,
         )
-    except HarnessError as exc:
+    except (HarnessError, SimulationError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 
 def sweep_betas(doc: dict) -> tuple:
-    return tuple(float(b) for b in doc.get("experiment", {}).get("betas", (0.2, 0.55, 0.9)))
+    betas = doc.get("experiment", {}).get("betas", [0.2, 0.55, 0.9])
+    return _field("experiment", "betas", betas, _list_of(float))

@@ -23,7 +23,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from .lrdtest import (
     null_moments,
     pair_calibration,
     pair_degrees,
+    profile_mean_diag,
     statistic_matrix,
 )
 
@@ -60,24 +60,14 @@ class InsufficientReplications(HarnessError):
     pass
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Resolve the worker count: explicit arg, else SPHARMA_LRD_THREADS, else 1."""
-    if requested is not None:
-        n = int(requested)
-    else:
-        n = int(os.environ.get("SPHARMA_LRD_THREADS", "1"))
-    if n < 1:
-        raise HarnessError(f"thread count must be >= 1, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared experiment parameters.
 
     ``model`` is the data-generating model; it is calibrated against its
-    short-memory factor (see ``null_model``).  ``threads`` is resolved by
-    ``thread_count`` here, so a bad worker count fails before any run.
+    short-memory factor (see ``null_model``).  ``threads`` is the worker
+    count.  The worker count and the seed are checked here, so a bad one
+    fails before any run.
     """
 
     model: SpectralModel
@@ -87,10 +77,12 @@ class ExperimentConfig:
     level: float = 0.05
     n_directions: int = 8
     seed: int = 20260825
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "threads", thread_count(self.threads))
+        if self.threads < 1:
+            raise HarnessError(f"thread count must be >= 1, got {self.threads}")
+        SeedSpec(base_seed=self.seed)  # the range check every replication makes
         if self.R < 1:
             raise HarnessError("R must be >= 1")
         if not 0.0 < self.level < 1.0:
@@ -143,13 +135,6 @@ class McTable:
             }
         )
 
-    def values(self, key_prefix: str = "", T: int | None = None) -> list:
-        return [
-            r["value"]
-            for r in self.rows
-            if r["key"].startswith(key_prefix) and (T is None or r["T"] == T)
-        ]
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -188,8 +173,8 @@ def _model_manifest(model: SpectralModel) -> dict:
     }
 
 
-def _config_manifest(config: ExperimentConfig, experiment: str, **extra) -> dict:
-    desc = {
+def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
+    return _manifest({
         "experiment": experiment,
         "T_values": list(config.T_values),
         "R": config.R,
@@ -200,8 +185,11 @@ def _config_manifest(config: ExperimentConfig, experiment: str, **extra) -> dict
         **_model_manifest(config.model),
         "calibration": _model_manifest(config.null_model()),
         "rng": STREAMS,
-        **extra,
-    }
+    })
+
+
+def _manifest(desc: dict) -> dict:
+    """``desc`` with its hash and, outside the hash, the package and library versions."""
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
     return {
         **desc,
@@ -407,20 +395,23 @@ def run_bandwidth_sweep(config: ExperimentConfig, betas) -> McTable:
     The norm is that of the expected statistic under the model's short-memory
     calibration, the deterministic quantity that is stable across bandwidth
     exponents (the rescaling cancels its sqrt(B T) growth exactly).  No
-    replication runs.  The manifest hashes ``betas``.
+    replication runs, so the sweep reads only ``config.T_values`` and
+    ``config.null_model()``, and its manifest hashes only those and ``betas``.
     """
-    manifest = _config_manifest(config, "bandwidth_sweep", betas=list(betas))
-    table = McTable("bandwidth_sweep", manifest=manifest)
     calib = config.null_model()
-    degs = calib.degrees.degrees
+    manifest = _manifest({
+        "experiment": "bandwidth_sweep",
+        "T_values": list(config.T_values),
+        "betas": list(betas),
+        "calibration": _model_manifest(calib),
+    })
+    table = McTable("bandwidth_sweep", manifest=manifest)
     for beta in betas:
         for T in config.T_values:
             B = bandwidth(T, BandwidthRule(beta=beta))
-            # continuous window profile: exact sqrt(B T) mean scaling even
-            # when B falls below the Fourier grid spacing
-            moments = null_moments(calib, T, B, mode="continuous")
+            mean_diag = profile_mean_diag(calib, T, B)
             gridsum = float(T) ** 2 / (2 * math.pi) ** 4
-            norm = math.sqrt(sum((2 * n + 1) * moments.mean_diag[n] ** 2 for n in degs)) * gridsum
+            norm = math.sqrt(sum((2 * n + 1) * m**2 for n, m in mean_diag.items())) * gridsum
             table.add(T, 0, beta, "rescaled_norm", norm / math.sqrt(B * T))
     return table
 

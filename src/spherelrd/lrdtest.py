@@ -18,10 +18,9 @@ only over the support of g (the window widened by the kernel's nonzero lags,
 about a tenth of the half grid at B = T^(-1/4)).  All null means and
 (co)variances are evaluated on the same Fourier grid with the same g
 weights, which removes the O(1/(T sqrt(B))) centering bias a continuous
-approximation would leave at small T.  A continuous midpoint-quadrature mode
-integrates the limiting window profile instead; the bandwidth sweep runs on
-it, because its mean scales exactly as sqrt(B T) even when B falls below the
-grid spacing.
+approximation would leave at small T.  Only the bandwidth sweep integrates
+the limiting window profile instead (``profile_mean_diag``), because that
+mean scales exactly as sqrt(B T) even when B falls below the grid spacing.
 
 Under a short-range null the standardized entries are asymptotically
 standard normal; rejection is two-sided at level alpha.
@@ -188,24 +187,11 @@ class NullMoments:
         return (2.0 if a == b else 1.0) * v2
 
 
-# Midpoint-quadrature nodes of the continuous null moments.
-_NODES = 256
-
-
-def null_moments(
-    model: SpectralModel,
-    T: int,
-    B: float,
-    mode: str = "grid",
-) -> NullMoments:
+def null_moments(model: SpectralModel, T: int, B: float) -> NullMoments:
     """Null mean and variance kernel for all degrees of a short-memory model.
 
-    ``mode="grid"`` evaluates the exact finite-T moments of the Gaussian
-    quadratic form on the Fourier grid; the tests calibrate against it.
-    ``mode="continuous"`` integrates the limiting window profile G by midpoint
-    quadrature with ``_NODES`` nodes.  It carries an O(1/(T sqrt(B))) centering
-    offset, and its mean scales exactly as sqrt(B T); the bandwidth sweep runs
-    on it.
+    The moments are the exact finite-T moments of the Gaussian quadratic form
+    on the Fourier grid; the tests calibrate against them.
     A long-memory model is rejected: calibrate against its ``srd_part()``.
     """
     if not model.alpha.is_null:
@@ -214,37 +200,42 @@ def null_moments(
             "short-range factor (srd_part())"
         )
     degs = list(model.degrees.degrees)
-    if mode == "grid":
-        g = g_weights(T, B)[1:]
-        omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
-        f = {n: spectral_eigenvalue(model, n, omegas, Hypothesis.NULL) for n in degs}
-        mean_diag = {
-            n: math.sqrt(T) * (2 * np.pi / T) * float(np.sum(g * f[n])) for n in degs
-        }
-        second = {
-            (n, h): T * (2 * np.pi / T) ** 2 * float(np.sum(g * g * f[n] * f[h]))
-            for n in degs
-            for h in degs
-        }
-    elif mode == "continuous":
-        half = math.sqrt(B) / 2.0
-        lo, hi = -(half + B), half + B  # support of the window profile G
-        w = lo + (hi - lo) * (np.arange(_NODES) + 0.5) / _NODES
-        dw = (hi - lo) / _NODES
-        G = epanechnikov_cdf((half - w) / B) - epanechnikov_cdf((-half - w) / B)
-        f = {n: spectral_eigenvalue(model, n, w, Hypothesis.NULL) for n in degs}
-        mean_diag = {n: math.sqrt(T) * float(np.sum(G * f[n])) * dw for n in degs}
-        second = {
-            (n, h): 2 * np.pi * float(np.sum(G * G * f[n] * f[h])) * dw
-            for n in degs
-            for h in degs
-        }
-    else:
-        raise TestError(f"unknown null-moment mode {mode!r}")
+    g = g_weights(T, B)[1:]
+    omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
+    f = {n: spectral_eigenvalue(model, n, omegas, Hypothesis.NULL) for n in degs}
+    mean_diag = {
+        n: math.sqrt(T) * (2 * np.pi / T) * float(np.sum(g * f[n])) for n in degs
+    }
+    second = {
+        (n, h): T * (2 * np.pi / T) ** 2 * float(np.sum(g * g * f[n] * f[h]))
+        for n in degs
+        for h in degs
+    }
     for n in degs:
         if second[(n, n)] <= 0:
             raise TestError(f"nonpositive variance for degree {n}")
     return NullMoments(T=T, B=B, mean_diag=mean_diag, second_moment=second)
+
+
+# Midpoint-quadrature nodes of ``profile_mean_diag``.
+_NODES = 256
+
+
+def profile_mean_diag(model: SpectralModel, T: int, B: float) -> dict:
+    """Null mean of a diagonal entry per degree, integrated over the limiting
+    window profile G by midpoint quadrature with ``_NODES`` nodes.
+
+    Unlike the grid mean of ``null_moments`` it carries an O(1/(T sqrt(B)))
+    centering offset, and it scales exactly as sqrt(B T) even when B falls
+    below the Fourier grid spacing; the bandwidth sweep reads it.
+    """
+    half = math.sqrt(B) / 2.0
+    lo, hi = -(half + B), half + B  # support of the window profile G
+    w = lo + (hi - lo) * (np.arange(_NODES) + 0.5) / _NODES
+    dw = (hi - lo) / _NODES
+    G = epanechnikov_cdf((half - w) / B) - epanechnikov_cdf((-half - w) / B)
+    f = {n: spectral_eigenvalue(model, n, w, Hypothesis.NULL) for n in model.degrees.degrees}
+    return {n: math.sqrt(T) * float(np.sum(G * fn)) * dw for n, fn in f.items()}
 
 
 @functools.lru_cache(maxsize=16)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft, linalg, signal
 
-from .harmonics import DegreeRange, HarmonicsError
+from .harmonics import DegreeRange
 from .models import SpectralModel
 
 
@@ -95,9 +95,6 @@ class CoefficientPanel:
         if not np.all(np.isfinite(data)):
             raise SimulationError("panel contains non-finite entries")
         object.__setattr__(self, "data", data)
-
-    def column(self, n: int, j: int) -> np.ndarray:
-        return self.data[:, self.degrees.column(n, j)]
 
 
 def fractional_weights(alpha: float, truncation: int) -> np.ndarray:
@@ -207,73 +204,13 @@ def simulate_panel(
     return CoefficientPanel(T=T, degrees=degrees, data=data)
 
 
-# --- CSV import/export -----------------------------------------------------
+# --- CSV export --------------------------------------------------------------
 
-def write_panel_csv(path, panel: CoefficientPanel, layout: str = "long") -> None:
-    """Write a panel as CSV; ``layout`` is "long" (t,n,j,value) or "wide"."""
-    if layout == "long":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "n", "j", "value"])
-            for t in range(panel.T):
-                for n, j in panel.degrees.index_list():
-                    writer.writerow([t, n, j, f"{panel.column(n, j)[t]:.17g}"])
-    elif layout == "wide":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_wide_header(panel.degrees))
-            for t in range(panel.T):
-                writer.writerow(
-                    [t] + [f"{v:.17g}" for v in panel.data[t]]
-                )
-    else:
-        raise SimulationError(f"unknown CSV layout {layout!r}")
-
-
-def _wide_header(degrees: DegreeRange) -> list:
-    return ["t"] + [f"a_{n}_{j}" for n, j in degrees.index_list()]
-
-
-def read_panel_csv(path, degrees: DegreeRange) -> CoefficientPanel:
-    """Read a panel from either CSV layout (detected from the header).
-
-    The long layout must hold exactly one value for every (t, n, j) with t in
-    0..T-1; the wide layout must carry the header ``write_panel_csv`` writes
-    for ``degrees``.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
-    if not rows:
-        raise SimulationError("panel CSV is empty: it holds no data rows")
-    if header[:4] == ["t", "n", "j", "value"]:
-        T = max(int(r[0]) for r in rows) + 1
-        data = np.zeros((T, degrees.dim))
-        count = np.zeros((T, degrees.dim), dtype=int)
-        for r in rows:
-            t, n, j = int(r[0]), int(r[1]), int(r[2])
-            if t < 0:
-                raise SimulationError(f"negative time index {t} in panel CSV")
-            try:
-                col = degrees.column(n, j)
-            except HarmonicsError as exc:
-                raise SimulationError(f"panel CSV cell t={t}, (n, j)=({n}, {j}): {exc}") from None
-            data[t, col] = float(r[3])
-            count[t, col] += 1
-        bad = np.argwhere(count != 1)
-        if bad.size:
-            t, col = bad[0]
-            n, j = degrees.index_list()[col]
-            raise SimulationError(
-                f"panel CSV holds {count[t, col]} values for t={t}, (n, j)=({n}, {j}); need exactly 1"
-            )
-    elif header == _wide_header(degrees):
-        T = len(rows)
-        data = np.array([[float(v) for v in r[1:]] for r in rows])
-    else:
-        raise SimulationError(
-            f"panel CSV header is neither the long layout nor the wide layout of "
-            f"degrees {degrees.n_min}..{degrees.n_max}"
-        )
-    return CoefficientPanel(T=T, degrees=degrees, data=data)
+def write_panel_csv(path, panel: CoefficientPanel) -> None:
+    """Write a panel as CSV: a ``t`` column, then one ``a_n_j`` column per
+    basis function, each value in ``.17g`` (exact for a float64)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"a_{n}_{j}" for n, j in panel.degrees.index_list()])
+        for t in range(panel.T):
+            writer.writerow([t] + [f"{v:.17g}" for v in panel.data[t]])

@@ -38,3 +38,12 @@ def small_dft(small_model):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def table_values(table, key_prefix: str = "", T=None) -> list:
+    """Values of a McTable's rows whose key starts with ``key_prefix``, at ``T`` if given."""
+    return [
+        r["value"]
+        for r in table.rows
+        if r["key"].startswith(key_prefix) and (T is None or r["T"] == T)
+    ]

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import table_values
 
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_model, reference_spharma11, spectral_eigenvalue
@@ -44,7 +45,7 @@ def test_acceptance_empirical_size():
         model=reference_spharma11(), T_values=(1000,), R=500, beta=0.25,
         level=0.05, seed=20260825,
     )
-    rates = run_size(config).values("direction_")
+    rates = table_values(run_size(config), "direction_")
     lo, hi = min(rates), max(rates)
     ok = len(rates) == 8 and all(0.02 <= r <= 0.08 for r in rates)
     _verdict(
@@ -66,9 +67,9 @@ def test_acceptance_empirical_power():
             level=0.05, seed=20260826,
         )
         table = run_power(config)
-    r50 = table.values("direction_", T=50)
-    r100 = table.values("direction_", T=100)
-    r1000 = table.values("direction_", T=1000)
+    r50 = table_values(table, "direction_", T=50)
+    r100 = table_values(table, "direction_", T=100)
+    r1000 = table_values(table, "direction_", T=1000)
     ok = (
         all(0.70 <= r <= 0.97 for r in r50)
         and all(r >= 0.95 for r in r100)
@@ -90,8 +91,8 @@ def test_acceptance_null_distribution():
         seed=20260825,
     )
     table = run_distribution(config)
-    ks = [table.values(f"ks_n{n}")[0] for n in range(1, 9)]
-    var = [table.values(f"var_n{n}")[0] for n in range(1, 9)]
+    ks = [table_values(table, f"ks_n{n}")[0] for n in range(1, 9)]
+    var = [table_values(table, f"var_n{n}")[0] for n in range(1, 9)]
     ok = all(k < 0.06 for k in ks) and all(0.85 <= v <= 1.15 for v in var)
     _verdict(
         "null distribution (T=3000, R=1000; per-degree KS < 0.06, variance in [0.85, 1.15])",
@@ -107,7 +108,7 @@ def test_acceptance_divergence():
         model=example_model(1), T_values=(1000, 5000, 10000), R=1, beta=0.25,
         seed=1,
     )
-    norms = run_divergence(config).values("hs_norm_gridsum")
+    norms = table_values(run_divergence(config), "hs_norm_gridsum")
     reference_1000 = 2.3036e5
     increasing = norms[0] < norms[1] < norms[2]
     magnitude = reference_1000 / 5.0 <= norms[0] <= reference_1000 * 5.0
@@ -156,7 +157,7 @@ def test_acceptance_consistency():
         seed=555,
     )
     table = run_consistency(config)
-    slope = table.values("loglog_slope")[0]
+    slope = table_values(table, "loglog_slope")[0]
     ok = -1.3 <= slope <= -0.7
     _verdict(
         "estimator consistency (integrated-variance log-log slope vs B*T in -1 +/- 0.3)",

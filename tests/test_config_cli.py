@@ -102,6 +102,12 @@ def test_config_errors():
         model_from_config({"model": {"generator": "example9"}})
     with pytest.raises(ConfigError):
         model_from_config({"model": {"degrees": [1, 1], "phi": [[1.5]]}})
+    with pytest.raises(ConfigError, match="broadcast"):
+        model_from_config({"model": {"degrees": [1, 2], "innov": [1.0, 2.0, 3.0]}})
+    with pytest.raises(ConfigError, match="reshape"):
+        model_from_config({"model": {"degrees": [1, 2], "phi": [[0.1], [0.2], [0.3]]}})
+    with pytest.raises(ConfigError, match="alpha"):
+        model_from_config({"model": {"generator": "example1", "alpha": {"values": 0.1}}})
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.json")
     with pytest.raises(ConfigError):
@@ -141,7 +147,7 @@ def test_sweep_helpers():
 
 def test_cli_validate_model(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_DOC)
-    assert main(["validate-model", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["validate-model", "--config", cfg]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("degree 1:") and lines[0].endswith("ok")
@@ -364,14 +370,19 @@ def test_cli_single_panel_commands_take_one_T(tmp_path, command, capsys):
     assert main([command, "--config", cfg, "--out", str(out), "--T", "256"]) == 0
 
 
-@pytest.mark.parametrize("command", ["test", "simulate", "mc-sweep"])
-def test_cli_rejects_zero_threads(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", ["test", "simulate", "mc-sweep", "mc-size"])
+def test_cli_rejects_zero_threads(tmp_path, monkeypatch, command, capsys):
+    # --threads 0 exits 1 before anything is written: a bad worker count for
+    # a replicating command, an unknown flag for the others.  The flag is the
+    # only worker-count knob: the environment variable it replaced is ignored.
     cfg = _write_config(tmp_path, WN_DOC)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), "--threads", "0"]) == 1
-    monkeypatch.setenv("SPHARMA_LRD_THREADS", "0")
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("thread count" in err) == (command == "mc-size")
     assert not out.exists()
+    monkeypatch.setenv("SPHARMA_LRD_THREADS", "0")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_cli_writes_only_under_out(tmp_path, monkeypatch):
@@ -396,3 +407,131 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["mc-size", "--config", cfg]) == 1
     assert main(["not-a-command", "--config", cfg]) == 1
     assert main(["mc-size"]) == 1
+
+
+# --- every command takes only the flags it reads ------------------------------
+
+# (command, flag) pairs that each command once accepted and ignored
+IGNORED_FLAGS = [
+    ("validate-model", ["--seed", "1"]),
+    ("validate-model", ["--out", "OUT"]),
+    ("validate-model", ["--threads", "2"]),
+    ("validate-model", ["--format", "json"]),
+    ("validate-model", ["--T", "256"]),
+    ("mc-sweep", ["--seed", "1"]),
+    ("mc-sweep", ["--threads", "2"]),
+    ("spectrum", ["--format", "json"]),
+    ("spectrum", ["--threads", "2"]),
+    ("simulate", ["--threads", "2"]),
+    ("test", ["--threads", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", IGNORED_FLAGS, ids=[f"{c}{f[0]}" for c, f in IGNORED_FLAGS]
+)
+def test_cli_rejects_flags_a_command_does_not_read(tmp_path, monkeypatch, capsys, command, flag):
+    cfg = _write_config(tmp_path, WN_DOC)
+    out = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", cfg] + [str(out) if v == "OUT" else v for v in flag]
+    if command != "validate-model":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: spherelrd")
+    assert f"error: unrecognized arguments: {flag[0]}" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["mc-size", "mc-power", "mc-dist", "mc-consistency"])
+def test_cli_replicating_commands_take_the_benchmark_flags(tmp_path, command):
+    # the benchmark runs these commands with --config, --out and --threads
+    experiment = dict(WN_DOC["experiment"], T=[128, 256], R=2)
+    model = (SMALL_DOC if command == "mc-power" else WN_DOC)["model"]
+    cfg = _write_config(tmp_path, {"model": model, "experiment": experiment})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert len(os.listdir(out)) == 2
+
+
+def _sweep_files(tmp_path, experiment: dict, name: str) -> tuple:
+    doc = {
+        "model": {"generator": "example1", "degrees": [1, 2]},
+        "experiment": {"T": [1000, 4000], "betas": [0.2, 0.55], **experiment},
+    }
+    cfg = _write_config(tmp_path, doc, f"{name}.json")
+    out = tmp_path / name
+    assert main(["mc-sweep", "--config", cfg, "--out", str(out)]) == 0
+    return tuple(
+        (out / f).read_bytes() for f in ("bandwidth_sweep.csv", "bandwidth_sweep_manifest.json")
+    )
+
+
+def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
+    bare = _sweep_files(tmp_path, {}, "bare")
+    unread = {"seed": 5, "R": 7, "beta": 0.4, "level": 0.1, "directions": 3}
+    assert _sweep_files(tmp_path, unread, "unread") == bare
+    assert set(json.loads(bare[1])) == {
+        "experiment", "T_values", "betas", "calibration",
+        "config_hash", "version", "numpy", "scipy",
+    }
+    assert _sweep_files(tmp_path, {"betas": [0.2, 0.5]}, "other")[1] != bare[1]
+
+
+# --- malformed values of known keys -------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        pytest.param("validate-model", "model", "degrees", [1], id="degrees"),
+        pytest.param("test", "experiment", "R", "abc", id="R"),
+        pytest.param("test", "experiment", "beta", [0.2], id="beta"),
+        pytest.param("mc-sweep", "experiment", "betas", 0.3, id="betas"),
+        # an interpolated profile without endpoints (None: the key is removed)
+        pytest.param("validate-model", "alpha", "endpoints", None, id="endpoints"),
+    ],
+)
+def test_cli_malformed_value_exits_1_naming_the_key(
+    tmp_path, monkeypatch, capsys, command, section, key, value
+):
+    doc = {
+        "model": {
+            "generator": "reference", "degrees": [1, 2],
+            "alpha": {"kind": "interpolated", "endpoints": [0.0, 0.0]},
+        },
+        "experiment": {"T": [128], "R": 3, "seed": 99},
+    }
+    sections = {"model": doc["model"], "alpha": doc["model"]["alpha"],
+                "experiment": doc["experiment"]}
+    if value is None:
+        del sections[section][key]
+    else:
+        sections[section][key] = value
+    cfg = _write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", cfg]
+    if command != "validate-model":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and repr(key) in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+def test_cli_rejects_out_of_range_seed_before_running(tmp_path, monkeypatch, seed):
+    from spherelrd import harness
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("a calibration ran")
+
+    monkeypatch.setattr(harness, "null_moments", no_calibration)
+    doc = dict(WN_DOC, experiment=dict(WN_DOC["experiment"], seed=seed))
+    out = tmp_path / "out"
+    assert main(["mc-size", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 1
+    good = _write_config(tmp_path, WN_DOC, "good.json")
+    assert main(["mc-size", "--config", good, "--out", str(out), "--seed", str(seed)]) == 1
+    assert not out.exists()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy
+from conftest import table_values
 
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import build_spharma, example_model
@@ -19,7 +20,6 @@ from spherelrd.harness import (
     run_divergence,
     run_power,
     run_size,
-    thread_count,
 )
 from spherelrd.lrdtest import bandwidth
 from spherelrd.simulate import SeedSpec, simulate_panel
@@ -32,15 +32,14 @@ def _config(model, **kw):
     return ExperimentConfig(model=model, **defaults)
 
 
-def test_thread_count_resolution(monkeypatch):
-    monkeypatch.delenv("SPHARMA_LRD_THREADS", raising=False)
-    assert thread_count() == 1
-    assert thread_count(3) == 3
+def test_thread_count_resolution(small_model, monkeypatch):
+    # the worker count is the config's alone: 1 unless set, never read from
+    # the environment, and checked when the config is built
     monkeypatch.setenv("SPHARMA_LRD_THREADS", "5")
-    assert thread_count() == 5
-    assert thread_count(2) == 2
+    assert _config(small_model).threads == 1
+    assert _config(small_model, threads=3).threads == 3
     with pytest.raises(HarnessError):
-        thread_count(0)
+        _config(small_model, threads=0)
 
 
 def test_config_validation(small_model):
@@ -93,7 +92,7 @@ def test_one_pool_per_experiment(small_model, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
     tab = run_size(_config(small_model, T_values=(128, 256), R=8, threads=2))
-    assert len(tab.values("direction_")) == 16
+    assert len(table_values(tab, "direction_")) == 16
     assert len(pools) == 1
 
 
@@ -109,8 +108,6 @@ def test_mc_table_roundtrip(tmp_path):
     tab.write_manifest(tmp_path / "demo_manifest.json")
     assert (tmp_path / "demo_manifest.json").exists()
     assert tab.to_dict()["rows"][0]["value"] == 0.5
-    assert tab.values("rate") == [0.5]
-    assert tab.values("rate", T=200) == []
 
 
 def test_run_size_requires_null(example1_model):
@@ -120,7 +117,7 @@ def test_run_size_requires_null(example1_model):
 
 def test_run_size_small(small_model):
     tab = run_size(_config(small_model, R=40))
-    rates = tab.values("direction_")
+    rates = table_values(tab, "direction_")
     assert len(rates) == 8
     assert all(0.0 <= r <= 0.25 for r in rates)
     assert tab.manifest["config_hash"]
@@ -134,12 +131,12 @@ def test_run_size_thread_invariance(small_model):
 
 def test_run_size_single_replication(small_model):
     tab = run_size(_config(small_model, R=1))
-    assert set(tab.values("direction_")) <= {0.0, 1.0}
+    assert set(table_values(tab, "direction_")) <= {0.0, 1.0}
 
 
 def test_extreme_level_always_rejects(small_model):
     tab = run_size(_config(small_model, R=15, level=0.999))
-    assert min(tab.values("direction_")) >= 0.8
+    assert min(table_values(tab, "direction_")) >= 0.8
 
 
 def test_rejection_experiments_build_no_report(small_model, monkeypatch):
@@ -168,17 +165,17 @@ def test_run_power_warns_on_null(small_model):
 def test_run_power_detects_long_memory():
     model = example_model(1, 1, 2)
     tab = run_power(_config(model, R=25))
-    assert min(tab.values("direction_")) >= 0.8
+    assert min(table_values(tab, "direction_")) >= 0.8
 
 
 def test_run_distribution_small(small_model):
     tab = run_distribution(_config(small_model, T_values=(512,), R=60))
     for n in (1, 2):
-        ks = tab.values(f"ks_n{n}")
-        var = tab.values(f"var_n{n}")
+        ks = table_values(tab, f"ks_n{n}")
+        var = table_values(tab, f"var_n{n}")
         assert len(ks) == 1 and 0.0 <= ks[0] < 0.2
         assert 0.5 < var[0] < 1.5
-        hist = tab.values(f"hist_n{n}_bin")
+        hist = table_values(tab, f"hist_n{n}_bin")
         assert len(hist) == 41
         # histogram integrates to ~1 (density over [-5, 5] bins)
         assert sum(h * 10.0 / 41 for h in hist) == pytest.approx(1.0, abs=0.05)
@@ -216,8 +213,8 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
 
 def test_run_divergence_short_memory_norms(small_model):
     tab = run_divergence(_config(small_model, T_values=(256, 1024), R=1))
-    stat = tab.values("hs_norm_statistic")
-    grid = tab.values("hs_norm_gridsum")
+    stat = table_values(tab, "hs_norm_statistic")
+    grid = table_values(tab, "hs_norm_gridsum")
     assert len(stat) == 2 and len(grid) == 2
     # under short memory the statistic-scale norm is T-stable
     assert max(stat) / min(stat) < 20.0
@@ -233,8 +230,8 @@ def test_run_divergence_norm_scales(small_model):
     config = _config(small_model, T_values=(256, 1024), R=1)
     tab = run_divergence(config)
     for T in config.T_values:
-        stat = tab.values("hs_norm_statistic", T=T)[0]
-        grid = tab.values("hs_norm_gridsum", T=T)[0]
+        stat = table_values(tab, "hs_norm_statistic", T=T)[0]
+        grid = table_values(tab, "hs_norm_gridsum", T=T)[0]
         assert grid / stat == pytest.approx(T**2 / (2 * np.pi) ** 4, rel=1e-12)
         panel = simulate_panel(small_model, T, SeedSpec(base_seed=config.seed, stream_id=0))
         S = statistic_matrix(fdft_panel(panel), bandwidth(T, config.rule()))
@@ -244,7 +241,7 @@ def test_run_divergence_norm_scales(small_model):
 def test_run_divergence_growth_under_alternative():
     model = example_model(1, 1, 2)
     tab = run_divergence(_config(model, T_values=(256, 1024), R=1))
-    grid = tab.values("hs_norm_gridsum")
+    grid = table_values(tab, "hs_norm_gridsum")
     assert grid[1] > 10.0 * grid[0]
 
 
@@ -256,7 +253,7 @@ def test_run_divergence_averaged(small_model):
 def test_run_bandwidth_sweep_rows_and_manifest(small_model):
     config = _config(small_model, T_values=(1000,))
     tab = run_bandwidth_sweep(config, betas=(0.3, 0.6))
-    vals = tab.values("rescaled_norm")
+    vals = table_values(tab, "rescaled_norm")
     assert len(vals) == 2
     assert all(v > 0 for v in vals)
     assert all(r["R"] == 0 for r in tab.rows)
@@ -273,9 +270,9 @@ def test_run_consistency_requires_replications(small_model):
 
 def test_run_consistency_slope_negative(small_model):
     tab = run_consistency(_config(small_model, T_values=(256, 1024), R=10))
-    var_rows = tab.values("integrated_variance")
+    var_rows = table_values(tab, "integrated_variance")
     assert len(var_rows) == 2 and var_rows[1] < var_rows[0]
-    slope = tab.values("loglog_slope")[0]
+    slope = table_values(tab, "loglog_slope")[0]
     assert slope < -0.5
 
 

@@ -22,6 +22,7 @@ from spherelrd.lrdtest import (
     default_pairs,
     g_weights,
     null_moments,
+    profile_mean_diag,
     projected_test,
     statistic_matrix,
     window_indices,
@@ -209,10 +210,10 @@ def test_white_noise_null_moments_frozen(white_noise_model):
     assert m.mean_diag[2] == pytest.approx(m.mean_diag[1], abs=1e-12)
     assert m.second_moment[(1, 1)] == pytest.approx(0.049643400509657036, abs=1e-9)
     assert m.second_moment[(1, 2)] == pytest.approx(m.second_moment[(1, 1)], abs=1e-12)
-    cont = null_moments(white_noise_model, T, B, mode="continuous")
-    assert cont.mean_diag[1] == pytest.approx(math.sqrt(B * T) / (2 * math.pi), rel=1e-6)
-    assert m.mean_diag[1] < cont.mean_diag[1]
-    assert cont.mean_diag[1] / m.mean_diag[1] == pytest.approx(1.0, abs=0.05)
+    cont = profile_mean_diag(white_noise_model, T, B)
+    assert cont[1] == pytest.approx(math.sqrt(B * T) / (2 * math.pi), rel=1e-6)
+    assert m.mean_diag[1] < cont[1]
+    assert cont[1] / m.mean_diag[1] == pytest.approx(1.0, abs=0.05)
 
 
 def test_null_moment_accessors(white_noise_model):
@@ -229,17 +230,11 @@ def test_continuous_moments_node_converged(small_model, monkeypatch):
 
     T, B = 1000, 0.17782794100389226
     assert lrdtest._NODES == 256
-    m1 = null_moments(small_model, T, B, mode="continuous")
+    m1 = profile_mean_diag(small_model, T, B)
     monkeypatch.setattr(lrdtest, "_NODES", 512)
-    m2 = null_moments(small_model, T, B, mode="continuous")
+    m2 = profile_mean_diag(small_model, T, B)
     for n in (1, 2):
-        assert m1.mean_diag[n] == pytest.approx(m2.mean_diag[n], rel=1e-3)
-        assert m1.second_moment[(n, n)] == pytest.approx(m2.second_moment[(n, n)], rel=1e-3)
-
-
-def test_null_moments_unknown_mode(white_noise_model):
-    with pytest.raises(TestError):
-        null_moments(white_noise_model, 500, 0.2, mode="exact")
+        assert m1[n] == pytest.approx(m2[n], rel=1e-3)
 
 
 def test_calibration_under_alternative(example1_model):

@@ -3,8 +3,7 @@ must be used by the package.
 
 A public function, class or constant, or a public method or property of a
 package class, that no module of the package references is reachable from
-neither the CLI nor the harness.  The only such names kept on purpose are
-``read_panel_csv``, kept for reading observed panels, and
+neither the CLI nor the harness.  The only such name kept on purpose is
 ``cli._Parser.error``, which argparse calls.
 
 Likewise a defaulted parameter of a module-level function that no call in
@@ -18,7 +17,7 @@ import pathlib
 
 import spherelrd
 
-ALLOWED_ORPHANS = {"simulate.read_panel_csv"}
+ALLOWED_ORPHANS = set()
 
 ALLOWED_ORPHAN_MEMBERS = {"cli._Parser.error"}
 

@@ -1,7 +1,11 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from scipy import fft, signal
 
+from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import AlphaProfile, build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import (
@@ -12,9 +16,7 @@ from spherelrd.simulate import (
     _stationary_state_root,
     _weight_spectrum,
     fractional_weights,
-    read_panel_csv,
     simulate_panel,
-    write_panel_csv,
 )
 
 
@@ -233,7 +235,7 @@ def test_degree_subrange_outside_model_raises():
 
 def test_orders_within_degree_are_distinct(small_model):
     panel = simulate_panel(small_model, 256, SeedSpec(base_seed=2))
-    assert not np.array_equal(panel.column(1, 1), panel.column(1, 2))
+    assert not np.array_equal(panel.data[:, 0], panel.data[:, 1])
 
 
 def test_white_noise_panel_moments(white_noise_model):
@@ -263,86 +265,23 @@ def test_long_memory_inflates_low_frequency_mass():
     for r in range(8):
         seed = SeedSpec(base_seed=99, stream_id=r)
         for k, model in enumerate((srd, lrd)):
-            x = simulate_panel(model, T, seed).column(1, 1)
+            x = simulate_panel(model, T, seed).data[:, 0]
             d = np.fft.rfft(x)
             acc[k] += float(np.sum(np.abs(d[1:8]) ** 2))
     assert acc[1] > 5.0 * acc[0]
 
 
-@pytest.mark.parametrize("layout", ["long", "wide"])
-def test_panel_csv_round_trip(tmp_path, small_model, layout):
-    panel = simulate_panel(small_model, 32, SeedSpec(base_seed=123))
-    path = tmp_path / f"panel_{layout}.csv"
-    write_panel_csv(path, panel, layout=layout)
-    back = read_panel_csv(path, small_model.degrees)
-    np.testing.assert_array_equal(back.data, panel.data)
-    assert back.T == panel.T
-
-
-def test_panel_csv_bad_layout(tmp_path, small_model):
-    panel = simulate_panel(small_model, 8, SeedSpec(base_seed=1))
-    with pytest.raises(SimulationError):
-        write_panel_csv(tmp_path / "x.csv", panel, layout="diagonal")
-
-
-def test_panel_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(SimulationError):
-        read_panel_csv(path, DegreeRange(1, 1))
-
-
-def _long_csv_lines(tmp_path, small_model) -> list:
-    path = tmp_path / "long.csv"
-    write_panel_csv(path, simulate_panel(small_model, 4, SeedSpec(base_seed=5)), layout="long")
-    return path.read_text().splitlines(keepends=True)
-
-
-def test_panel_csv_long_missing_cell(tmp_path, small_model):
-    lines = _long_csv_lines(tmp_path, small_model)
-    path = tmp_path / "missing.csv"
-    path.write_text("".join(lines[:5] + lines[6:]))  # drops t=0, (n, j)=(2, 2)
-    with pytest.raises(SimulationError, match=r"0 values for t=0, \(n, j\)=\(2, 2\)"):
-        read_panel_csv(path, small_model.degrees)
-
-
-def test_panel_csv_long_duplicate_cell(tmp_path, small_model):
-    lines = _long_csv_lines(tmp_path, small_model)
-    path = tmp_path / "duplicate.csv"
-    path.write_text("".join(lines + [lines[-1]]))
-    with pytest.raises(SimulationError, match=r"2 values for t=3, \(n, j\)=\(2, 5\)"):
-        read_panel_csv(path, small_model.degrees)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("t,n,j,value\n0,5,1,0.1\n", r"t=0, \(n, j\)=\(5, 1\)"),
-        ("t,n,j,value\n-1,1,0,0.1\n", "negative time index -1"),
-        ("t,n,j,value\n", "empty"),
-    ],
-    ids=["degree-outside-range", "negative-t-before-bad-j", "header-only"],
-)
-def test_panel_csv_long_malformed_cell(tmp_path, text, message):
-    path = tmp_path / "malformed.csv"
-    path.write_text(text)
-    with pytest.raises(SimulationError, match=message):
-        read_panel_csv(path, DegreeRange(1, 2))
-
-
-def test_panel_csv_wide_header_must_match_degrees(tmp_path, small_model):
-    path = tmp_path / "wide.csv"
-    write_panel_csv(path, simulate_panel(small_model, 4, SeedSpec(base_seed=5)), layout="wide")
-    with pytest.raises(SimulationError, match="header"):
-        read_panel_csv(path, DegreeRange(2, 3))
-    header, *rows = path.read_text().splitlines(keepends=True)
-    swapped = tmp_path / "swapped.csv"
-    swapped.write_text("".join([header.replace("a_1_1,a_1_2", "a_1_2,a_1_1")] + rows))
-    with pytest.raises(SimulationError, match="header"):
-        read_panel_csv(swapped, small_model.degrees)
-
-
-def test_column_accessor(small_model):
-    panel = simulate_panel(small_model, 16, SeedSpec(base_seed=42))
-    col = small_model.degrees.column(2, 3)
-    np.testing.assert_array_equal(panel.column(2, 3), panel.data[:, col])
+def test_panel_csv_round_trip(tmp_path, small_model):
+    # the panel.csv `spherelrd simulate` writes parses back to the exact
+    # panel: .17g loses nothing
+    doc = {"model": {"generator": "reference", "degrees": [1, 2]},
+           "experiment": {"T": [64], "seed": 123}}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "panel.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t"] + [f"a_{n}_{j}" for n, j in small_model.degrees.index_list()]
+    assert [int(r[0]) for r in rows] == list(range(64))
+    back = np.array([[float(v) for v in r[1:]] for r in rows])
+    panel = simulate_panel(small_model, 64, SeedSpec(base_seed=123))
+    np.testing.assert_array_equal(back, panel.data)
