@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library entry points:
 
     simulate        draw one coefficient panel and write it out
-    spectrum        smoothed cross-spectrum of a simulated panel
-    test            one-shot projected test report
+    spectrum        smoothed diagonal spectrum of a simulated panel
+    test            the projected test on replication 0 of mc-size/mc-power
     mc-size         Monte Carlo empirical size table
     mc-power        Monte Carlo empirical power table
     mc-dist         null-distribution histograms and KS statistics
@@ -22,11 +22,13 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 
 import numpy as np
+from scipy import stats
 
 from .config import (
     ConfigError,
@@ -37,6 +39,7 @@ from .config import (
 )
 from .harness import (
     HarnessError,
+    _standardized_entries,
     run_bandwidth_sweep,
     run_consistency,
     run_distribution,
@@ -44,14 +47,7 @@ from .harness import (
     run_power,
     run_size,
 )
-from .lrdtest import (
-    TestError,
-    bandwidth,
-    default_pairs,
-    null_moments,
-    pair_degrees,
-    projected_test,
-)
+from .lrdtest import TestError, bandwidth, critical_value, leading_columns
 from .models import ModelError
 from .simulate import SeedSpec, SimulationError, simulate_panel, write_panel_csv
 from .spectral import fdft_panel, write_spectrum_csv
@@ -92,7 +88,8 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The top-level parser, and the parser of each command by name."""
     parser = _Parser(prog="spherelrd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags in _FLAGS.items():
@@ -100,7 +97,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON config document")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
-    return parser
+    return parser, sub.choices
 
 
 def _out_path(args, filename: str) -> str:
@@ -123,12 +120,15 @@ def _experiment(doc, args):
     return experiment_from_config(doc, **overrides)
 
 
-def _single_panel(config, degrees=None):
+def _one_T(config) -> int:
     if len(config.T_values) > 1:
         raise ConfigError(f"one panel needs one T, not {list(config.T_values)}: pass --T")
-    T = config.T_values[0]
-    seed = SeedSpec(base_seed=config.seed, stream_id=0)
-    return T, simulate_panel(config.model, T, seed, degrees=degrees)
+    return config.T_values[0]
+
+
+def _single_panel(config):
+    T = _one_T(config)
+    return T, simulate_panel(config.model, T, SeedSpec(base_seed=config.seed, stream_id=0))
 
 
 def _cmd_simulate(doc, args) -> None:
@@ -150,23 +150,38 @@ def _cmd_spectrum(doc, args) -> None:
     config = _experiment(doc, args)
     T, panel = _single_panel(config)
     B = bandwidth(T, config.rule())
-    dft = fdft_panel(panel)
-    pairs = [((n, j), (n, j)) for n, j in panel.degrees.index_list()]
     omegas = np.linspace(0.0, np.pi, 65)
-    write_spectrum_csv(_out_path(args, "spectrum.csv"), dft, pairs, omegas, B)
+    write_spectrum_csv(_out_path(args, "spectrum.csv"), fdft_panel(panel), omegas, B)
 
 
 def _cmd_test(doc, args) -> None:
+    """Replication 0 of the size/power engine: the diagonal entries of the
+    leading columns on stream 0, standardized and decided at the config's level."""
     config = _experiment(doc, args)
-    pairs = default_pairs(config.model.degrees, config.n_directions)
-    T, panel = _single_panel(config, degrees=pair_degrees(pairs))
-    B = bandwidth(T, config.rule())
-    moments = null_moments(config.null_model(), T, B)
-    report = projected_test(fdft_panel(panel), moments, pairs=pairs, level=config.level)
+    _one_T(config)
+    cols = leading_columns(config.model.degrees, config.n_directions)
+    [(s, z)] = _standardized_entries(config, cols, 1)
+    s, z = s[0], z[0]
+    p = 2.0 * stats.norm.sf(np.abs(z))
+    reject = np.abs(z) > critical_value(config.level)
+    labels = [f"({n},{j})x({n},{j})" for n, j in cols]
+    rows = list(zip(labels, s.tolist(), z.tolist(), p.tolist(), reject.tolist()))
     if args.format == "json":
-        report.write_json(_out_path(args, "test_report.json"))
-    else:
-        report.write_csv(_out_path(args, "test_report.csv"))
+        keys = ("label", "statistic", "z", "p", "reject")
+        report = {
+            "mode": "projected",
+            "level": config.level,
+            "one_sided": False,
+            "results": [dict(zip(keys, row)) for row in rows],
+        }
+        with open(_out_path(args, "test_report.json"), "w") as fh:
+            json.dump(report, fh, indent=2)
+        return
+    with open(_out_path(args, "test_report.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pair_or_direction", "statistic", "z", "p", "reject"])
+        for label, *values, rej in rows:
+            writer.writerow([label, *(f"{v:.10g}" for v in values), int(rej)])
 
 
 def _cmd_sweep(doc, args) -> None:
@@ -214,9 +229,13 @@ def _dispatch(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # argparse would report a command's leftover flags with the
+            # top-level usage; the command's own usage lists what it takes
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

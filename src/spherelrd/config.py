@@ -56,7 +56,7 @@ _GENERATORS = ("reference", "example1", "example2", "example3", "example4")
 _KEYS = {
     "": {"model", "experiment"},
     "model": {"generator", "degrees", "phi", "psi", "innov", "alpha"},
-    "alpha": {"kind", "values", "endpoints", "peak", "tail", "extended"},
+    "alpha": {"kind", "values", "endpoints", "peak", "extended"},
     "experiment": {"T", "R", "beta", "level", "directions", "seed", "betas"},
 }
 
@@ -88,8 +88,16 @@ def _field(section: str, key: str, value, convert):
     """``convert(value)``; a value it cannot convert is a ConfigError naming the key."""
     try:
         return convert(value)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"invalid {key!r} in section {section!r}: {value!r} ({exc})") from None
+
+
+def _integer(value) -> int:
+    """``value`` as an int; a number with a fractional part is an error, not truncated."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
 
 
 def _list_of(convert):
@@ -104,7 +112,7 @@ def _list_of(convert):
 
 
 def _degree_pair(value) -> tuple:
-    n_min, n_max = _list_of(int)(value)
+    n_min, n_max = _list_of(_integer)(value)
     return n_min, n_max
 
 
@@ -120,7 +128,6 @@ def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
             values=doc.get("values"),
             endpoints=doc.get("endpoints"),
             peak=tuple(peak) if peak is not None else None,
-            tail=doc.get("tail"),
             extended=bool(doc.get("extended", False)),
         )
     except (TypeError, ValueError, IndexError) as exc:
@@ -166,13 +173,25 @@ def model_from_config(doc: dict) -> SpectralModel:
         raise ConfigError(f"invalid model config: {exc}") from exc
 
 
+# Each experiment key ExperimentConfig reads: the field it fills, and its conversion.
+_EXPERIMENT_FIELDS = {
+    "T": ("T_values", _list_of(_integer)),
+    "R": ("R", _integer),
+    "beta": ("beta", float),
+    "level": ("level", float),
+    "directions": ("n_directions", _integer),
+    "seed": ("seed", _integer),
+}
+
+
 def experiment_from_config(
     doc: dict,
     seed: int | None = None,
     T: int | None = None,
     threads: int = 1,
 ) -> ExperimentConfig:
-    """Build an ExperimentConfig; CLI-level overrides win over the document."""
+    """Build an ExperimentConfig from the keys the document sets; the rest keep
+    the ``ExperimentConfig`` defaults.  CLI-level overrides win over the document."""
     model = model_from_config(doc)
     exp = doc.get("experiment", {})
     if not isinstance(exp, dict):
@@ -185,20 +204,13 @@ def experiment_from_config(
     if isinstance(values.get("T"), (int, float)):
         values["T"] = [values["T"]]
 
-    def get(key, default, convert):
-        return _field("experiment", key, values.get(key, default), convert)
-
+    fields = {
+        name: _field("experiment", key, values[key], convert)
+        for key, (name, convert) in _EXPERIMENT_FIELDS.items()
+        if key in values
+    }
     try:
-        return ExperimentConfig(
-            model=model,
-            T_values=get("T", [1000], _list_of(int)),
-            R=get("R", 500, int),
-            beta=get("beta", 0.25, float),
-            level=get("level", 0.05, float),
-            n_directions=get("directions", 8, int),
-            seed=get("seed", 20260825, int),
-            threads=threads,
-        )
+        return ExperimentConfig(model=model, threads=threads, **fields)
     except (HarnessError, SimulationError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
 

@@ -14,7 +14,7 @@ Replications are keyed by per-degree seeded streams (stream_id = replication
 index) and cut into at most four chunks whose boundaries depend on R alone,
 never on the worker count.  Chunks are summed or stacked in chunk order, so
 the tables agree bit for bit at any worker count.  Size and power simulate
-only the degrees their pairs touch; per-degree streams make this exact.
+only the degrees their columns touch; per-degree streams make this exact.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from .lrdtest import (
     BandwidthRule,
     _entries,
     bandwidth,
+    column_calibration,
+    column_degrees,
     critical_value,
-    default_pairs,
     g_weights,
+    leading_columns,
     null_moments,
-    pair_calibration,
-    pair_degrees,
     profile_mean_diag,
     statistic_matrix,
 )
@@ -71,7 +71,7 @@ class ExperimentConfig:
     """
 
     model: SpectralModel
-    T_values: tuple
+    T_values: tuple = (1000,)
     R: int = 500
     beta: float = 0.25
     level: float = 0.05
@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise HarnessError("R must be >= 1")
         if not 0.0 < self.level < 1.0:
             raise HarnessError("level must lie in (0, 1)")
-        available = len(default_pairs(self.model.degrees, count=None))
+        available = len(leading_columns(self.model.degrees, None))
         if not 1 <= self.n_directions <= available:
             raise HarnessError(
                 f"directions must lie in [1, {available}] for degrees "
@@ -168,7 +168,6 @@ def _model_manifest(model: SpectralModel) -> dict:
         "psi": model.psi.tolist(),
         "innov": model.innov.tolist(),
         "alpha": model.alpha.values.tolist(),
-        "alpha_tail": float(model.alpha.tail_value),
         "alpha_extended": bool(model.alpha.extended),
     }
 
@@ -274,8 +273,8 @@ def _gather(plans: list, results, n_chunks: int) -> list:
 
 # --- reducers: (dft, out, *args), top-level so that plans pickle --------------
 
-def _pair_entries(dft, row, B, ia, ib) -> None:
-    row[:] = _entries(dft, B, ia, ib)
+def _column_entries(dft, row, B, idx) -> None:
+    row[:] = _entries(dft, B, idx)
 
 
 def _hs_norms(dft, norms, B) -> None:
@@ -304,20 +303,24 @@ def _calibrate(config: ExperimentConfig) -> list:
     return [null_moments(calib, T, bandwidth(T, config.rule())) for T in config.T_values]
 
 
-def _standardized_entries(config: ExperimentConfig, pairs, degrees: DegreeRange) -> list:
-    """Per T, the (R, len(pairs)) standardized entries of the pairs.
+def _standardized_entries(config: ExperimentConfig, cols, R: int) -> list:
+    """Per T, the (R, len(cols)) diagonal entries S[a, a] of the basis columns
+    ``cols`` in replications 0..R-1, and the same entries standardized.
 
-    Each replication stacks its raw entries; they are standardized once per
-    table, which gives the same floats as standardizing row by row.
+    Only the degrees the columns touch are simulated.  Each replication stacks
+    its raw entries; they are standardized once per table, which gives the
+    same floats as standardizing row by row.  Size and power read R =
+    ``config.R``; ``spherelrd test`` reads replication 0 alone (R = 1).
     """
+    degrees = column_degrees(cols)
     plans, calibrations = [], []
     for T, moments in zip(config.T_values, _calibrate(config)):
-        ia, ib, mean, sd = pair_calibration(degrees, moments, pairs)
-        plans.append(_Plan(config.model, T, config.seed, _pair_entries, (moments.B, ia, ib),
-                           (len(pairs),), stack=True, degrees=degrees))
+        idx, mean, sd = column_calibration(degrees, moments, cols)
+        plans.append(_Plan(config.model, T, config.seed, _column_entries, (moments.B, idx),
+                           (len(cols),), stack=True, degrees=degrees))
         calibrations.append((mean, sd))
-    entries = _replicate(plans, config.R, config.threads)
-    return [(s - mean) / sd for s, (mean, sd) in zip(entries, calibrations)]
+    entries = _replicate(plans, R, config.threads)
+    return [(s, (s - mean) / sd) for s, (mean, sd) in zip(entries, calibrations)]
 
 
 def run_size(config: ExperimentConfig) -> McTable:
@@ -336,9 +339,9 @@ def run_power(config: ExperimentConfig) -> McTable:
 
 def _rejection_experiment(config: ExperimentConfig, name: str) -> McTable:
     table = McTable(name, manifest=_config_manifest(config, name))
-    pairs = default_pairs(config.model.degrees, config.n_directions)
+    cols = leading_columns(config.model.degrees, config.n_directions)
     crit = critical_value(config.level)
-    for T, z in zip(config.T_values, _standardized_entries(config, pairs, pair_degrees(pairs))):
+    for T, (_, z) in zip(config.T_values, _standardized_entries(config, cols, config.R)):
         counts = (np.abs(z) > crit).sum(axis=0)
         for i, rate in enumerate(counts / config.R):
             table.add(T, config.R, config.beta, f"direction_{i}", rate, _binomial_se(rate, config.R))
@@ -354,8 +357,8 @@ def run_distribution(config: ExperimentConfig) -> McTable:
     degrees = config.model.degrees
     table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
     edges = np.linspace(-5.0, 5.0, _N_BINS + 1)
-    diagonal = [(a, a) for a in degrees.index_list()]
-    for T, z in zip(config.T_values, _standardized_entries(config, diagonal, degrees)):
+    cols = degrees.index_list()
+    for T, (_, z) in zip(config.T_values, _standardized_entries(config, cols, config.R)):
         for n in degrees.degrees:
             off = degrees.column_offset(n)
             pooled = z[:, off : off + 2 * n + 1].ravel()

@@ -22,17 +22,18 @@ approximation would leave at small T.  Only the bandwidth sweep integrates
 the limiting window profile instead (``profile_mean_diag``), because that
 mean scales exactly as sqrt(B T) even when B falls below the grid spacing.
 
-Under a short-range null the standardized entries are asymptotically
-standard normal; rejection is two-sided at level alpha.
+The test reports diagonal entries S[a, a] only, one per basis column a
+(``leading_columns``), each formed from its one gathered DFT column; the full
+matrix (``statistic_matrix``) feeds the divergence norms.  Under a
+short-range null the standardized entries are asymptotically standard
+normal; rejection is two-sided at level alpha.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -146,12 +147,16 @@ def _half_support(T: int, B: float) -> tuple:
     return v, w
 
 
-def _entries(dft: DftPanel, B: float, ia, ib) -> np.ndarray:
-    """S[ia[k], ib[k]] for every k, over the support of g."""
+def _entries(dft: DftPanel, B: float, cols) -> np.ndarray:
+    """S[a, a] for every basis column a in ``cols``, over the support of g.
+
+    The columns are gathered from the support's rows, which leaves them in
+    column-major order; the BLAS reduction's summation order, and with it the
+    rounding of every entry, depends on that layout.
+    """
     v, w = _half_support(dft.T, B)
-    A = dft.coeffs[v]
-    a, b = A[:, ia], A[:, ib]
-    return math.sqrt(dft.T) * (2 * np.pi / dft.T) * (w @ (a.real * b.real + a.imag * b.imag))
+    A = dft.coeffs[v][:, cols]
+    return math.sqrt(dft.T) * (2 * np.pi / dft.T) * (w @ (A.real * A.real + A.imag * A.imag))
 
 
 def statistic_matrix(dft: DftPanel, B: float) -> np.ndarray:
@@ -166,25 +171,19 @@ def statistic_matrix(dft: DftPanel, B: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullMoments:
-    """Null mean of a diagonal entry and entry variances for a degree pair.
+    """Null mean of a diagonal entry per degree, and the entries' variance kernel.
 
     ``second_moment`` is the shared quadratic kernel
     V2(n, h) = T (2 pi / T)^2 sum_v g_v^2 f_n(w_v) f_h(w_v); the variance of
     entry (a, b) is (1 + delta_ab) * V2(n_a, n_b), and the covariance between
     entries (a, b) and (c, d) is V2 * (delta_ac delta_bd + delta_ad delta_bc).
+    A diagonal entry of degree n thus has variance 2 V2(n, n).
     """
 
     T: int
     B: float
     mean_diag: dict  # degree n -> E S[a, a] for any a in degree n
     second_moment: dict  # (n, h) -> V2(n, h)
-
-    def mean(self, a: tuple[int, int], b: tuple[int, int]) -> float:
-        return self.mean_diag[a[0]] if a == b else 0.0
-
-    def variance(self, a: tuple[int, int], b: tuple[int, int]) -> float:
-        v2 = self.second_moment[(a[0], b[0])]
-        return (2.0 if a == b else 1.0) * v2
 
 
 def null_moments(model: SpectralModel, T: int, B: float) -> NullMoments:
@@ -246,106 +245,27 @@ def critical_value(level: float) -> float:
     return float(stats.norm.ppf(1.0 - level / 2.0))
 
 
-# --- reports ----------------------------------------------------------------
+# --- the tested entries -----------------------------------------------------
 
-@dataclass(frozen=True)
-class TestReport:
-    """Per-pair standardized statistics and two-sided decisions."""
-
-    level: float
-    rows: list = field(default_factory=list)
-    crit: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crit", critical_value(self.level))
-
-    def extend(self, labels, statistics, zs) -> None:
-        """Append one row per label, deciding all of them in one vector call."""
-        zs = np.asarray(zs, dtype=float)
-        p = 2.0 * stats.norm.sf(np.abs(zs))
-        reject = np.abs(zs) > self.crit
-        self.rows.extend(
-            {
-                "label": label,
-                "statistic": float(s),
-                "z": float(z),
-                "p": float(pv),
-                "reject": bool(rej),
-            }
-            for label, s, z, pv, rej in zip(labels, statistics, zs, p, reject)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": "projected",
-            "level": self.level,
-            "one_sided": False,
-            "results": self.rows,
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair_or_direction", "statistic", "z", "p", "reject"])
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r["label"],
-                        f"{r['statistic']:.10g}",
-                        f"{r['z']:.10g}",
-                        f"{r['p']:.10g}",
-                        int(r["reject"]),
-                    ]
-                )
+def leading_columns(degrees: DegreeRange, count: int | None) -> list:
+    """The first ``count`` (None for all) basis functions (n, j) with n >= 1,
+    in column order: the diagonal entries S[a, a] the test reports."""
+    return [(n, j) for n, j in degrees.index_list() if n >= 1][:count]
 
 
-def default_pairs(degrees: DegreeRange, count: int | None = 8) -> list:
-    """First ``count`` (default 8, None for all) diagonal pairs (n, j) = (h, l)
-    with n >= 1, in lexicographic order."""
-    pairs = [((n, j), (n, j)) for n, j in degrees.index_list() if n >= 1]
-    return pairs[:count]
-
-
-def pair_degrees(pairs) -> DegreeRange:
-    """Smallest degree range holding every basis function the pairs name."""
-    touched = [n for pair in pairs for n, _ in pair]
+def column_degrees(cols) -> DegreeRange:
+    """Smallest degree range holding every basis function in ``cols``."""
+    touched = [n for n, _ in cols]
     return DegreeRange(min(touched), max(touched))
 
 
-def pair_calibration(degrees: DegreeRange, moments: NullMoments, pairs) -> tuple:
-    """Columns ``ia``, ``ib`` of the pairs' entries in a panel over ``degrees``,
-    and the entries' null means and standard deviations.
+def column_calibration(degrees: DegreeRange, moments: NullMoments, cols) -> tuple:
+    """Indices of ``cols`` in a panel over ``degrees``, and the null means and
+    standard deviations of their diagonal entries.
 
-    An entry S[ia[k], ib[k]] standardizes to (S - mean[k]) / sd[k].
+    The entry S[a, a] of column ``idx[k]`` standardizes to (S - mean[k]) / sd[k].
     """
-    ia = [degrees.column(*a) for a, _ in pairs]
-    ib = [degrees.column(*b) for _, b in pairs]
-    mean = np.array([moments.mean(a, b) for a, b in pairs])
-    sd = np.sqrt([moments.variance(a, b) for a, b in pairs])
-    return ia, ib, mean, sd
-
-
-def projected_test(
-    dft: DftPanel,
-    moments: NullMoments,
-    pairs=None,
-    level: float = 0.05,
-) -> TestReport:
-    """Standardize selected entries of S against their null moments.
-
-    Only the requested entries are formed, each from its two gathered DFT
-    columns over the support of g.
-    """
-    if pairs is None:
-        pairs = default_pairs(dft.degrees)
-    ia, ib, mean, sd = pair_calibration(dft.degrees, moments, pairs)
-    s = _entries(dft, moments.B, ia, ib)
-    report = TestReport(level=level)
-    labels = [f"({a[0]},{a[1]})x({b[0]},{b[1]})" for a, b in pairs]
-    report.extend(labels, s, (s - mean) / sd)
-    return report
-
+    idx = [degrees.column(n, j) for n, j in cols]
+    mean = np.array([moments.mean_diag[n] for n, _ in cols])
+    sd = np.sqrt([2.0 * moments.second_moment[(n, n)] for n, _ in cols])
+    return idx, mean, sd

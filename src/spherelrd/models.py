@@ -61,7 +61,7 @@ class Hypothesis(enum.Enum):
 
 @dataclass(frozen=True)
 class AlphaProfile:
-    """Memory exponents alpha(n) over a degree range, plus the tail value for n beyond it.
+    """Memory exponents alpha(n), one per degree of the model's range.
 
     Each alpha(n) is a fractional differencing order d.  Values must lie in
     the stationary range [0, 1/2) unless ``extended`` is set, which admits
@@ -70,15 +70,13 @@ class AlphaProfile:
     """
 
     values: np.ndarray
-    tail_value: float = 0.0
     extended: bool = False
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         hi = 1.0 if self.extended else 0.5
-        all_vals = np.append(vals, self.tail_value)
-        if np.any(all_vals < 0) or np.any(all_vals >= hi):
+        if np.any(vals < 0) or np.any(vals >= hi):
             raise AlphaRangeError(
                 f"alpha values must lie in [0, {hi}); "
                 "pass extended=True to allow exponents >= 1/2"
@@ -86,7 +84,7 @@ class AlphaProfile:
 
     @property
     def is_null(self) -> bool:
-        return bool(np.all(self.values == 0.0) and self.tail_value == 0.0)
+        return bool(np.all(self.values == 0.0))
 
 
 def alpha_profile(
@@ -96,7 +94,6 @@ def alpha_profile(
     values=None,
     endpoints=None,
     peak=None,
-    tail: float | None = None,
     extended: bool = False,
 ) -> AlphaProfile:
     """Build an exponent profile.
@@ -129,8 +126,7 @@ def alpha_profile(
             vals = np.linspace(first, last, n_degrees)
     else:
         raise ModelError(f"unknown alpha profile kind {kind!r}")
-    tail_value = float(tail) if tail is not None else (float(vals[-1]) if vals.size else 0.0)
-    return AlphaProfile(values=vals, tail_value=tail_value, extended=extended)
+    return AlphaProfile(values=vals, extended=extended)
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,7 @@ def build_spharma(
         psi = np.repeat(psi, n_deg, axis=0)
     innov_arr = np.broadcast_to(np.asarray(innov, dtype=float), (n_deg,)).copy()
     if alpha is None:
-        alpha = AlphaProfile(values=np.zeros(n_deg), tail_value=0.0)
+        alpha = AlphaProfile(values=np.zeros(n_deg))
     return SpectralModel(
         degrees=degrees, p=phi.shape[1], q=psi.shape[1],
         phi=phi, psi=psi, innov=innov_arr, alpha=alpha,
@@ -278,10 +274,10 @@ def reference_spharma11(n_min: int = 1, n_max: int = 8) -> SpectralModel:
 _EXAMPLE_ALPHA = {
     # (kind-args) reconstructed from published endpoints; interior values are
     # linear interpolations and explicitly overridable via configs.
-    1: dict(endpoints=(0.4733, 0.2678), tail=0.2678, extended=False, peak=None),
-    2: dict(endpoints=(0.2550, 0.3327), tail=0.2550, extended=False, peak=None),
-    3: dict(endpoints=(0.2753, None), tail=0.2753, extended=False, peak=(4, 0.4000)),
-    4: dict(endpoints=(0.3041, None), tail=0.3041, extended=True, peak=(7, 0.9982)),
+    1: dict(endpoints=(0.4733, 0.2678), extended=False, peak=None),
+    2: dict(endpoints=(0.2550, 0.3327), extended=False, peak=None),
+    3: dict(endpoints=(0.2753, None), extended=False, peak=(4, 0.4000)),
+    4: dict(endpoints=(0.3041, None), extended=True, peak=(7, 0.9982)),
 }
 
 

@@ -4,7 +4,7 @@ The DFT of a coefficient panel is taken columnwise at the Fourier frequencies
 w_s = 2 pi s / T with the (2 pi T)^(-1/2) normalization, so the squared
 modulus of a column is the periodogram of that coefficient series.  A panel
 is real, so A_{T-s} = conj(A_s): ``fdft_panel`` keeps the half grid
-s = 0..T//2 of a real FFT, and ``DftPanel.column`` mirrors a column back.
+s = 0..T//2 of a real FFT.
 Smoothing uses the Epanechnikov weight kernel periodized with bandwidth B in
 (0, 1) and summed over the Fourier grid s = 1..T-1; the zero frequency is
 always excluded.
@@ -15,7 +15,8 @@ the grid.  ``smoothed_spectrum_grid`` smooths the periodogram of every
 column of a panel in one pass: each periodogram, real and even, is mirrored
 from the half grid and smoothed by a real FFT and its inverse against the
 kernel row's real FFT, formed once per call; a degree's columns share one
-batched transform.
+batched transform.  ``smoothed_spectrum`` smooths the same mirrored
+periodograms at arbitrary frequencies in [0, pi] with one matrix product.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class DftPanel:
             raise SpectralError(f"DFT shape {c.shape} != ({self.T // 2 + 1}, {self.degrees.dim})")
         object.__setattr__(self, "coeffs", c)
 
-    def column(self, n: int, j: int) -> np.ndarray:
-        """One column at all T Fourier ordinates s = 0..T-1."""
-        c = self.coeffs[:, self.degrees.column(n, j)]
-        return np.concatenate([c, np.conj(c[(self.T + 1) // 2 - 1 : 0 : -1])])
-
 
 def fdft_panel(panel: CoefficientPanel) -> DftPanel:
     """Columnwise DFT with the (2 pi T)^(-1/2) normalization, over s = 0..T//2."""
@@ -101,33 +97,16 @@ def fdft_panel(panel: CoefficientPanel) -> DftPanel:
     return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
 
 
-def _smoothing_weights(dft: DftPanel, omega: float, B: float) -> np.ndarray:
-    """(2 pi / T) W^(T)(omega - w_s) for s = 1..T-1 (index 0 of the result is s=1)."""
-    s = np.arange(1, dft.T)
-    diffs = reduce_frequency(omega - 2 * np.pi * s / dft.T)
-    return (2 * np.pi / dft.T) * epanechnikov(diffs / B) / B
-
-
-def smoothed_cross_spectrum(
-    dft: DftPanel,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    omega: float,
-    B: float,
-) -> complex:
-    """Weighted periodogram projection f_hat_omega[a, b] over the Fourier grid.
-
-    Real and imaginary parts are summed separately in real arithmetic, so the
-    imaginary part of a diagonal entry (a == b) is exactly zero.
-    """
-    if abs(omega) > np.pi + 1e-12:
-        raise SpectralError("omega must lie in [-pi, pi]")
-    wts = _smoothing_weights(dft, omega, B)
-    ca = dft.column(*a)[1:]
-    cb = dft.column(*b)[1:]
-    re = wts @ (ca.real * cb.real + ca.imag * cb.imag)
-    im = wts @ (ca.imag * cb.real - ca.real * cb.imag)
-    return complex(re, im)
+def _periodogram(block: np.ndarray, T: int) -> np.ndarray:
+    """Periodogram of each column of a half-grid DFT block (T//2 + 1, k) at
+    every ordinate s = 0..T-1, mirrored (p_{T-s} = p_s), with s = 0 set to zero
+    because the smoothing sums exclude it: shape (k, T)."""
+    a = block.T
+    p = np.empty((a.shape[0], T))
+    np.add(np.square(a.real), np.square(a.imag), out=p[:, : T // 2 + 1])
+    p[:, T // 2 + 1 :] = p[:, (T + 1) // 2 - 1 : 0 : -1]
+    p[:, 0] = 0.0
+    return p
 
 
 def smoothed_spectrum_grid(dft: DftPanel, B: float) -> np.ndarray:
@@ -144,25 +123,32 @@ def smoothed_spectrum_grid(dft: DftPanel, B: float) -> np.ndarray:
     out = np.empty((dft.degrees.dim, T))
     for n in dft.degrees.degrees:
         lo = dft.degrees.column_offset(n)
-        a = A[:, lo : lo + 2 * n + 1].T
-        p = np.empty((2 * n + 1, T))
-        np.add(np.square(a.real), np.square(a.imag), out=p[:, : T // 2 + 1])
-        p[:, T // 2 + 1 :] = p[:, (T + 1) // 2 - 1 : 0 : -1]  # p_{T-s} = p_s
-        p[:, 0] = 0.0  # s = 0 excluded from the smoothing sum
-        F = np.fft.rfft(p)
+        F = np.fft.rfft(_periodogram(A[:, lo : lo + 2 * n + 1], T))
         F *= kf
         out[lo : lo + 2 * n + 1] = np.fft.irfft(F, n=T)
     return out
 
 
-def write_spectrum_csv(path, dft: DftPanel, pairs, omegas, B: float) -> None:
-    """Write f_hat_omega[a, b] per omega and pair: rows (omega, n_a, j_a, n_b, j_b, re, im)."""
+def smoothed_spectrum(dft: DftPanel, omegas: np.ndarray, B: float) -> np.ndarray:
+    """Diagonal f_hat_omega[a, a] for every omega in [0, pi] and every column a,
+    shape (len(omegas), D).
+
+    One (len(omegas), T - 1) matrix of weights (2 pi / T) W^(T)(omega - w_s),
+    s = 1..T-1, multiplies the (T - 1, D) periodogram of every column.
+    """
+    T = dft.T
+    w = 2 * np.pi * np.arange(1, T) / T
+    weights = (2 * np.pi / T) * epanechnikov(reduce_frequency(omegas[:, None] - w) / B) / B
+    return weights @ _periodogram(dft.coeffs, T)[:, 1:].T
+
+
+def write_spectrum_csv(path, dft: DftPanel, omegas: np.ndarray, B: float) -> None:
+    """Write ``smoothed_spectrum`` per omega and basis column a = (n, j):
+    rows (omega, n, j, n, j, re, im), with im = 0 because the entry is real."""
+    values = smoothed_spectrum(dft, omegas, B)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"])
-        for w in omegas:
-            for a, b in pairs:
-                val = smoothed_cross_spectrum(dft, a, b, float(w), B)
-                writer.writerow(
-                    [f"{w:.10g}", a[0], a[1], b[0], b[1], f"{val.real:.10g}", f"{val.imag:.10g}"]
-                )
+        for omega, row in zip(omegas, values):
+            for (n, j), val in zip(dft.degrees.index_list(), row):
+                writer.writerow([f"{omega:.10g}", n, j, n, j, f"{val:.10g}", "0"])

@@ -4,7 +4,7 @@ import pytest
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import SeedSpec, simulate_panel
-from spherelrd.spectral import fdft_panel
+from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +47,29 @@ def table_values(table, key_prefix: str = "", T=None) -> list:
         for r in table.rows
         if r["key"].startswith(key_prefix) and (T is None or r["T"] == T)
     ]
+
+
+# --- oracles for the smoothed spectrum ----------------------------------------
+
+def full_grid_column(dft, a) -> np.ndarray:
+    """Column a = (n, j) of a half-grid DFT at all T ordinates s = 0..T-1,
+    mirrored by A_{T-s} = conj(A_s)."""
+    c = dft.coeffs[:, dft.degrees.column(*a)]
+    return np.concatenate([c, np.conj(c[(dft.T + 1) // 2 - 1 : 0 : -1])])
+
+
+def smoothed_cross_spectrum(dft, a, b, omega: float, B: float) -> complex:
+    """Weighted periodogram projection f_hat_omega[a, b], summed term by term
+    over the Fourier grid s = 1..T-1 with weights (2 pi / T) W^(T)(omega - w_s).
+
+    Real and imaginary parts are summed separately in real arithmetic, so the
+    imaginary part of a diagonal entry (a == b) is exactly zero.
+    """
+    s = np.arange(1, dft.T)
+    diffs = reduce_frequency(omega - 2 * np.pi * s / dft.T)
+    wts = (2 * np.pi / dft.T) * epanechnikov(diffs / B) / B
+    ca = full_grid_column(dft, a)[1:]
+    cb = full_grid_column(dft, b)[1:]
+    re = wts @ (ca.real * cb.real + ca.imag * cb.imag)
+    im = wts @ (ca.imag * cb.real - ca.real * cb.imag)
+    return complex(re, im)

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import table_values
+from conftest import smoothed_cross_spectrum, table_values
 
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_model, reference_spharma11, spectral_eigenvalue
 from spherelrd.simulate import SeedSpec, _weight_spectrum, fractional_weights, simulate_panel
-from spherelrd.spectral import fdft_panel, smoothed_cross_spectrum
+from spherelrd.spectral import fdft_panel
 from spherelrd.lrdtest import (
     BandwidthRule,
     bandwidth,

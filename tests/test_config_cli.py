@@ -325,6 +325,9 @@ def test_cli_mc_divergence_reads_R(tmp_path):
         pytest.param("mc-divergence", "experiment", "mode", "single", id="mode-single"),
         pytest.param("mc-divergence", "experiment", "mode", "averaged", id="mode-averaged"),
         pytest.param("mc-sweep", "experiment", "mode", "expected", id="mode-expected"),
+        # the alpha tail value was accepted and hashed but never read: a
+        # constant 0 profile with tail 0.3 ran mc-power as the null model
+        pytest.param("mc-power", "alpha", "tail", 0.3, id="tail"),
     ],
 )
 def test_cli_unknown_key_exits_at_load(tmp_path, monkeypatch, command, section, key, value):
@@ -439,7 +442,8 @@ def test_cli_rejects_flags_a_command_does_not_read(tmp_path, monkeypatch, capsys
         argv += ["--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("usage: spherelrd")
+    # the command's own usage, which lists the flags it takes
+    assert captured.err.startswith(f"usage: spherelrd {command} [-h] --config CONFIG")
     assert f"error: unrecognized arguments: {flag[0]}" in captured.err
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
@@ -519,6 +523,35 @@ def test_cli_malformed_value_exits_1_naming_the_key(
     assert captured.err.startswith("error: ") and repr(key) in captured.err
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("T", [1000.7]), ("R", 2.9), ("directions", 3.5), ("seed", 7.5), ("degrees", [1, 2.5])],
+)
+def test_config_rejects_non_integral_numbers(tmp_path, key, value):
+    # int() would truncate these to T = 1000, R = 2, directions = 3, ...
+    doc = {"model": {"generator": "reference", "degrees": [1, 2]}, "experiment": {"R": 3}}
+    (doc["model"] if key == "degrees" else doc["experiment"])[key] = value
+    with pytest.raises(ConfigError, match=repr(key)):
+        experiment_from_config(doc)
+    assert main(["mc-size", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path)]) == 1
+    # an integral float is still an integer
+    (doc["model"] if key == "degrees" else doc["experiment"])[key] = (
+        [float(round(v)) for v in value] if isinstance(value, list) else float(round(value))
+    )
+    experiment_from_config(doc)
+
+
+def test_experiment_defaults_live_in_the_dataclass():
+    # a document that sets no experiment key gets ExperimentConfig's defaults
+    from spherelrd.harness import ExperimentConfig
+
+    def fields(c):
+        return (c.T_values, c.R, c.beta, c.level, c.n_directions, c.seed, c.threads)
+
+    config = experiment_from_config({"model": {"generator": "reference"}})
+    assert fields(config) == fields(ExperimentConfig(model=config.model))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])

@@ -139,24 +139,6 @@ def test_extreme_level_always_rejects(small_model):
     assert min(table_values(tab, "direction_")) >= 0.8
 
 
-def test_rejection_experiments_build_no_report(small_model, monkeypatch):
-    # size and power decide on the stacked z table; no replication builds a
-    # TestReport (one worker, so the patched class sees every replication)
-    from spherelrd import lrdtest
-
-    built = []
-    post_init = lrdtest.TestReport.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(lrdtest.TestReport, "__post_init__", counting)
-    run_size(_config(small_model, T_values=(128, 256), R=5, threads=1))
-    run_power(_config(example_model(1, 1, 2), T_values=(128, 256), R=5, threads=1))
-    assert built == []
-
-
 def test_run_power_warns_on_null(small_model):
     with pytest.warns(UserWarning, match="reduces to run_size"):
         run_power(_config(small_model, R=2))
@@ -189,22 +171,22 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
 
     calls = []
     rows = []
-    reduce = harness._pair_entries
+    reduce = harness._column_entries
 
     def recording(dft, row, *args):
         reduce(dft, row, *args)
         rows.append((dft, row.copy()))
 
     monkeypatch.setattr(harness, "statistic_matrix", lambda *a: calls.append(a))
-    monkeypatch.setattr(harness, "_pair_entries", recording)
+    monkeypatch.setattr(harness, "_column_entries", recording)
     config = _config(small_model, T_values=(512,), R=6, threads=1)
     run_distribution(config)
     assert calls == []
     assert len(rows) == 6
     moments = null_moments(small_model, 512, bandwidth(512, config.rule()))
-    index = small_model.degrees.index_list()
-    means = np.array([moments.mean(a, a) for a in index])
-    sds = np.sqrt([moments.variance(a, a) for a in index])
+    degree = [n for n, _ in small_model.degrees.index_list()]
+    means = np.array([moments.mean_diag[n] for n in degree])
+    sds = np.sqrt([2.0 * moments.second_moment[(n, n)] for n in degree])
     for dft, row in rows:
         z = (row - means) / sds
         want = (np.diag(statistic_matrix(dft, moments.B)) - means) / sds

@@ -1,29 +1,33 @@
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
+from conftest import smoothed_cross_spectrum
 from scipy import stats
 
+from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.harness import ExperimentConfig
-from spherelrd.models import build_spharma
+from spherelrd.models import example_model
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
-from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency, smoothed_cross_spectrum
+from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
 from spherelrd.lrdtest import (
     BandwidthRule,
     CalibrationUnderAlternative,
     DegenerateBandwidth,
     EmptyWindow,
     TestError,
-    TestReport,
+    _entries,
     bandwidth,
+    column_calibration,
+    column_degrees,
     critical_value,
-    default_pairs,
     g_weights,
+    leading_columns,
     null_moments,
     profile_mean_diag,
-    projected_test,
     statistic_matrix,
     window_indices,
 )
@@ -151,11 +155,8 @@ def test_statistic_matches_full_grid_complex_definition(small_model, T):
     got = statistic_matrix(dft, B)
     np.testing.assert_allclose(got, full.real, rtol=1e-12, atol=0)
     np.testing.assert_allclose(full.imag, 0.0, atol=1e-12 * np.abs(full).max())
-    moments = null_moments(small_model, T, B)
-    pairs = [(a, b) for a in dft.degrees.index_list() for b in dft.degrees.index_list()]
-    report = projected_test(dft, moments, pairs=pairs)
-    want = [full[dft.degrees.column(*a), dft.degrees.column(*b)].real for a, b in pairs]
-    np.testing.assert_allclose([r["statistic"] for r in report.rows], want, rtol=1e-12, atol=0)
+    cols = list(range(dft.degrees.dim))
+    np.testing.assert_allclose(_entries(dft, B, cols), np.diag(full).real, rtol=1e-12, atol=0)
 
 
 def test_statistic_hermitian_real_diagonal(small_dft):
@@ -167,20 +168,42 @@ def test_statistic_hermitian_real_diagonal(small_dft):
     assert np.all(np.diag(S).real > 0)
 
 
-def test_projected_test_matches_statistic_matrix(small_dft, small_model):
-    # The pair-only evaluation equals the full-matrix entries on diagonal and
-    # off-diagonal pairs, within and across degrees.
-    T = small_dft.T
-    moments = null_moments(small_model, T, 0.2)
-    pairs = [((1, 1), (1, 1)), ((2, 5), (2, 5)), ((2, 5), (1, 3)), ((1, 2), (1, 3))]
-    report = projected_test(small_dft, moments, pairs=pairs)
-    full = statistic_matrix(small_dft, 0.2)
-    col = small_dft.degrees.column
-    for (a, b), row in zip(pairs, report.rows):
-        want = full[col(*a), col(*b)].real
+def _test_report(tmp_path, doc, fmt="csv") -> list:
+    """Rows that ``spherelrd test`` writes for ``doc``, as a list of dicts."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["test", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    if fmt == "json":
+        return json.loads((out / "test_report.json").read_text())["results"]
+    with open(out / "test_report.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+TEST_DOC = {
+    "model": {"generator": "example1", "degrees": [1, 3]},
+    "experiment": {"T": [300], "beta": 0.25, "level": 0.05, "directions": 10, "seed": 41},
+}
+
+
+def test_projected_test_matches_statistic_matrix(tmp_path):
+    # spherelrd test reports diagonal entries of the full statistic matrix of
+    # the stream-0 panel, standardized by the null mean and sd sqrt(2 V2(n, n)),
+    # across a degree boundary (directions 10 reach degree 3).
+    rows = _test_report(tmp_path, TEST_DOC, "json")
+    model = example_model(1, 1, 3)
+    dft = fdft_panel(simulate_panel(model, 300, SeedSpec(base_seed=41)))
+    B = bandwidth(300, BandwidthRule(beta=0.25))
+    moments = null_moments(model.srd_part(), 300, B)
+    S = statistic_matrix(dft, B)
+    cols = leading_columns(model.degrees, 10)
+    assert [r["label"] for r in rows] == [f"({n},{j})x({n},{j})" for n, j in cols]
+    for (n, j), row in zip(cols, rows):
+        k = model.degrees.column(n, j)
+        want = S[k, k]
         assert row["statistic"] == pytest.approx(want, rel=1e-12)
-        sd = math.sqrt(moments.variance(a, b))
-        assert row["z"] == pytest.approx((want - moments.mean(a, b)) / sd, rel=1e-12)
+        sd = math.sqrt(2.0 * moments.second_moment[(n, n)])
+        assert row["z"] == pytest.approx((want - moments.mean_diag[n]) / sd, rel=1e-12)
 
 
 def test_statistic_quadratic_scaling(small_model):
@@ -216,13 +239,18 @@ def test_white_noise_null_moments_frozen(white_noise_model):
     assert cont[1] / m.mean_diag[1] == pytest.approx(1.0, abs=0.05)
 
 
-def test_null_moment_accessors(white_noise_model):
-    m = null_moments(white_noise_model, 500, 0.2)
-    a, b = (1, 1), (1, 2)
-    assert m.mean(a, a) == m.mean_diag[1]
-    assert m.mean(a, b) == 0.0
-    assert m.variance(a, a) == pytest.approx(2.0 * m.second_moment[(1, 1)])
-    assert m.variance(a, b) == pytest.approx(m.second_moment[(1, 1)])
+def test_null_moment_accessors(small_model):
+    # a diagonal entry of degree n has null mean mean_diag[n] and variance
+    # 2 V2(n, n); its index is that of its column in the simulated sub-range
+    m = null_moments(small_model, 500, 0.2)
+    cols = [(2, 1), (1, 3), (2, 5)]
+    idx, mean, sd = column_calibration(DegreeRange(1, 2), m, cols)
+    assert idx == [3, 2, 7]
+    np.testing.assert_array_equal(mean, [m.mean_diag[2], m.mean_diag[1], m.mean_diag[2]])
+    np.testing.assert_allclose(sd**2, [2.0 * m.second_moment[(n, n)] for n, _ in cols], rtol=1e-15)
+    assert m.mean_diag[1] != m.mean_diag[2]
+    idx, _, _ = column_calibration(DegreeRange(2, 2), m, [(2, 1), (2, 5)])
+    assert idx == [0, 4]
 
 
 def test_continuous_moments_node_converged(small_model, monkeypatch):
@@ -272,56 +300,52 @@ def test_critical_value():
 
 
 def test_report_rows_and_csv(tmp_path):
-    report = TestReport(level=0.05)
-    report.extend(["x", "y"], [1.0, 4.0], [0.5, 3.5])
-    assert [row["reject"] for row in report.rows] == [False, True]
-    assert report.rows[0]["p"] == pytest.approx(2 * stats.norm.sf(0.5))
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["pair_or_direction", "statistic", "z", "p", "reject"]
-    assert rows[1][0] == "x" and rows[2][4] == "1"
-    report.write_json(tmp_path / "report.json")
-    assert (tmp_path / "report.json").exists()
+    rows = _test_report(tmp_path, TEST_DOC)
+    assert list(rows[0]) == ["pair_or_direction", "statistic", "z", "p", "reject"]
+    assert [r["pair_or_direction"] for r in rows][:4] == [
+        "(1,1)x(1,1)", "(1,2)x(1,2)", "(1,3)x(1,3)", "(2,1)x(2,1)"
+    ]
+    assert all(r["reject"] in ("0", "1") for r in rows)
+    # Example 1 is long-memory: its first directions reject at T = 300
+    assert rows[0]["reject"] == "1"
+    jrows = _test_report(tmp_path, TEST_DOC, "json")
+    for row, jrow in zip(rows, jrows):
+        for key in ("statistic", "z", "p"):
+            assert row[key] == f"{jrow[key]:.10g}"
+        assert row["reject"] == str(int(jrow["reject"]))
 
 
-def test_report_extend_decides_like_scalar_formulas():
-    # one vector call gives the rows the per-row scalar formulas give
-    zs = [-2.5, -0.3, 0.0, 1.7, 1.96, 3.2]
-    report = TestReport(level=0.05)
-    report.extend([f"r{k}" for k in range(len(zs))], np.multiply(zs, 10.0), np.array(zs))
+def test_report_extend_decides_like_scalar_formulas(tmp_path):
+    # the vector decision gives the rows the per-row scalar formulas give
     crit = critical_value(0.05)
-    for k, (z, row) in enumerate(zip(zs, report.rows)):
-        assert row == {
-            "label": f"r{k}",
-            "statistic": 10.0 * z,
-            "z": z,
-            "p": float(2.0 * stats.norm.sf(abs(z))),
-            "reject": abs(z) > crit,
-        }
+    rows = _test_report(tmp_path, TEST_DOC, "json")
+    assert len(rows) == 10
+    for row in rows:
+        z = row["z"]
+        assert row["p"] == float(2.0 * stats.norm.sf(abs(z)))
+        assert row["reject"] is (abs(z) > crit)
 
 
-def test_default_pairs():
-    pairs = default_pairs(DegreeRange(1, 8))
-    assert len(pairs) == 8
-    assert pairs[0] == ((1, 1), (1, 1))
-    assert pairs[2] == ((1, 3), (1, 3))
-    assert pairs[3] == ((2, 1), (2, 1))
-    assert pairs[7] == ((2, 5), (2, 5))
-    assert all(a == b for a, b in pairs)
+def test_leading_columns():
+    cols = leading_columns(DegreeRange(1, 8), 8)
+    assert cols == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5)]
+    # degree 0 carries no test column
+    assert leading_columns(DegreeRange(0, 2), 2) == [(1, 1), (1, 2)]
+    assert len(leading_columns(DegreeRange(0, 2), None)) == 8
+    assert column_degrees(cols) == DegreeRange(1, 2)
+    assert column_degrees([(3, 1), (5, 2)]) == DegreeRange(3, 5)
 
 
-def test_projected_test_requires_moments(small_dft):
-    with pytest.raises(TypeError):
-        projected_test(small_dft)
-
-
-def test_projected_test_report(small_dft, small_model):
-    T = small_dft.T
-    B = bandwidth(T, BandwidthRule(beta=0.25))
-    report = projected_test(small_dft, null_moments(small_model, T, B))
-    assert len(report.rows) == 8
-    assert all(np.isfinite(r["z"]) for r in report.rows)
-    assert all(0.0 <= r["p"] <= 1.0 for r in report.rows)
-
+def test_projected_test_report(tmp_path):
+    # spherelrd test is replication 0 of mc-power on the same config: its
+    # decisions are the R = 1 power table's rates
+    rows = _test_report(tmp_path, TEST_DOC)
+    cfg = tmp_path / "config.json"
+    doc = dict(TEST_DOC, experiment=dict(TEST_DOC["experiment"], R=1))
+    cfg.write_text(json.dumps(doc))
+    assert main(["mc-power", "--config", str(cfg), "--out", str(tmp_path / "power")]) == 0
+    with open(tmp_path / "power" / "power.csv") as fh:
+        rates = [r["value"] for r in csv.DictReader(fh)]
+    assert rates == [r["reject"] for r in rows]
+    assert all(np.isfinite(float(r["z"])) for r in rows)
+    assert all(0.0 <= float(r["p"]) <= 1.0 for r in rows)

@@ -216,10 +216,6 @@ def test_ar_roots_outside_unit_circle(reference_model):
         assert np.all(reference_model.ar_root_moduli(n) > 1.0)
 
 
-def test_alpha_tail_value(example1_model):
-    assert example1_model.alpha.tail_value == pytest.approx(0.2678)
-
-
 def test_alpha_length_mismatch_rejected():
     with pytest.raises(ModelError):
         build_spharma(

@@ -3,8 +3,7 @@ must be used by the package.
 
 A public function, class or constant, or a public method or property of a
 package class, that no module of the package references is reachable from
-neither the CLI nor the harness.  The only such name kept on purpose is
-``cli._Parser.error``, which argparse calls.
+neither the CLI nor the harness.  No such name is kept.
 
 Likewise a defaulted parameter of a module-level function that no call in
 the package passes, by keyword or by position, is a knob only tests turn.
@@ -19,7 +18,7 @@ import spherelrd
 
 ALLOWED_ORPHANS = set()
 
-ALLOWED_ORPHAN_MEMBERS = {"cli._Parser.error"}
+ALLOWED_ORPHAN_MEMBERS = set()
 
 ALLOWED_UNPASSED_DEFAULTS = {"cli.main(argv)"}
 

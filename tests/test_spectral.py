@@ -1,8 +1,11 @@
 import csv
+import json
 
 import numpy as np
 import pytest
+from conftest import full_grid_column, smoothed_cross_spectrum
 
+from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
@@ -14,7 +17,7 @@ from spherelrd.spectral import (
     fdft_panel,
     kernel_row,
     reduce_frequency,
-    smoothed_cross_spectrum,
+    smoothed_spectrum,
     smoothed_spectrum_grid,
     write_spectrum_csv,
 )
@@ -56,7 +59,7 @@ def smoothed_column_grid(dft: DftPanel, a, B: float) -> np.ndarray:
     """f_hat[a, a] at every Fourier frequency for one column, by one real
     circular convolution per column: the oracle for the batched diagonal grid."""
     T = dft.T
-    c = dft.column(*a)
+    c = full_grid_column(dft, a)
     p = np.square(c.real) + np.square(c.imag)
     p[0] = 0.0
     return np.fft.irfft(np.fft.rfft(p) * np.fft.rfft(smoothing_kernel(T, B)), n=T)
@@ -146,11 +149,6 @@ def test_smoothed_spectrum_hermitian(small_dft):
     assert faa.real > 0
 
 
-def test_smoothed_spectrum_rejects_out_of_range(small_dft):
-    with pytest.raises(SpectralError):
-        smoothed_cross_spectrum(small_dft, (1, 1), (1, 1), 4.0, 0.2)
-
-
 def test_smoothed_spectrum_grid_matches_pointwise(small_dft):
     T = small_dft.T
     grid = smoothed_spectrum_grid(small_dft, 0.2)
@@ -193,7 +191,7 @@ def test_dft_column_mirrors_half_grid(small_model):
         full = np.fft.fft(panel.data, axis=0) / np.sqrt(2 * np.pi * T)
         dft = fdft_panel(panel)
         for n, j in dft.degrees.index_list():
-            col = dft.column(n, j)
+            col = full_grid_column(dft, (n, j))
             assert col.shape == (T,)
             np.testing.assert_allclose(col, full[:, dft.degrees.column(n, j)], rtol=0, atol=1e-12)
 
@@ -215,12 +213,41 @@ def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
 
 def test_write_spectrum_csv(tmp_path, small_dft):
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(path, small_dft, [((1, 1), (1, 1))], [0.5, 1.0], 0.2)
+    write_spectrum_csv(path, small_dft, np.array([0.5, 1.0]), 0.2)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"]
-    assert len(rows) == 3
-    assert float(rows[1][5]) > 0
+    assert len(rows) == 1 + 2 * 8
+    assert rows[1][:5] == ["0.5", "1", "1", "1", "1"]
+    assert rows[-1][:5] == ["1", "2", "5", "2", "5"]
+    assert all(float(row[5]) > 0 and row[6] == "0" for row in rows[1:])
+
+
+@pytest.mark.parametrize("T", [64, 1001])
+def test_spectrum_matches_cross_spectrum_oracle(tmp_path, T):
+    # spherelrd spectrum smooths in one matrix product; the oracle sums each
+    # (omega, column) term by term over the mirrored full grid.  The CSV holds
+    # 10 significant digits, the product itself agrees to 1e-12.
+    doc = {
+        "model": {"generator": "example1", "degrees": [1, 2]},
+        "experiment": {"T": [T], "beta": 0.25, "seed": 99},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "spectrum.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    dft = fdft_panel(simulate_panel(example_model(1, 1, 2), T, SeedSpec(base_seed=99)))
+    B = T**-0.25
+    omegas = np.linspace(0.0, np.pi, 65)
+    index = dft.degrees.index_list()
+    oracle = np.array([[smoothed_cross_spectrum(dft, a, a, w, B).real for a in index] for w in omegas])
+    np.testing.assert_allclose(smoothed_spectrum(dft, omegas, B), oracle, rtol=1e-12, atol=0)
+    assert len(rows) == oracle.size
+    for row, (w, (n, j)), want in zip(rows, ((w, a) for w in omegas for a in index), oracle.ravel()):
+        assert (row["omega"], row["n_a"], row["j_a"]) == (f"{w:.10g}", str(n), str(j))
+        assert (row["n_b"], row["j_b"], row["im"]) == (str(n), str(j), "0")
+        assert float(row["re"]) == pytest.approx(want, rel=5e-10)
 
 
 def test_dft_panel_validation():
