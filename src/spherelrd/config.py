@@ -28,8 +28,6 @@ convert fails as the config is built, with a ``ConfigError`` naming the key.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
-
 import numpy as np
 
 from .harmonics import DegreeRange
@@ -150,18 +148,15 @@ def model_from_config(doc: dict) -> SpectralModel:
                 f"generator {gen!r} does not accept explicit fields {sorted(explicit & spec.keys())}"
             )
     try:
-        if gen == "reference":
-            model = reference_spharma11(n_min, n_max)
-            if "alpha" in spec:
-                model = replace(model, alpha=_alpha_from_doc(spec["alpha"], model.n_degrees))
-            return model
-        if gen is not None:
+        if gen is not None and gen != "reference":
             return example_model(int(gen[len("example"):]), n_min, n_max)
         degrees = DegreeRange(n_min, n_max)
         n_deg = len(degrees.degrees)
         alpha = (
             _alpha_from_doc(spec["alpha"], n_deg) if "alpha" in spec else None
         )
+        if gen == "reference":
+            return reference_spharma11(n_min, n_max, alpha=alpha)
         return build_spharma(
             degrees,
             np.asarray(spec.get("phi", []), dtype=float),

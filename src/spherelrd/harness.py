@@ -1,25 +1,31 @@
 """Monte Carlo experiment drivers: size, power, null distribution, divergence,
 bandwidth sweeps, and estimator-consistency decay.
 
-Every experiment runs on one replication engine.  It first builds one plan per
-sample length T (the model or the simulated degree sub-range, T, the seed, and
-a reducer with its fixed arguments), which resolves every T's bandwidth,
-window and null moments before any replication runs.  One worker runs
-simulate -> DFT -> reducer over a chunk of replications; the reducer adds each
-replication into the chunk's running sum or writes it as one row of a stacked
-array.  All chunks of an experiment go to one process pool, or run inline at
-one worker.
+Every experiment runs on one replication engine.  It first builds one plan
+per experiment (the model or the simulated degree sub-range, every sample
+length T, the seed, and a reducer with each T's fixed arguments), which
+resolves every T's bandwidth, window and null moments before any replication
+runs.  One worker runs a chunk of replications: each simulates one panel at
+the longest T, and each T reads that panel's first T rows, takes their DFT
+and calls the reducer, which adds the replication into the chunk's running
+sum or writes it as one row of a stacked array.  A shorter panel is the
+prefix of a longer one on the same stream (see ``simulate``), so this equals
+simulating every T on its own: bit for bit in null degrees, up to float
+rounding in long-memory ones.  All chunks of an experiment go to one process
+pool, or run inline at one worker.
 
 Replications are keyed by per-degree seeded streams (stream_id = replication
 index) and cut into at most four chunks whose boundaries depend on R alone,
-never on the worker count.  Chunks are summed or stacked in chunk order, so
-the tables agree bit for bit at any worker count.  Size and power simulate
-only the degrees their columns touch; per-degree streams make this exact.
+never on the worker count.  Chunks are stacked, or added one by one into a
+running total as they arrive, in chunk order, so the tables agree bit for bit
+at any worker count.  Size and power simulate only the degrees their columns
+touch; per-degree streams make this exact.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +41,7 @@ from scipy import stats
 from . import __version__
 from .harmonics import DegreeRange
 from .models import SpectralModel
-from .simulate import STREAMS, SeedSpec, simulate_panel
+from .simulate import STREAMS, CoefficientPanel, SeedSpec, simulate_panel
 from .spectral import fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
     BandwidthRule,
@@ -108,6 +114,12 @@ class ExperimentConfig:
         object.__setattr__(self, "T_values", ts)
 
     def null_model(self) -> SpectralModel:
+        return self._null_model
+
+    @functools.cached_property
+    def _null_model(self) -> SpectralModel:
+        """The model itself when null, else its short-memory factor: built on
+        first use and kept, so a run validates it once."""
         return self.model if self.model.is_null() else self.model.srd_part()
 
     def rule(self) -> BandwidthRule:
@@ -207,37 +219,44 @@ def _binomial_se(rate: float, R: int) -> float:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One (experiment, T): what a replication simulates and how it reduces.
+    """One experiment: what a replication simulates and how each T reduces it.
 
-    ``reduce(dft, out, *args)`` writes one replication into ``out``: into the
-    chunk's running sum of shape ``shape``, or, with ``stack``, into that
-    replication's row of a (replications, *shape) array.  ``reduce`` is a
-    top-level function, so a plan pickles as it is.
+    A replication simulates one panel at the longest T; every T in
+    ``T_values`` reads its first T rows, takes their DFT and calls
+    ``reduce(dft, out, *args[k])`` for the k-th T.  The reducer writes into
+    the chunk's running sum of shape ``shapes[k]``, or, with ``stack``, into
+    that replication's row of a (replications, *shapes[k]) array.  ``reduce``
+    is a top-level function, so a plan pickles as it is.
     """
 
     model: SpectralModel
-    T: int
+    T_values: tuple
     seed: int
     reduce: Callable
     args: tuple
-    shape: tuple
+    shapes: tuple
     stack: bool = False
     degrees: DegreeRange | None = None
 
 
-def _run_chunk(task) -> np.ndarray:
+def _run_chunk(task) -> list:
+    """Per T, the outputs of the replications ``streams`` of ``plan``."""
     plan, streams = task
-    out = np.zeros((len(streams), *plan.shape) if plan.stack else plan.shape)
+    lead = (len(streams),) if plan.stack else ()
+    outs = [np.zeros(lead + shape) for shape in plan.shapes]
+    longest = max(plan.T_values)
     for i, r in enumerate(streams):
         seed = SeedSpec(base_seed=plan.seed, stream_id=r)
-        panel = simulate_panel(plan.model, plan.T, seed, degrees=plan.degrees)
-        plan.reduce(fdft_panel(panel), out[i] if plan.stack else out, *plan.args)
-    return out
+        panel = simulate_panel(plan.model, longest, seed, degrees=plan.degrees)
+        for T, out, args in zip(plan.T_values, outs, plan.args):
+            prefix = CoefficientPanel(T=T, degrees=panel.degrees, data=panel.data[:T])
+            plan.reduce(fdft_panel(prefix), out[i] if plan.stack else out, *args)
+    return outs
 
 
-# Replication chunks per plan.  A fixed count keeps the chunk boundaries, and
-# with them the grouping of floating-point sums across chunks, the same for
-# every worker count.
+# Replication chunks per experiment.  A fixed count keeps the chunk
+# boundaries, and with them the grouping of floating-point sums across
+# chunks, the same for every worker count.
 _N_CHUNKS = 4
 
 
@@ -246,29 +265,28 @@ def _chunks(R: int) -> list:
     return [list(range(i, min(i + per, R))) for i in range(0, R, per)]
 
 
-def _replicate(plans: list, R: int, threads: int) -> list:
-    """R replications of every plan: per plan, its chunks summed or stacked in
-    chunk order.  Every chunk of every plan goes to one pool."""
-    chunks = _chunks(R)
-    tasks = [(plan, c) for plan in plans for c in chunks]
+def _replicate(plan: _Plan, R: int, threads: int) -> list:
+    """R replications of ``plan``: per T, its chunks summed or stacked in
+    chunk order.  Every chunk goes to one pool."""
+    tasks = [(plan, c) for c in _chunks(R)]
     workers = min(threads, len(tasks))
     if workers == 1:
-        return _gather(plans, map(_run_chunk, tasks), len(chunks))
+        return _gather(plan, map(_run_chunk, tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _gather(plans, pool.map(_run_chunk, tasks), len(chunks))
+        return _gather(plan, pool.map(_run_chunk, tasks))
 
 
-def _gather(plans: list, results, n_chunks: int) -> list:
-    out = []
-    for plan in plans:
-        parts = [next(results) for _ in range(n_chunks)]
-        if plan.stack:
-            out.append(np.concatenate(parts))
-            continue
-        for part in parts[1:]:
-            parts[0] += part
-        out.append(parts[0])
-    return out
+def _gather(plan: _Plan, results) -> list:
+    """Per T, the chunk outputs stacked, or summed as ((c0 + c1) + c2) + c3:
+    each chunk is added to the running total as it arrives, so at most one
+    chunk is held beside the total."""
+    if plan.stack:
+        return [np.concatenate(parts) for parts in zip(*results)]
+    total = next(results)
+    for part in results:
+        for acc, add in zip(total, part):
+            acc += add
+    return total
 
 
 # --- reducers: (dft, out, *args), top-level so that plans pickle --------------
@@ -313,13 +331,14 @@ def _standardized_entries(config: ExperimentConfig, cols, R: int) -> list:
     ``config.R``; ``spherelrd test`` reads replication 0 alone (R = 1).
     """
     degrees = column_degrees(cols)
-    plans, calibrations = [], []
-    for T, moments in zip(config.T_values, _calibrate(config)):
+    args, calibrations = [], []
+    for moments in _calibrate(config):
         idx, mean, sd = column_calibration(degrees, moments, cols)
-        plans.append(_Plan(config.model, T, config.seed, _column_entries, (moments.B, idx),
-                           (len(cols),), stack=True, degrees=degrees))
+        args.append((moments.B, idx))
         calibrations.append((mean, sd))
-    entries = _replicate(plans, R, config.threads)
+    plan = _Plan(config.model, config.T_values, config.seed, _column_entries, tuple(args),
+                 ((len(cols),),) * len(args), stack=True, degrees=degrees)
+    entries = _replicate(plan, R, config.threads)
     return [(s, (s - mean) / sd) for s, (mean, sd) in zip(entries, calibrations)]
 
 
@@ -380,15 +399,17 @@ def run_divergence(config: ExperimentConfig) -> McTable:
     one seeded realization of stream 0.
     """
     table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
-    plans = []
+    args = []
     for T in config.T_values:
         B = bandwidth(T, config.rule())
         g_weights(T, B)  # an empty window fails here, before any replication
-        plans.append(_Plan(config.model, T, config.seed, _hs_norms, (B,), (2,), stack=True))
-    for plan, norms in zip(plans, _replicate(plans, config.R, config.threads)):
+        args.append((B,))
+    plan = _Plan(config.model, config.T_values, config.seed, _hs_norms, tuple(args),
+                 ((2,),) * len(args), stack=True)
+    for T, norms in zip(config.T_values, _replicate(plan, config.R, config.threads)):
         stat, gridsum = np.median(norms, axis=0)
-        table.add(plan.T, config.R, config.beta, "hs_norm_statistic", stat)
-        table.add(plan.T, config.R, config.beta, "hs_norm_gridsum", gridsum)
+        table.add(T, config.R, config.beta, "hs_norm_statistic", stat)
+        table.add(T, config.R, config.beta, "hs_norm_gridsum", gridsum)
     return table
 
 
@@ -434,13 +455,11 @@ def run_consistency(config: ExperimentConfig) -> McTable:
         raise InsufficientReplications("variance estimation requires R >= 2")
     table = McTable("consistency", manifest=_config_manifest(config, "consistency"))
     Bs = [bandwidth(T, config.rule()) for T in config.T_values]
-    plans = [
-        _Plan(config.model, T, config.seed, _spectrum_moments, (B,),
-              (2, config.model.degrees.dim, T))
-        for T, B in zip(config.T_values, Bs)
-    ]
+    plan = _Plan(config.model, config.T_values, config.seed, _spectrum_moments,
+                 tuple((B,) for B in Bs),
+                 tuple((2, config.model.degrees.dim, T) for T in config.T_values))
     logx, logy = [], []
-    for T, B, (acc, acc2) in zip(config.T_values, Bs, _replicate(plans, config.R, config.threads)):
+    for T, B, (acc, acc2) in zip(config.T_values, Bs, _replicate(plan, config.R, config.threads)):
         var = acc2 / config.R - (acc / config.R) ** 2
         omegas = np.abs(reduce_frequency(2 * np.pi * np.arange(T) / T))
         keep = omegas > math.sqrt(B) / 2.0

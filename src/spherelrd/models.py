@@ -263,12 +263,15 @@ def reference_ma_eigenvalues(degrees: DegreeRange) -> np.ndarray:
     return 0.4 * ((n + 1.0) / n) ** (-5.0 / 1.95)
 
 
-def reference_spharma11(n_min: int = 1, n_max: int = 8) -> SpectralModel:
-    """The canonical SPHARMA(1,1) short-memory model on degrees 1..8."""
+def reference_spharma11(
+    n_min: int = 1, n_max: int = 8, alpha: AlphaProfile | None = None
+) -> SpectralModel:
+    """The canonical SPHARMA(1,1) model on degrees 1..8, short-memory unless
+    an ``alpha`` profile is given; built and validated once."""
     degrees = DegreeRange(n_min, n_max)
     phi = reference_ar_eigenvalues(degrees)[:, None]
     psi = reference_ma_eigenvalues(degrees)[:, None]
-    return build_spharma(degrees, phi, psi, innov=1.0)
+    return build_spharma(degrees, phi, psi, innov=1.0, alpha=alpha)
 
 
 _EXAMPLE_ALPHA = {
@@ -292,5 +295,5 @@ def example_alpha_profile(example: int, n_degrees: int = 8) -> AlphaProfile:
 
 def example_model(example: int, n_min: int = 1, n_max: int = 8) -> SpectralModel:
     """Multifractionally integrated SPHARMA(1,1) models for Examples 1-4."""
-    base = reference_spharma11(n_min, n_max)
-    return replace(base, alpha=example_alpha_profile(example, n_degrees=base.n_degrees))
+    alpha = example_alpha_profile(example, n_degrees=len(DegreeRange(n_min, n_max).degrees))
+    return reference_spharma11(n_min, n_max, alpha=alpha)

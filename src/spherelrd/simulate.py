@@ -31,6 +31,15 @@ when alpha(n) > 0 and empty otherwise.
 A panel may cover a contiguous sub-range of the model's degrees.  Because a
 degree's stream does not depend on which other degrees are drawn, the
 sub-range panel equals the matching columns of the full panel bit for bit.
+
+A panel of length T is the first T rows of the panel of any longer length
+T' on the same seed: a degree's stream yields the same state normals and
+then the same innovations in row order, the pre-sample is ``_TRUNCATION``
+rows whatever T is, and both the ARMA recursion and the fractional filter
+are causal.  White-noise and short-memory degrees match bit for bit; in a
+long-memory degree only the FFT length of the filter changes with T, which
+moves the rounding (about 1e-15 of the panel's scale).  The harness reads
+every T of an experiment from one panel at the longest T.
 """
 
 from __future__ import annotations

@@ -276,6 +276,34 @@ def test_cli_mc_size(tmp_path):
     assert payload["experiment"] == "size"
 
 
+@pytest.mark.parametrize(
+    "command, generator, alpha, validations",
+    [
+        ("mc-power", "example1", None, 2),  # the model and its short-memory factor
+        ("mc-size", "reference", None, 1),  # a null model is its own calibration
+        ("mc-power", "reference", {"kind": "constant", "values": 0.2}, 2),
+    ],
+)
+def test_cli_run_validates_each_model_once(tmp_path, monkeypatch, command, generator, alpha, validations):
+    from spherelrd.models import SpectralModel
+
+    validate = SpectralModel.__post_init__
+    validated = []
+
+    def counting(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SpectralModel, "__post_init__", counting)
+    doc = {"model": {"generator": generator, "degrees": [1, 2]},
+           "experiment": {"T": [128, 256], "R": 2, "seed": 5}}
+    if alpha is not None:
+        doc["model"]["alpha"] = alpha
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(validated) == validations
+
+
 def test_cli_mc_divergence_and_sweep(tmp_path):
     doc = dict(SMALL_DOC)
     doc["experiment"] = {"T": [128], "R": 1, "seed": 3, "betas": [0.3, 0.5]}

@@ -300,3 +300,37 @@ def test_same_seed_same_table(small_model):
     assert a.rows == b.rows
     c = run_size(_config(small_model, R=10, seed=78))
     assert a.rows != c.rows
+
+
+def test_each_replication_simulates_once_at_the_longest_T(monkeypatch):
+    # k sample lengths and R replications draw R panels, all at the longest T;
+    # every shorter T reads the first rows of its replication's panel
+    from spherelrd import harness
+
+    lengths = []
+
+    def counting(model, T, *args, **kwargs):
+        lengths.append(T)
+        return simulate_panel(model, T, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_panel", counting)
+    model = example_model(1, 1, 2)
+    run_power(_config(model, T_values=(128, 512, 256), R=7))
+    assert lengths == [512] * 7
+    lengths.clear()
+    run_consistency(_config(model, T_values=(128, 256), R=5))
+    assert lengths == [256] * 5
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_two_T_run_matches_one_T_runs(threads):
+    model = example_model(1, 1, 2)
+    both = _config(model, T_values=(128, 512), R=8, threads=threads)
+    power = run_power(both)
+    consistency = run_consistency(both)
+    for T in both.T_values:
+        one = _config(model, T_values=(T,), R=8, threads=threads)
+        assert table_values(power, "direction_", T=T) == table_values(run_power(one), "direction_")
+        want = table_values(run_consistency(one), "integrated_variance")
+        got = table_values(consistency, "integrated_variance", T=T)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

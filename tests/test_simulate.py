@@ -225,6 +225,35 @@ def test_degree_subrange_matches_full_panel_columns(model, T):
     assert np.array_equal(sub.data, full.data[:, lo:hi])
 
 
+@pytest.mark.parametrize(
+    "model, degrees",
+    [
+        (example_model(1), None),
+        (example_model(4), None),
+        (example_model(1), DegreeRange(2, 4)),
+        (reference_spharma11(1, 3, alpha=AlphaProfile(np.array([0.3, 0.0, 0.2]))), None),
+    ],
+    ids=["ex1", "ex4", "ex1-subrange", "mixed"],
+)
+def test_shorter_panel_is_prefix_of_longer(model, degrees):
+    # the harness simulates each replication once at the longest T and reads
+    # every shorter T from its first rows.  Null degrees are bit-identical;
+    # a long-memory degree differs only by the FFT length of its filter.
+    seed = SeedSpec(base_seed=17, stream_id=2)
+    long = simulate_panel(model, 1000, seed, degrees=degrees)
+    panel_degrees = long.degrees
+    for T in (50, 100, 999):
+        short = simulate_panel(model, T, seed, degrees=degrees)
+        for n in panel_degrees.degrees:
+            lo = panel_degrees.column_offset(n)
+            cols = slice(lo, lo + 2 * n + 1)
+            if model.alpha.values[model.degree_index(n)] == 0:
+                assert np.array_equal(short.data[:, cols], long.data[:T, cols])
+            else:
+                gap = np.max(np.abs(short.data[:, cols] - long.data[:T, cols]))
+                assert gap <= 1e-13 * np.max(np.abs(long.data))
+
+
 def test_degree_subrange_outside_model_raises():
     model = example_model(1, 1, 4)
     seed = SeedSpec(base_seed=31)
