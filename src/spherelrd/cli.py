@@ -13,8 +13,9 @@ Subcommands map one-to-one onto library entry points:
     mc-consistency  integrated-variance decay of the spectral estimator
     validate-model  per-degree stationarity and exponent diagnostics
 
-Each command takes only the flags it reads (``_FLAGS``); any other flag is a
-usage error.  validate-model prints to stdout and takes --config alone; every
+Each command reads only the experiment keys its entry in ``_COMMANDS`` names,
+and takes only the flags that follow from them; any other flag is a usage
+error.  validate-model prints to stdout and takes --config alone; every
 other command writes its files under --out (default: current directory).
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 """
@@ -26,6 +27,8 @@ import csv
 import json
 import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -71,31 +74,37 @@ _FLAG_SPECS = {
     "T": dict(type=int, default=None, help="override sample length"),
 }
 
-# The flags each command reads, besides --config.  The replicating mc-*
-# commands take all of them; mc-sweep runs no replication.
-_ALL = tuple(_FLAG_SPECS)
-_FLAGS = {
-    "simulate": ("seed", "out", "format", "T"),
-    "spectrum": ("seed", "out", "T"),
-    "test": ("seed", "out", "format", "T"),
-    "mc-size": _ALL,
-    "mc-power": _ALL,
-    "mc-dist": _ALL,
-    "mc-divergence": _ALL,
-    "mc-sweep": ("out", "format", "T"),
-    "mc-consistency": _ALL,
-    "validate-model": (),
-}
+
+class _Command(NamedTuple):
+    """A command's handler(doc, args), the experiment keys it reads and the
+    output formats it writes."""
+
+    run: Callable
+    keys: tuple
+    formats: tuple
+
+    def flags(self) -> list:
+        """The flags it takes besides --config, in ``_FLAG_SPECS`` order:
+        --seed and --T with the key of that name, --threads with R, --out
+        with any output format and --format with more than one."""
+        takes = {
+            "seed": "seed" in self.keys,
+            "out": bool(self.formats),
+            "threads": "R" in self.keys,
+            "format": len(self.formats) > 1,
+            "T": "T" in self.keys,
+        }
+        return [flag for flag in _FLAG_SPECS if takes[flag]]
 
 
 def _build_parser() -> tuple:
     """The top-level parser, and the parser of each command by name."""
     parser = _Parser(prog="spherelrd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
-        for flag in flags:
+        for flag in command.flags():
             p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
     return parser, sub.choices
 
@@ -117,7 +126,7 @@ def _emit_table(table, args, name: str) -> None:
 def _experiment(doc, args):
     """The document's experiment with the overrides this command takes."""
     overrides = {k: getattr(args, k) for k in ("seed", "T", "threads") if hasattr(args, k)}
-    return experiment_from_config(doc, **overrides)
+    return experiment_from_config(doc, _COMMANDS[args.command].keys, **overrides)
 
 
 def _one_T(config) -> int:
@@ -160,10 +169,11 @@ def _cmd_test(doc, args) -> None:
     config = _experiment(doc, args)
     _one_T(config)
     cols = leading_columns(config.model.degrees, config.n_directions)
+    crit = critical_value(config.level)
     [(s, z)] = _standardized_entries(config, cols, 1)
     s, z = s[0], z[0]
     p = 2.0 * stats.norm.sf(np.abs(z))
-    reject = np.abs(z) > critical_value(config.level)
+    reject = np.abs(z) > crit
     labels = [f"({n},{j})x({n},{j})" for n, j in cols]
     rows = list(zip(labels, s.tolist(), z.tolist(), p.tolist(), reject.tolist()))
     if args.format == "json":
@@ -202,30 +212,39 @@ def _cmd_validate_model(doc, args) -> None:
         )
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "spectrum": _cmd_spectrum,
-    "test": _cmd_test,
-    "mc-sweep": _cmd_sweep,
-    "validate-model": _cmd_validate_model,
-}
+def _cmd_mc(name: str, runner, doc, args) -> None:
+    _emit_table(runner(_experiment(doc, args)), args, name)
 
-_MC = {
-    "mc-size": ("size", run_size),
-    "mc-power": ("power", run_power),
-    "mc-dist": ("distribution", run_distribution),
-    "mc-divergence": ("divergence", run_divergence),
-    "mc-consistency": ("consistency", run_consistency),
+
+_EVERY_KEY = ("T", "R", "beta", "level", "directions", "seed")
+_REPLICATED = ("T", "R", "beta", "seed")
+_TABLE = ("csv", "json")
+
+# The one table of commands.  A key of the experiment section that a command
+# does not read is neither converted, checked nor hashed; the run names it on
+# stderr.
+_COMMANDS = {
+    "simulate": _Command(_cmd_simulate, ("T", "seed"), ("csv", "json")),
+    "spectrum": _Command(_cmd_spectrum, ("T", "beta", "seed"), ("csv",)),
+    "test": _Command(_cmd_test, ("T", "beta", "level", "directions", "seed"), ("csv", "json")),
+    "mc-size": _Command(partial(_cmd_mc, "size", run_size), _EVERY_KEY, _TABLE),
+    "mc-power": _Command(partial(_cmd_mc, "power", run_power), _EVERY_KEY, _TABLE),
+    "mc-dist": _Command(partial(_cmd_mc, "distribution", run_distribution), _REPLICATED, _TABLE),
+    "mc-divergence": _Command(partial(_cmd_mc, "divergence", run_divergence), _REPLICATED, _TABLE),
+    "mc-sweep": _Command(_cmd_sweep, ("T", "betas"), _TABLE),
+    "mc-consistency": _Command(partial(_cmd_mc, "consistency", run_consistency), _REPLICATED, _TABLE),
+    "validate-model": _Command(_cmd_validate_model, (), ()),
 }
 
 
 def _dispatch(args) -> None:
     doc = load_config(args.config)
-    if args.command in _MC:
-        name, runner = _MC[args.command]
-        _emit_table(runner(_experiment(doc, args)), args, name)
-    else:
-        _COMMANDS[args.command](doc, args)
+    command = _COMMANDS[args.command]
+    command.run(doc, args)
+    unread = sorted(set(doc.get("experiment", {})) - set(command.keys))
+    if unread:
+        names = ", ".join(repr(key) for key in unread)
+        print(f"note: {args.command} does not read {names}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

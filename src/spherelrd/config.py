@@ -21,8 +21,9 @@ A config document has two sections::
 override nothing when a generator is named (mixing the two is an error,
 except that an explicit ``alpha`` section may be attached to "reference").
 ``load_config`` rejects any key outside ``_KEYS``, so a misspelt option
-fails at load instead of being ignored; a known key whose value does not
-convert fails as the config is built, with a ``ConfigError`` naming the key.
+fails at load instead of being ignored.  A known key that the command reads
+and whose value does not convert fails as the config is built, with a
+``ConfigError`` naming the key; a known key it does not read is left alone.
 """
 
 from __future__ import annotations
@@ -181,12 +182,16 @@ _EXPERIMENT_FIELDS = {
 
 def experiment_from_config(
     doc: dict,
+    keys: tuple | None = None,
     seed: int | None = None,
     T: int | None = None,
     threads: int = 1,
 ) -> ExperimentConfig:
-    """Build an ExperimentConfig from the keys the document sets; the rest keep
-    the ``ExperimentConfig`` defaults.  CLI-level overrides win over the document."""
+    """Build an ExperimentConfig from the experiment ``keys`` a command reads
+    (None: every key); each of them that the document sets is converted and
+    checked, and the rest keep the ``ExperimentConfig`` defaults.  A key
+    outside ``keys`` is neither converted nor checked.  CLI-level overrides
+    win over the document."""
     model = model_from_config(doc)
     exp = doc.get("experiment", {})
     if not isinstance(exp, dict):
@@ -202,7 +207,7 @@ def experiment_from_config(
     fields = {
         name: _field("experiment", key, values[key], convert)
         for key, (name, convert) in _EXPERIMENT_FIELDS.items()
-        if key in values
+        if key in values and (keys is None or key in keys)
     }
     try:
         return ExperimentConfig(model=model, threads=threads, **fields)

@@ -41,7 +41,7 @@ from scipy import stats
 from . import __version__
 from .harmonics import DegreeRange
 from .models import SpectralModel
-from .simulate import STREAMS, CoefficientPanel, SeedSpec, simulate_panel
+from .simulate import STREAMS, SeedSpec, simulate_panel
 from .spectral import fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
     BandwidthRule,
@@ -72,8 +72,9 @@ class ExperimentConfig:
 
     ``model`` is the data-generating model; it is calibrated against its
     short-memory factor (see ``null_model``).  ``threads`` is the worker
-    count.  The worker count and the seed are checked here, so a bad one
-    fails before any run.
+    count.  The worker count, the seed and R are checked here, so a bad one
+    fails before any run; ``level`` and ``n_directions`` only where they are
+    read (``critical_value``, ``leading_columns``), also before any run.
     """
 
     model: SpectralModel
@@ -91,15 +92,6 @@ class ExperimentConfig:
         SeedSpec(base_seed=self.seed)  # the range check every replication makes
         if self.R < 1:
             raise HarnessError("R must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise HarnessError("level must lie in (0, 1)")
-        available = len(leading_columns(self.model.degrees, None))
-        if not 1 <= self.n_directions <= available:
-            raise HarnessError(
-                f"directions must lie in [1, {available}] for degrees "
-                f"{self.model.degrees.n_min}..{self.model.degrees.n_max}, "
-                f"got {self.n_directions}"
-            )
         ts = tuple(int(t) for t in self.T_values)
         if not ts:
             raise HarnessError("need at least one sample length")
@@ -184,8 +176,10 @@ def _model_manifest(model: SpectralModel) -> dict:
     }
 
 
-def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
-    return _manifest({
+def _config_manifest(config: ExperimentConfig, experiment: str, unread=()) -> dict:
+    """The manifest of ``experiment`` on ``config``, less the fields ``unread``
+    that it does not read, so that only what it reads moves its hash."""
+    desc = {
         "experiment": experiment,
         "T_values": list(config.T_values),
         "R": config.R,
@@ -194,9 +188,11 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
         "n_directions": config.n_directions,
         "seed": config.seed,
         **_model_manifest(config.model),
-        "calibration": _model_manifest(config.null_model()),
-        "rng": STREAMS,
-    })
+    }
+    if "calibration" not in unread:
+        desc["calibration"] = _model_manifest(config.null_model())
+    desc["rng"] = STREAMS
+    return _manifest({k: v for k, v in desc.items() if k not in unread})
 
 
 def _manifest(desc: dict) -> dict:
@@ -249,8 +245,7 @@ def _run_chunk(task) -> list:
         seed = SeedSpec(base_seed=plan.seed, stream_id=r)
         panel = simulate_panel(plan.model, longest, seed, degrees=plan.degrees)
         for T, out, args in zip(plan.T_values, outs, plan.args):
-            prefix = CoefficientPanel(T=T, degrees=panel.degrees, data=panel.data[:T])
-            plan.reduce(fdft_panel(prefix), out[i] if plan.stack else out, *args)
+            plan.reduce(fdft_panel(panel, T), out[i] if plan.stack else out, *args)
     return outs
 
 
@@ -374,7 +369,8 @@ _N_BINS = 41
 def run_distribution(config: ExperimentConfig) -> McTable:
     """Pooled standardized diagonal statistics per eigenspace: KS, variance, histogram."""
     degrees = config.model.degrees
-    table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
+    manifest = _config_manifest(config, "distribution", ("level", "n_directions"))
+    table = McTable("distribution", manifest=manifest)
     edges = np.linspace(-5.0, 5.0, _N_BINS + 1)
     cols = degrees.index_list()
     for T, (_, z) in zip(config.T_values, _standardized_entries(config, cols, config.R)):
@@ -391,6 +387,10 @@ def run_distribution(config: ExperimentConfig) -> McTable:
     return table
 
 
+# Manifest fields of the experiments that neither decide nor calibrate.
+_UNCALIBRATED = ("level", "n_directions", "calibration")
+
+
 def run_divergence(config: ExperimentConfig) -> McTable:
     """Projected Hilbert-Schmidt norms of the statistic over the T grid.
 
@@ -398,7 +398,7 @@ def run_divergence(config: ExperimentConfig) -> McTable:
     norm and of the grid-sum (table-comparable) norm; at R = 1 that is the
     one seeded realization of stream 0.
     """
-    table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
+    table = McTable("divergence", manifest=_config_manifest(config, "divergence", _UNCALIBRATED))
     args = []
     for T in config.T_values:
         B = bandwidth(T, config.rule())
@@ -453,7 +453,7 @@ def run_consistency(config: ExperimentConfig) -> McTable:
     """
     if config.R < 2:
         raise InsufficientReplications("variance estimation requires R >= 2")
-    table = McTable("consistency", manifest=_config_manifest(config, "consistency"))
+    table = McTable("consistency", manifest=_config_manifest(config, "consistency", _UNCALIBRATED))
     Bs = [bandwidth(T, config.rule()) for T in config.T_values]
     plan = _Plan(config.model, config.T_values, config.seed, _spectrum_moments,
                  tuple((B,) for B in Bs),

@@ -88,13 +88,15 @@ class DftPanel:
         object.__setattr__(self, "coeffs", c)
 
 
-def fdft_panel(panel: CoefficientPanel) -> DftPanel:
-    """Columnwise DFT with the (2 pi T)^(-1/2) normalization, over s = 0..T//2."""
-    if panel.T < 2:
+def fdft_panel(panel: CoefficientPanel, T: int | None = None) -> DftPanel:
+    """Columnwise DFT of the panel's first ``T`` rows (None: all), which the
+    panel checked, with the (2 pi T)^(-1/2) normalization, over s = 0..T//2."""
+    T = panel.T if T is None else T
+    if T < 2:
         raise SpectralError("need at least two time points")
-    coeffs = np.fft.rfft(panel.data, axis=0)
-    coeffs /= np.sqrt(2 * np.pi * panel.T)
-    return DftPanel(T=panel.T, degrees=panel.degrees, coeffs=coeffs)
+    coeffs = np.fft.rfft(panel.data[:T], axis=0)
+    coeffs /= np.sqrt(2 * np.pi * T)
+    return DftPanel(T=T, degrees=panel.degrees, coeffs=coeffs)
 
 
 def _periodogram(block: np.ndarray, T: int) -> np.ndarray:

@@ -518,7 +518,9 @@ def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
     "command, section, key, value",
     [
         pytest.param("validate-model", "model", "degrees", [1], id="degrees"),
-        pytest.param("test", "experiment", "R", "abc", id="R"),
+        # a command that reads R: test reads replication 0 only (see
+        # test_cli_unread_keys_are_named_not_checked)
+        pytest.param("mc-size", "experiment", "R", "abc", id="R"),
         pytest.param("test", "experiment", "beta", [0.2], id="beta"),
         pytest.param("mc-sweep", "experiment", "betas", 0.3, id="betas"),
         # an interpolated profile without endpoints (None: the key is removed)
@@ -596,3 +598,113 @@ def test_cli_rejects_out_of_range_seed_before_running(tmp_path, monkeypatch, see
     good = _write_config(tmp_path, WN_DOC, "good.json")
     assert main(["mc-size", "--config", good, "--out", str(out), "--seed", str(seed)]) == 1
     assert not out.exists()
+
+
+# --- each command reads, checks and hashes only its own keys -----------------
+
+def test_command_flags_follow_from_keys_and_formats():
+    # --seed/--T with the key of that name, --threads with R, --out with any
+    # output, --format with more than one output format
+    from spherelrd.cli import _COMMANDS
+
+    flags = {name: set(c.flags()) for name, c in _COMMANDS.items()}
+    every = {"seed", "out", "threads", "format", "T"}
+    assert flags == {
+        "simulate": {"seed", "out", "format", "T"},
+        "spectrum": {"seed", "out", "T"},
+        "test": {"seed", "out", "format", "T"},
+        "mc-size": every,
+        "mc-power": every,
+        "mc-dist": every,
+        "mc-divergence": every,
+        "mc-sweep": {"out", "format", "T"},
+        "mc-consistency": every,
+        "validate-model": set(),
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["mc-dist", "mc-consistency", "mc-divergence", "mc-sweep", "spectrum", "simulate"]
+)
+def test_cli_default_directions_bind_only_commands_that_read_them(tmp_path, capsys, command):
+    # degrees 1..1 hold 3 columns, fewer than the default 8 directions, which
+    # only test, mc-size and mc-power read
+    doc = {"model": {"generator": "reference", "degrees": [1, 1]},
+           "experiment": {"T": [128], "R": 2, "seed": 5}}
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert main(["mc-size", "--config", cfg, "--out", str(tmp_path / "size")]) == 1
+    assert "directions must lie in [1, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "size").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        pytest.param("test", "R", 0, id="test-R0"),
+        pytest.param("test", "R", "abc", id="test-Rabc"),
+        pytest.param("mc-sweep", "seed", -1, id="sweep-seed"),
+        pytest.param("mc-size", "betas", [0.3], id="size-betas"),
+        pytest.param("mc-dist", "level", "high", id="dist-level"),
+        pytest.param("simulate", "beta", [0.2], id="simulate-beta"),
+    ],
+)
+def test_cli_unread_keys_are_named_not_checked(tmp_path, capsys, command, key, value):
+    doc = {"model": {"generator": "reference", "degrees": [1, 2]},
+           "experiment": {"T": [128], "R": 2, "seed": 5, key: value}}
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"note: {command} does not read ") and repr(key) in err
+    assert os.listdir(out)
+
+
+def test_cli_note_lists_every_unread_key(tmp_path, capsys):
+    doc = {"model": {"generator": "reference", "degrees": [1, 2]},
+           "experiment": {"T": [128], "R": 2, "beta": 0.25, "level": 0.05,
+                          "directions": 8, "seed": 5}}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["mc-dist", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "note: mc-dist does not read 'directions', 'level'\n"
+    cfg = os.path.join(CONFIG_DIR, "paper_h0.json")
+    assert main(["validate-model", "--config", cfg]) == 0
+    assert capsys.readouterr().err == (
+        "note: validate-model does not read "
+        "'R', 'T', 'beta', 'directions', 'level', 'seed'\n"
+    )
+    # a document that sets only what the command reads prints nothing
+    cfg = _write_config(tmp_path, {"model": {"generator": "reference", "degrees": [1, 2]},
+                                   "experiment": {"T": [128], "seed": 5}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _manifest_of(tmp_path, command: str, name: str, experiment: dict, tag: str) -> dict:
+    model = "example1" if command == "mc-power" else "reference"
+    doc = {"model": {"generator": model, "degrees": [1, 2]},
+           "experiment": {"T": [128], "R": 2, "seed": 5, **experiment}}
+    cfg = _write_config(tmp_path, doc, f"{tag}.json")
+    out = tmp_path / tag
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    return json.loads((out / f"{name}_manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command, name, unread",
+    [
+        ("mc-size", "size", set()),
+        ("mc-power", "power", set()),
+        ("mc-dist", "distribution", {"level", "n_directions"}),
+        ("mc-divergence", "divergence", {"level", "n_directions", "calibration"}),
+        ("mc-consistency", "consistency", {"level", "n_directions", "calibration"}),
+    ],
+)
+def test_manifest_hashes_only_what_the_experiment_reads(tmp_path, command, name, unread):
+    bare = _manifest_of(tmp_path, command, name, {}, "bare")
+    assert not unread & set(bare)
+    changes = [("level", 0.2, "level"), ("directions", 3, "n_directions"), ("beta", 0.3, "beta")]
+    for key, value, field in changes:
+        other = _manifest_of(tmp_path, command, name, {key: value}, key)
+        assert (other["config_hash"] != bare["config_hash"]) == (field not in unread)
+        assert (other == bare) == (field in unread)

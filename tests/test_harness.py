@@ -21,7 +21,7 @@ from spherelrd.harness import (
     run_power,
     run_size,
 )
-from spherelrd.lrdtest import bandwidth
+from spherelrd.lrdtest import TestError, bandwidth, leading_columns
 from spherelrd.simulate import SeedSpec, simulate_panel
 from spherelrd.spectral import fdft_panel
 
@@ -45,8 +45,9 @@ def test_thread_count_resolution(small_model, monkeypatch):
 def test_config_validation(small_model):
     with pytest.raises(HarnessError):
         ExperimentConfig(model=small_model, T_values=(256,), R=0)
-    with pytest.raises(HarnessError):
-        ExperimentConfig(model=small_model, T_values=(256,), level=1.5)
+    # the level is checked where it is read, before any replication
+    with pytest.raises(TestError, match="level"):
+        run_size(ExperimentConfig(model=small_model, T_values=(256,), level=1.5))
     with pytest.raises(HarnessError):
         ExperimentConfig(model=small_model, T_values=())
     with pytest.raises(HarnessError, match="thread count"):
@@ -57,13 +58,25 @@ def test_config_validation(small_model):
     assert record[0].filename == __file__
 
 
-def test_config_rejects_directions_outside_available_pairs(small_model):
-    # degrees 1..2 hold 3 + 5 = 8 diagonal pairs
+def test_config_rejects_directions_outside_available_pairs(small_model, monkeypatch):
+    # degrees 1..2 hold 3 + 5 = 8 diagonal pairs; the count is checked where
+    # it is read, before any replication runs
+    from spherelrd import harness
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
     for bad in (0, -1, 9):
-        with pytest.raises(HarnessError, match="directions"):
-            ExperimentConfig(model=small_model, T_values=(256,), n_directions=bad)
+        with pytest.raises(TestError, match=r"directions must lie in \[1, 8\] for degrees 1..2"):
+            leading_columns(small_model.degrees, bad)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "simulate_panel", no_replications)
+            with pytest.raises(TestError, match="directions"):
+                run_size(ExperimentConfig(model=small_model, T_values=(256,), n_directions=bad))
     for good in (1, 8):
-        assert _config(small_model, n_directions=good).n_directions == good
+        assert len(leading_columns(small_model.degrees, good)) == good
+        table = run_size(_config(small_model, R=2, n_directions=good))
+        assert len(table.rows) == good
 
 
 def test_null_model_resolution(small_model, example1_model):
@@ -320,6 +333,23 @@ def test_each_replication_simulates_once_at_the_longest_T(monkeypatch):
     lengths.clear()
     run_consistency(_config(model, T_values=(128, 256), R=5))
     assert lengths == [256] * 5
+
+
+def test_each_replication_checks_its_panel_once(monkeypatch):
+    # simulate_panel builds (and checks) one panel per replication; every T
+    # takes the DFT of its prefix without building and checking it again
+    from spherelrd.simulate import CoefficientPanel
+
+    check = CoefficientPanel.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self.T)
+        check(self)
+
+    monkeypatch.setattr(CoefficientPanel, "__post_init__", counting)
+    run_consistency(_config(example_model(1, 1, 2), T_values=(128, 512, 256), R=3))
+    assert built == [512] * 3
 
 
 @pytest.mark.parametrize("threads", [1, 2])
