@@ -31,7 +31,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .config import (
     ConfigError,
@@ -172,7 +172,7 @@ def _cmd_test(doc, args) -> None:
     crit = critical_value(config.level)
     [(s, z)] = _standardized_entries(config, cols, 1)
     s, z = s[0], z[0]
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = 2.0 * special.ndtr(-np.abs(z))
     reject = np.abs(z) > crit
     labels = [f"({n},{j})x({n},{j})" for n, j in cols]
     rows = list(zip(labels, s.tolist(), z.tolist(), p.tolist(), reject.tolist()))

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 import scipy
-from scipy import stats
+from scipy import special
 
 from . import __version__
 from .harmonics import DegreeRange
@@ -362,6 +362,18 @@ def _rejection_experiment(config: ExperimentConfig, name: str) -> McTable:
     return table
 
 
+def _ks_distance(x: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance sup |F_n - Phi| of the sample ``x`` from
+    N(0, 1): the larger of D+ and D-, in the arithmetic of
+    ``scipy.stats.kstest(x, "norm").statistic``."""
+    x = np.sort(x)
+    n = x.size
+    cdf = special.ndtr(x)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 # Histogram bins of the standardized statistic over [-5, 5].
 _N_BINS = 41
 
@@ -377,11 +389,12 @@ def run_distribution(config: ExperimentConfig) -> McTable:
         for n in degrees.degrees:
             off = degrees.column_offset(n)
             pooled = z[:, off : off + 2 * n + 1].ravel()
-            ks = stats.kstest(pooled, "norm").statistic
-            table.add(T, config.R, config.beta, f"ks_n{n}", ks)
+            table.add(T, config.R, config.beta, f"ks_n{n}", _ks_distance(pooled))
             table.add(T, config.R, config.beta, f"mean_n{n}", float(pooled.mean()))
             table.add(T, config.R, config.beta, f"var_n{n}", float(pooled.var()))
-            hist, _ = np.histogram(pooled, bins=edges, density=True)
+            counts, _ = np.histogram(pooled, bins=edges)
+            # a density, as density=True gives, but zero where no value is in range
+            hist = counts / np.diff(edges) / max(counts.sum(), 1)
             for b, h in enumerate(hist):
                 table.add(T, config.R, config.beta, f"hist_n{n}_bin{b}", float(h))
     return table

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .harmonics import DegreeRange
 from .models import Hypothesis, SpectralModel, spectral_eigenvalue
@@ -245,7 +245,7 @@ def critical_value(level: float) -> float:
     """Two-sided standard-normal critical value at ``level``."""
     if not 0.0 < level < 1.0:
         raise TestError(f"level must lie in (0, 1), got {level}")
-    return float(stats.norm.ppf(1.0 - level / 2.0))
+    return float(special.ndtri(1.0 - level / 2.0))
 
 
 # --- the tested entries -----------------------------------------------------

@@ -9,11 +9,24 @@ MA convolution with the standard fractional-differencing weights (Hosking
 |1 - e^{-iw}|^(-2a), so alpha(n) is the differencing order d.
 
 The ARMA recursion starts in its stationary law, so no warm-up rows are
-drawn and discarded.  ``scipy.signal.lfilter`` runs the recursion in direct
-form II transposed, whose r = max(p, q) state values s_t obey
-s_t = F s_{t-1} + g e_t; the initial state is drawn from N(0, innov_n P),
-where P = F P F' + g g' is the stationary state covariance (Gardner, Harvey &
-Phillips 1980).
+drawn and discarded.  Its r = max(p, q) state values s_t obey
+s_t = F s_{t-1} + g e_t (direct form II transposed); the initial state is
+drawn from N(0, innov_n P), where P = F P F' + g g' is the stationary state
+covariance (Gardner, Harvey & Phillips 1980).  Started from that state, the
+recursion is the banded lower-triangular system a(B) y = b(B) e + s, where
+s holds the initial state in its first r rows and zeros below.  The MA terms
+and the state are added to the scaled innovations in the row-major array the
+stream filled, which is then copied once into the degree's columns, and one
+LAPACK banded triangular solve (``dtbtrs``, unit diagonal, p subdiagonals
+a_1..a_p) overwrites those columns with the path.  This is the recursion
+``scipy.signal.lfilter`` runs in direct form II transposed from the state s,
+up to float rounding.
+
+Panels are column-major, so every degree's 2n+1 columns are one contiguous
+block that LAPACK solves in place: a degree with no pre-sample is solved in
+its own columns of the panel.  A long-memory degree is solved in one
+column-major scratch buffer of pre-sample + T rows, whose columns the
+fractional filter then transforms.
 
 The convolution is computed only for the T kept output rows: it reads the
 truncation + T ARMA rows and multiplies their real FFT by the weights'
@@ -49,7 +62,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, linalg, signal
+from scipy import fft, linalg
 
 from .harmonics import DegreeRange
 from .models import SpectralModel
@@ -136,7 +149,7 @@ _STATE_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=_STATE_CACHE_SIZE)
 def _stationary_state_root(b: tuple, a: tuple) -> np.ndarray:
-    """Square root L (L L' = P) of the stationary covariance of the r lfilter
+    """Square root L (L L' = P) of the stationary covariance of the r ARMA
     states of b(B) / a(B) driven by unit white noise; read-only, shared by callers.
 
     P may be singular: a degree whose AR and MA orders fall below the
@@ -157,6 +170,49 @@ def _stationary_state_root(b: tuple, a: tuple) -> np.ndarray:
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))
     root.flags.writeable = False
     return root
+
+
+# Distinct (a, rows) AR band matrices a process keeps; a model has at most one
+# a per degree, and an experiment one row count per degree.
+_BAND_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_BAND_CACHE_SIZE)
+def _ar_band(a: tuple, rows: int) -> np.ndarray:
+    """The rows x rows unit lower-triangular Toeplitz matrix of a(B) in LAPACK
+    lower band storage: row k holds a_k (row 0, the unit diagonal, is not
+    read); read-only, shared by callers."""
+    band = np.empty((len(a), rows))
+    band[:] = np.array(a)[:, None]
+    band.flags.writeable = False
+    return band
+
+
+def _arma(out: np.ndarray, normals: np.ndarray, scale: float, b: tuple, a: tuple,
+          zi: np.ndarray | None) -> None:
+    """Overwrite the column-major ``out`` with the ARMA path a(B) y = b(B) e
+    driven by e = scale * normals and started from the state ``zi`` (None
+    for white noise), as ``lfilter(b, a, e, axis=0, zi=zi)[0]`` would.
+
+    The right-hand side b(B) e + zi is built in the row-major ``normals``,
+    which it overwrites, copied into ``out`` once and solved there by
+    ``dtbtrs``; with an F-contiguous ``out`` LAPACK neither copies nor
+    allocates the panel.
+    """
+    normals *= scale
+    # every MA term reads the innovations before any term is added
+    terms = [bk * normals[:-k] for k, bk in enumerate(b[1:], 1)]
+    for k, term in enumerate(terms, 1):
+        normals[k:] += term
+    if zi is not None:
+        rows = min(len(zi), len(normals))
+        normals[:rows] += zi[:rows]
+    np.copyto(out, normals)
+    if len(a) > 1:
+        y, info = linalg.lapack.dtbtrs(_ar_band(a, len(out)), out, uplo="L", diag="U",
+                                       overwrite_b=1)
+        if info != 0 or not np.shares_memory(y, out):
+            raise SimulationError(f"banded ARMA solve failed in place (info {info})")
 
 
 def simulate_panel(
@@ -183,23 +239,22 @@ def simulate_panel(
     elif not full.n_min <= degrees.n_min <= degrees.n_max <= full.n_max:
         raise SimulationError(f"degrees {degrees} outside the model's {full}")
     r = max(model.p, model.q)
-    data = np.empty((T, degrees.dim))
+    data = np.empty((T, degrees.dim), order="F")
+    widths = [2 * n + 1 for n in degrees.degrees if model.alpha.values[n - full.n_min] > 0]
+    if widths:
+        scratch = np.empty((_TRUNCATION + T, max(widths)), order="F")
     for n in degrees.degrees:
         i = n - full.n_min
         m = 2 * n + 1
         a = float(model.alpha.values[i])
-        pre = _TRUNCATION if a > 0 else 0
         rng = seed.generator(n)
         scale = np.sqrt(model.innov[i])
-        if r:
-            b = (1.0, *model.psi[i])
-            aa = (1.0, *-model.phi[i])
-            zi = _stationary_state_root(b, aa) @ rng.standard_normal((r, m)) * scale
-            eps = rng.standard_normal((pre + T, m)) * scale
-            x = signal.lfilter(b, aa, eps, axis=0, zi=zi)[0]
-        else:
-            x = rng.standard_normal((pre + T, m)) * scale
+        b = (1.0, *model.psi[i])
+        aa = (1.0, *-model.phi[i])
+        zi = _stationary_state_root(b, aa) @ rng.standard_normal((r, m)) * scale if r else None
         off = degrees.column_offset(n)
+        x = scratch[:, :m] if a > 0 else data[:, off : off + m]
+        _arma(x, rng.standard_normal(x.shape), scale, b, aa, zi)
         if a > 0:
             # conv[t] = sum_k psi_k x_{t-k} for the kept t >= K reads all of
             # x; rows K..K+T-1 of its circular convolution are exact
@@ -208,8 +263,6 @@ def simulate_panel(
             xs = fft.rfft(x, nfft, axis=0)
             xs *= _weight_spectrum(a, K, nfft)[:, None]
             data[:, off : off + m] = fft.irfft(xs, nfft, axis=0)[K : K + T]
-        else:
-            data[:, off : off + m] = x
     return CoefficientPanel(T=T, degrees=degrees, data=data)
 
 

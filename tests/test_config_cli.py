@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -708,3 +710,32 @@ def test_manifest_hashes_only_what_the_experiment_reads(tmp_path, command, name,
         other = _manifest_of(tmp_path, command, name, {key: value}, key)
         assert (other["config_hash"] != bare["config_hash"]) == (field not in unread)
         assert (other == bare) == (field in unread)
+
+
+_IMPORT_GRAPH = """
+import json, os, sys
+import spherelrd.cli as cli
+doc = {"model": {"generator": "example1", "degrees": [1, 1]},
+       "experiment": {"T": [64], "R": 2, "seed": 3, "directions": 2}}
+path = os.path.join(sys.argv[1], "config.json")
+with open(path, "w") as fh:
+    json.dump(doc, fh)
+for command in ("mc-power", "mc-dist", "test"):
+    out = os.path.join(sys.argv[1], command)
+    assert cli.main([command, "--config", path, "--out", out]) == 0, command
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_cli_runs_without_scipy_signal_or_stats(tmp_path):
+    # a fresh interpreter imports the CLI and runs the commands that test,
+    # calibrate and pool; a deferred import would show up after the runs
+    import spherelrd
+
+    src = os.path.dirname(os.path.dirname(spherelrd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "scipy.fft" in loaded
+    assert not {"scipy.signal", "scipy.stats"} & loaded

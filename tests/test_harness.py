@@ -1,9 +1,11 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy
+from scipy import stats
 from conftest import table_values
 
 from spherelrd.harmonics import DegreeRange
@@ -14,6 +16,7 @@ from spherelrd.harness import (
     InsufficientReplications,
     McTable,
     _chunks,
+    _ks_distance,
     run_bandwidth_sweep,
     run_consistency,
     run_distribution,
@@ -174,6 +177,38 @@ def test_run_distribution_small(small_model):
         assert len(hist) == 41
         # histogram integrates to ~1 (density over [-5, 5] bins)
         assert sum(h * 10.0 / 41 for h in hist) == pytest.approx(1.0, abs=0.05)
+
+
+def test_run_distribution_bins_zero_when_no_value_in_range():
+    # under the alternative every pooled degree-1 entry lies above 5: its 41
+    # bins are zero, not 0 / 0, and no warning is raised
+    config = _config(example_model(1, 1, 2), T_values=(128,), R=2, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = run_distribution(config)
+    assert table_values(tab, "ks_n1") == [1.0]
+    assert table_values(tab, "hist_n1_bin") == [0.0] * 41
+    hist = table_values(tab, "hist_n2_bin")
+    assert 0.0 < sum(h * 10.0 / 41 for h in hist) < 1.0
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        np.random.default_rng(3).standard_normal(500),
+        np.random.default_rng(4).standard_normal(200) + 0.3,
+        np.random.default_rng(5).standard_normal(200) - 0.3,
+        np.round(np.random.default_rng(6).standard_normal(300), 1),  # ties
+        np.array([0.7, 0.7, 0.7, -0.2, -0.2]),
+        np.array([0.3]),
+        np.array([0.0]),
+        np.array([-1.5]),
+        np.array([6.0, 7.0, 8.0]),
+    ],
+    ids=["normal", "shifted-up", "shifted-down", "rounded", "tied", "n1", "n1-zero", "n1-neg", "outside"],
+)
+def test_ks_distance_is_scipy_kstest_statistic(sample):
+    assert _ks_distance(sample) == stats.kstest(sample, "norm").statistic
 
 
 def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):

@@ -295,6 +295,9 @@ def test_statistic_moments_match_monte_carlo(small_model):
 
 def test_critical_value():
     assert critical_value(0.05) == pytest.approx(1.959963985, abs=1e-6)
+    # bit for bit the normal quantile scipy.stats gives
+    for level in (0.01, 0.05, 0.1, 0.2, 1e-6, 0.999):
+        assert critical_value(level) == float(stats.norm.ppf(1.0 - level / 2.0))
     with pytest.raises(TestError):
         critical_value(0.0)
 

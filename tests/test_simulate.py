@@ -13,6 +13,7 @@ from spherelrd.simulate import (
     SeedSpec,
     SimulationError,
     _TRUNCATION,
+    _arma,
     _stationary_state_root,
     _weight_spectrum,
     fractional_weights,
@@ -97,6 +98,42 @@ def test_fractional_filter_matches_full_convolution():
     np.testing.assert_array_equal(first, again)
     assert _weight_spectrum.cache_info().hits == 2  # the second T = 50, both degrees
     assert not _weight_spectrum(0.3, 10, 16).flags.writeable
+
+
+# (b, a) of each ARMA shape the banded solve must reproduce
+_ARMA_CASES = {
+    "arma11": ((1.0, 0.4), (1.0, -0.5)),
+    "ar2_padded": ((1.0,), (1.0, -0.5, -0.0)),
+    "ma2": ((1.0, 0.4, -0.2), (1.0,)),
+    "arma13": ((1.0, 0.4, -0.2, 0.1), (1.0, -0.5)),
+    "arma21": ((1.0, 0.4), (1.0, -0.5, -0.3)),
+}
+
+
+@pytest.mark.parametrize("N", [2, 300])
+@pytest.mark.parametrize("case", sorted(_ARMA_CASES))
+def test_banded_arma_matches_lfilter(case, N):
+    # a(B) y = b(B) e + zi, solved in place, is lfilter's direct form II
+    # transposed started from the state zi, also when the state is longer
+    # than the path
+    b, a = _ARMA_CASES[case]
+    r = max(len(a), len(b)) - 1
+    rng = np.random.default_rng(17)
+    normals = rng.standard_normal((N, 5))
+    zi = rng.standard_normal((r, 5))
+    scale = 1.7
+    ref = signal.lfilter(b, a, normals * scale, axis=0, zi=zi)[0]
+    out = np.empty((N, 5), order="F")
+    _arma(out, normals, scale, b, a, zi)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_banded_arma_solves_in_place_only():
+    # a row-major target would make LAPACK solve a copy: refused, not copied back
+    b, a = _ARMA_CASES["arma11"]
+    normals = np.ones((8, 3))
+    with pytest.raises(SimulationError, match="in place"):
+        _arma(np.empty((8, 3)), normals, 1.0, b, a, np.zeros((1, 3)))
 
 
 def test_seed_spec_validation():
