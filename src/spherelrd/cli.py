@@ -27,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -97,8 +97,9 @@ class _Command(NamedTuple):
         return [flag for flag in _FLAG_SPECS if takes[flag]]
 
 
+@cache
 def _build_parser() -> tuple:
-    """The top-level parser, and the parser of each command by name."""
+    """The top-level parser and each command's parser, built once: parses share no state."""
     parser = _Parser(prog="spherelrd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
@@ -202,14 +203,10 @@ def _cmd_sweep(doc, args) -> None:
 def _cmd_validate_model(doc, args) -> None:
     model = model_from_config(doc)
     hi = 1.0 if model.alpha.extended else 0.5
-    for i, n in enumerate(model.degrees.degrees):
-        moduli = model.ar_root_moduli(n)
+    rows = zip(model.degrees.degrees, model.ar_root_moduli(), model.innov, model.alpha.values)
+    for n, moduli, innov, a in rows:
         mods = ",".join(f"{m:.6f}" for m in moduli) if moduli.size else "-"
-        a = model.alpha.values[i]
-        print(
-            f"degree {n}: ar_root_moduli=[{mods}] "
-            f"innov={model.innov[i]:.6g} alpha={a:.4f} in [0,{hi}) ok"
-        )
+        print(f"degree {n}: ar_root_moduli=[{mods}] innov={innov:.6g} alpha={a:.4f} in [0,{hi}) ok")
 
 
 def _cmd_mc(name: str, runner, doc, args) -> None:

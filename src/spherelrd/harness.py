@@ -72,9 +72,9 @@ class ExperimentConfig:
 
     ``model`` is the data-generating model; it is calibrated against its
     short-memory factor (see ``null_model``).  ``threads`` is the worker
-    count.  The worker count, the seed and R are checked here, so a bad one
-    fails before any run; ``level`` and ``n_directions`` only where they are
-    read (``critical_value``, ``leading_columns``), also before any run.
+    count.  The worker count, the seed, R and T (none listed twice) are checked
+    here, so a bad one fails before any run; ``level`` and ``n_directions`` only
+    where they are read (``critical_value``, ``leading_columns``), also before.
     """
 
     model: SpectralModel
@@ -95,6 +95,8 @@ class ExperimentConfig:
         ts = tuple(int(t) for t in self.T_values)
         if not ts:
             raise HarnessError("need at least one sample length")
+        if len(set(ts)) < len(ts):
+            raise HarnessError(f"'T' lists a sample length more than once: {list(ts)}")
         for t in ts:
             if t < 64:
                 # level 3 skips this method and the generated __init__, so

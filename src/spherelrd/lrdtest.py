@@ -40,7 +40,7 @@ from scipy import special
 
 from .harmonics import DegreeRange
 from .models import Hypothesis, SpectralModel, spectral_eigenvalue
-from .spectral import DftPanel, epanechnikov_cdf, kernel_row, reduce_frequency
+from .spectral import GRID_CACHE_SIZE, DftPanel, epanechnikov_cdf, kernel_row, reduce_frequency
 
 
 class TestError(ValueError):
@@ -103,12 +103,7 @@ def window_indices(T: int, B: float) -> np.ndarray:
     return np.concatenate([pos, T - pos[::-1]])
 
 
-# Distinct (T, B) keys a process keeps; one experiment needs one per sample
-# length.
-_G_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_G_CACHE_SIZE)
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def g_weights(T: int, B: float) -> np.ndarray:
     """Aggregated smoothing weights g_v, v = 0..T-1 (g_0 reported but unused).
 
@@ -129,7 +124,7 @@ def g_weights(T: int, B: float) -> np.ndarray:
     return g
 
 
-@functools.lru_cache(maxsize=_G_CACHE_SIZE)
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _half_support(T: int, B: float) -> tuple:
     """Ordinates v in 1..T//2 where g_v != 0, and the folded weights there.
 
@@ -195,28 +190,26 @@ def null_moments(model: SpectralModel, T: int, B: float) -> NullMoments:
     at T = 50 the grid mean is 0.989 (n = 1) and 0.975 (n = 8) of the exact
     mean, and the gap closes as T grows.  The tests calibrate against them.
     A long-memory model is rejected: calibrate against its ``srd_part()``.
+    V2 takes one reduction of g^2 f_n against every degree's row per n, so no
+    temporary exceeds (n_degrees, T); a sum along a row rounds as a pair's would.
     """
     if not model.alpha.is_null:
         raise CalibrationUnderAlternative(
             "model has nonzero memory exponents; calibrate against its "
             "short-range factor (srd_part())"
         )
-    degs = list(model.degrees.degrees)
+    degs = model.degrees.degrees
     g = g_weights(T, B)[1:]
     omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
-    f = {n: spectral_eigenvalue(model, n, omegas, Hypothesis.NULL) for n in degs}
-    mean_diag = {
-        n: math.sqrt(T) * (2 * np.pi / T) * float(np.sum(g * f[n])) for n in degs
-    }
-    second = {
-        (n, h): T * (2 * np.pi / T) ** 2 * float(np.sum(g * g * f[n] * f[h]))
-        for n in degs
-        for h in degs
-    }
-    for n in degs:
-        if second[(n, n)] <= 0:
+    f = spectral_eigenvalue(model, omegas, hyp=Hypothesis.NULL)
+    mean = math.sqrt(T) * (2 * np.pi / T) * np.sum(g * f, axis=1)
+    second = {}
+    for i, n in enumerate(degs):
+        v2 = T * (2 * np.pi / T) ** 2 * np.sum(g * g * f[i] * f, axis=1)
+        if v2[i] <= 0:
             raise TestError(f"nonpositive variance for degree {n}")
-    return NullMoments(T=T, B=B, mean_diag=mean_diag, second_moment=second)
+        second.update(zip(((n, h) for h in degs), v2.tolist()))
+    return NullMoments(T=T, B=B, mean_diag=dict(zip(degs, mean.tolist())), second_moment=second)
 
 
 # Midpoint-quadrature nodes of ``profile_mean_diag``.
@@ -236,8 +229,8 @@ def profile_mean_diag(model: SpectralModel, T: int, B: float) -> dict:
     w = lo + (hi - lo) * (np.arange(_NODES) + 0.5) / _NODES
     dw = (hi - lo) / _NODES
     G = epanechnikov_cdf((half - w) / B) - epanechnikov_cdf((-half - w) / B)
-    f = {n: spectral_eigenvalue(model, n, w, Hypothesis.NULL) for n in model.degrees.degrees}
-    return {n: math.sqrt(T) * float(np.sum(G * fn)) * dw for n, fn in f.items()}
+    f = spectral_eigenvalue(model, w, hyp=Hypothesis.NULL)
+    return dict(zip(model.degrees.degrees, (math.sqrt(T) * np.sum(G * f, axis=1) * dw).tolist()))
 
 
 @functools.lru_cache(maxsize=16)

@@ -131,7 +131,8 @@ def alpha_profile(
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Validated SPHARMA(p, q) model with an optional long-memory profile."""
+    """Validated SPHARMA(p, q) model with an optional long-memory profile: one
+    batched ``_roots`` call finds every degree's AR roots, and one the MA roots."""
 
     degrees: DegreeRange
     p: int
@@ -151,25 +152,17 @@ class SpectralModel:
         object.__setattr__(self, "innov", innov)
         if self.alpha.values.shape != (n_deg,):
             raise ModelError("alpha profile length does not match degree range")
-        for i, n in enumerate(self.degrees.degrees):
-            if innov[i] <= 0:
+        for n, v, ar, ma in zip(self.degrees.degrees, innov, _roots(-phi), _roots(psi)):
+            if v <= 0:
                 raise NonpositiveInnovation(n)
-            ar_roots = _poly_roots(np.concatenate(([1.0], -phi[i])))
-            if ar_roots.size and np.min(np.abs(ar_roots)) <= 1.0 + _ROOT_TOL:
-                raise NonstationaryDegree(n, float(np.min(np.abs(ar_roots))))
-            ma_roots = _poly_roots(np.concatenate(([1.0], psi[i])))
-            for r in ar_roots:
-                if ma_roots.size and np.min(np.abs(ma_roots - r)) <= _ROOT_TOL:
-                    raise CommonRoot(n)
+            if ar.size and np.min(np.abs(ar)) <= 1.0 + _ROOT_TOL:
+                raise NonstationaryDegree(n, float(np.min(np.abs(ar))))
+            if ar.size and ma.size and np.min(np.abs(ma[:, None] - ar)) <= _ROOT_TOL:
+                raise CommonRoot(n)
 
     @property
     def n_degrees(self) -> int:
         return len(self.degrees.degrees)
-
-    def degree_index(self, n: int) -> int:
-        if not self.degrees.n_min <= n <= self.degrees.n_max:
-            raise ModelError(f"degree {n} outside model range")
-        return n - self.degrees.n_min
 
     def srd_part(self) -> "SpectralModel":
         """The same ARMA model with all memory exponents set to zero."""
@@ -178,18 +171,21 @@ class SpectralModel:
     def is_null(self) -> bool:
         return self.alpha.is_null
 
-    def ar_root_moduli(self, n: int) -> np.ndarray:
-        i = self.degree_index(n)
-        roots = _poly_roots(np.concatenate(([1.0], -self.phi[i])))
-        return np.sort(np.abs(roots))
+    def ar_root_moduli(self) -> list:
+        """Sorted moduli of the AR roots, one array per degree."""
+        return [np.sort(np.abs(r)) for r in _roots(-self.phi)]
 
 
-def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
-    """Roots of c0 + c1 z + ... + ck z^k, ignoring trailing zero coefficients."""
-    c = np.trim_zeros(np.asarray(coeffs_ascending, dtype=float), "b")
-    if c.size <= 1:
-        return np.empty(0, dtype=complex)
-    return np.roots(c[::-1])
+def _roots(coeffs: np.ndarray) -> list:
+    """Roots of 1 + c_1 z + ... + c_k z^k per row (c_1..c_k) of ``coeffs``, one
+    array each.  The companions of the monic reversed polynomials, stacked, give
+    the reciprocal roots in one eigenvalue call; a zero eigenvalue marks a
+    trailing zero coefficient (a lower effective order) and is dropped."""
+    n, k = coeffs.shape
+    companion = np.zeros((n, k, k))
+    companion[:, :1] = -coeffs[:, None]
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    return [1.0 / mu[mu != 0] for mu in np.linalg.eigvals(companion)]
 
 
 def build_spharma(
@@ -222,31 +218,30 @@ def build_spharma(
 
 def spectral_eigenvalue(
     model: SpectralModel,
-    n: int,
     omega,
+    *,
     hyp: Hypothesis = Hypothesis.NULL,
 ) -> np.ndarray:
-    """Frequency-varying eigenvalue f_n(omega); under the alternative times
-    (2 |sin(omega/2)|)^(-2 alpha(n)), +inf at omega = 0 when alpha(n) > 0.
-    Vectorized over omega in [-pi, pi]."""
-    w = np.asarray(omega, dtype=float)
+    """f_n(omega) at omega in [-pi, pi], one row per degree: shape (n_degrees,
+    omega.size).  The alternative multiplies row n by |2 sin(omega/2)|^(-2 alpha(n)),
+    +inf at omega = 0 if alpha(n) > 0.  A row rounds as one degree alone would."""
+    w = np.asarray(omega, dtype=float).reshape(-1)
     if np.any(np.abs(w) > np.pi + 1e-12):
         raise ModelError("frequency outside [-pi, pi]")
-    i = model.degree_index(n)
     z = np.exp(-1j * w)
-    num = np.ones_like(z)
+    num = np.ones((model.n_degrees, w.size), dtype=complex)
     for l in range(model.q):
-        num = num + model.psi[i, l] * z ** (l + 1)
-    den = np.ones_like(z)
+        num = num + model.psi[:, l, None] * z ** (l + 1)
+    den = np.ones_like(num)
     for k in range(model.p):
-        den = den - model.phi[i, k] * z ** (k + 1)
-    f = model.innov[i] / (2 * np.pi) * np.abs(num) ** 2 / np.abs(den) ** 2
-    a = model.alpha.values[i]
-    if hyp is Hypothesis.ALTERNATIVE and a > 0:
+        den = den - model.phi[:, k, None] * z ** (k + 1)
+    f = model.innov[:, None] / (2 * np.pi) * np.abs(num) ** 2 / np.abs(den) ** 2
+    a = model.alpha.values[:, None]
+    if hyp is Hypothesis.ALTERNATIVE and np.any(a > 0):
         mod = 2.0 * np.abs(np.sin(w / 2.0))
         with np.errstate(divide="ignore"):
-            f = np.where(mod == 0.0, np.inf, f * mod ** (-2.0 * a))
-    return f if f.shape else float(f)
+            f = np.where((mod == 0.0) & (a > 0), np.inf, f * mod ** (-2.0 * a))
+    return f
 
 
 # --- canonical model generators -------------------------------------------

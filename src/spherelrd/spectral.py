@@ -14,7 +14,7 @@ frequencies, one kernel row (``kernel_row``) serves every smoothing sum on
 the grid.  ``smoothed_spectrum_grid`` smooths the periodogram of every
 column of a panel in one pass: each periodogram, real and even, is mirrored
 from the half grid and smoothed by a real FFT and its inverse against the
-kernel row's real FFT, formed once per call; a degree's columns share one
+kernel row's real FFT, cached per (T, B); a degree's columns share one
 batched transform.  ``smoothed_spectrum`` smooths the same mirrored
 periodograms at arbitrary frequencies in [0, pi] with one matrix product.
 """
@@ -22,6 +22,7 @@ periodograms at arbitrary frequencies in [0, pi] with one matrix product.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,18 @@ def kernel_row(T: int, B: float) -> np.ndarray:
     """
     diffs = reduce_frequency(2 * np.pi * np.arange(T) / T)
     return epanechnikov(diffs / B)
+
+
+# (T, B) keys each grid cache keeps; one experiment needs one per sample length.
+GRID_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _kernel_spectrum(T: int, B: float) -> np.ndarray:
+    """Real FFT of (2 pi / T) W^(T)(w_k) / B, k = 0..T-1; read-only, shared by callers."""
+    kf = np.fft.rfft((2 * np.pi / T) * kernel_row(T, B) / B)
+    kf.flags.writeable = False
+    return kf
 
 
 # --- DFT panel -------------------------------------------------------------
@@ -120,7 +133,7 @@ def smoothed_spectrum_grid(dft: DftPanel, B: float) -> np.ndarray:
     (2n+1, T) buffer, which bounds the temporaries by the largest degree.
     """
     T = dft.T
-    kf = np.fft.rfft((2 * np.pi / T) * kernel_row(T, B) / B)
+    kf = _kernel_spectrum(T, B)
     A = dft.coeffs
     out = np.empty((dft.degrees.dim, T))
     for n in dft.degrees.degrees:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from spherelrd.harmonics import DegreeRange
+from spherelrd.lrdtest import g_weights
 from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import SeedSpec, simulate_panel
 from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
@@ -73,3 +76,42 @@ def smoothed_cross_spectrum(dft, a, b, omega: float, B: float) -> complex:
     re = wts @ (ca.real * cb.real + ca.imag * cb.imag)
     im = wts @ (ca.imag * cb.real - ca.real * cb.imag)
     return complex(re, im)
+
+
+# --- oracles for the spectral model and the null calibration ------------------
+
+def eigenvalue_row(model, n, omega, alternative=False) -> np.ndarray:
+    """f_n(omega) of one degree, evaluated on its own: the single-degree
+    formula ``spectral_eigenvalue`` batches over degrees."""
+    w = np.asarray(omega, dtype=float)
+    i = n - model.degrees.n_min
+    z = np.exp(-1j * w)
+    num = np.ones_like(z)
+    for l in range(model.q):
+        num = num + model.psi[i, l] * z ** (l + 1)
+    den = np.ones_like(z)
+    for k in range(model.p):
+        den = den - model.phi[i, k] * z ** (k + 1)
+    f = model.innov[i] / (2 * np.pi) * np.abs(num) ** 2 / np.abs(den) ** 2
+    a = model.alpha.values[i]
+    if alternative and a > 0:
+        mod = 2.0 * np.abs(np.sin(w / 2.0))
+        with np.errstate(divide="ignore"):
+            f = np.where(mod == 0.0, np.inf, f * mod ** (-2.0 * a))
+    return f
+
+
+def null_moments_by_pair(model, T: int, B: float) -> tuple:
+    """Grid null means per degree and V2 per pair of degrees, each summed on
+    its own: the per-degree, per-pair formula ``null_moments`` batches."""
+    g = g_weights(T, B)[1:]
+    omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
+    degs = list(model.degrees.degrees)
+    f = {n: eigenvalue_row(model, n, omegas) for n in degs}
+    mean = {n: math.sqrt(T) * (2 * np.pi / T) * float(np.sum(g * f[n])) for n in degs}
+    second = {
+        (n, h): T * (2 * np.pi / T) ** 2 * float(np.sum(g * g * f[n] * f[h]))
+        for n in degs
+        for h in degs
+    }
+    return mean, second

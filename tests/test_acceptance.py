@@ -169,7 +169,7 @@ def test_acceptance_consistency():
 # --- 7. numeric oracle suite ------------------------------------------------
 
 def test_acceptance_oracle_zero_frequency_eigenvalue():
-    val = spectral_eigenvalue(reference_spharma11(), 1, 0.0)
+    val = spectral_eigenvalue(reference_spharma11(), 0.0)[0, 0]
     err = abs(val - 0.32036146556075057)
     _verdict("oracle: f_1(0) = 0.320361... within 1e-9", err < 1e-9, f"f_1(0) = {val:.10f}")
 

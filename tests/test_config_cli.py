@@ -442,6 +442,26 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["mc-size"]) == 1
 
 
+def test_cli_consecutive_calls_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process: a second run writes the same
+    # files, and a usage error after a run prints the same usage and exits 1
+    cfg = _write_config(tmp_path, SMALL_DOC)
+    usage = ["mc-power", "--config", cfg, "--seed", "1", "--bogus"]
+    assert main(usage) == 1
+    first_error = capsys.readouterr().err
+    tables = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["mc-power", "--config", cfg, "--out", str(out)]) == 0
+        tables.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+    assert list(tables[0]) == ["power.csv", "power_manifest.json"]
+    assert tables[0] == tables[1]
+    capsys.readouterr()
+    assert main(usage) == 1
+    assert capsys.readouterr().err == first_error
+    assert first_error.startswith("usage: spherelrd mc-power [-h] --config CONFIG")
+
+
 # --- every command takes only the flags it reads ------------------------------
 
 # (command, flag) pairs that each command once accepted and ignored
@@ -527,6 +547,9 @@ def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
         pytest.param("mc-sweep", "experiment", "betas", 0.3, id="betas"),
         # an interpolated profile without endpoints (None: the key is removed)
         pytest.param("validate-model", "alpha", "endpoints", None, id="endpoints"),
+        # a sample length listed twice: a consistency run would fit its
+        # log-log slope on one distinct T
+        pytest.param("mc-consistency", "experiment", "T", [512, 512], id="T-repeated"),
     ],
 )
 def test_cli_malformed_value_exits_1_naming_the_key(

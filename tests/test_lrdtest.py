@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import smoothed_cross_spectrum
+from conftest import null_moments_by_pair, smoothed_cross_spectrum
 from scipy import stats
 
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.harness import ExperimentConfig
-from spherelrd.models import example_model
+from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
 from spherelrd.lrdtest import (
@@ -237,6 +237,26 @@ def test_white_noise_null_moments_frozen(white_noise_model):
     assert cont[1] == pytest.approx(math.sqrt(B * T) / (2 * math.pi), rel=1e-6)
     assert m.mean_diag[1] < cont[1]
     assert cont[1] / m.mean_diag[1] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_spharma(DegreeRange(1, 2), [], [], innov=1.0),
+        reference_spharma11(),
+        example_model(1).srd_part(),
+        build_spharma(DegreeRange(0, 3), [[0.5, -0.3], [0.2, 0.4], [0.9, -0.2], [0.1, 0.0]], []),
+    ],
+    ids=["white-noise", "reference", "example1", "ar2"],
+)
+@pytest.mark.parametrize("T", [50, 1000, 3000])
+def test_null_moments_equal_per_pair_oracle(model, T):
+    # the batched moments are bit for bit the per-degree, per-pair sums
+    B = bandwidth(T, BandwidthRule(beta=0.25))
+    m = null_moments(model, T, B)
+    mean, second = null_moments_by_pair(model, T, B)
+    assert m.mean_diag == mean
+    assert m.second_moment == second
 
 
 def test_null_moment_accessors(small_model):

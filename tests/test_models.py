@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import eigenvalue_row
 
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import (
@@ -18,6 +19,7 @@ from spherelrd.models import (
     example_model,
     reference_ar_eigenvalues,
     reference_ma_eigenvalues,
+    _roots,
     reference_spharma11,
     spectral_eigenvalue,
 )
@@ -42,25 +44,25 @@ def test_reference_coefficients_at_degree_one(reference_model):
 def test_zero_frequency_eigenvalue_oracle(reference_model):
     # [DERIVED] f_1(0) = (1/2pi) (1 + psi_1)^2 / (1 - phi_1)^2 with
     # phi_1 = 0.7 * 2^(-3/2), psi_1 = 0.4 * 2^(-5/1.95).
-    assert spectral_eigenvalue(reference_model, 1, 0.0) == pytest.approx(
+    assert spectral_eigenvalue(reference_model, 0.0)[0, 0] == pytest.approx(
         0.32036146556075057, abs=1e-12
     )
 
 
 def test_eigenvalue_is_even_and_positive(reference_model):
     w = np.linspace(-np.pi, np.pi, 41)
-    for n in (1, 4, 8):
-        f = spectral_eigenvalue(reference_model, n, w)
-        np.testing.assert_allclose(f, f[::-1], atol=1e-14)
-        assert np.all(f > 0)
+    f = spectral_eigenvalue(reference_model, w)
+    assert f.shape == (reference_model.n_degrees, w.size)
+    np.testing.assert_allclose(f, f[:, ::-1], atol=1e-14)
+    assert np.all(f > 0)
 
 
 def test_alternative_eigenvalue_pole(example1_model):
-    assert spectral_eigenvalue(example1_model, 1, 0.0, Hypothesis.ALTERNATIVE) == np.inf
+    assert spectral_eigenvalue(example1_model, 0.0, hyp=Hypothesis.ALTERNATIVE)[0, 0] == np.inf
     w = 0.3
     a = example1_model.alpha.values[0]
-    null = spectral_eigenvalue(example1_model, 1, w)
-    alt = spectral_eigenvalue(example1_model, 1, w, Hypothesis.ALTERNATIVE)
+    null = spectral_eigenvalue(example1_model, w)[0, 0]
+    alt = spectral_eigenvalue(example1_model, w, hyp=Hypothesis.ALTERNATIVE)[0, 0]
     assert alt == pytest.approx(null * (2 * np.sin(w / 2)) ** (-2 * a), rel=1e-12)
 
 
@@ -94,7 +96,7 @@ def test_simulated_memory_exponent_is_differencing_order(example, n):
     w = 2 * np.pi * s / T
     x = -2 * np.log(2 * np.sin(w / 2))
     x -= x.mean()
-    y = np.log(I[s - 1] / spectral_eigenvalue(model, n, w)[:, None])
+    y = np.log(I[s - 1] / spectral_eigenvalue(model, w)[n - 1][:, None])
     d_hat = x @ (y - y.mean(axis=0)) / (x @ x)
     se = d_hat.std(ddof=1) / np.sqrt(d_hat.size)
     assert abs(d_hat.mean() - model.alpha.values[n - 1]) < 3 * se
@@ -110,13 +112,100 @@ def test_mean_periodogram_matches_alternative_eigenvalue(example, n):
     I = _example_periodograms(example, n)
     T = 2 * (I.shape[0] + 1)
     s = np.arange(8, 128)
-    f = spectral_eigenvalue(model, n, 2 * np.pi * s / T, Hypothesis.ALTERNATIVE)
+    f = spectral_eigenvalue(model, 2 * np.pi * s / T, hyp=Hypothesis.ALTERNATIVE)[n - 1]
     assert abs(np.mean(I[s - 1] / f[:, None]) - 1.0) < 0.05
+
+
+# Degrees of effective order 2, 1 and 0 in one AR(2) x MA(2) model: the
+# trailing zero coefficients leave zero companion eigenvalues to drop.
+_MIXED_ORDERS = dict(
+    degrees=DegreeRange(1, 4),
+    phi=[[0.5, 0.3], [0.3, 0.0], [0.0, 0.0], [-0.4, 0.2]],
+    psi=[[0.2, -0.1], [0.0, 0.0], [0.6, 0.0], [0.3, 0.25]],
+    innov=[1.0, 0.5, 2.0, 1.5],
+)
+
+
+def _models() -> dict:
+    return {
+        "white-noise": build_spharma(DegreeRange(1, 2), [], [], innov=2.0),
+        "reference": reference_spharma11(),
+        "example1": example_model(1),
+        "example4": example_model(4),
+        "mixed-orders": build_spharma(**_MIXED_ORDERS),
+        "order-3": build_spharma(
+            DegreeRange(0, 2),
+            [[0.3, 0.0, 0.0], [0.0, 0.0, 0.0], [0.2, -0.1, 0.05]],
+            [[0.4, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.0]],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_models()))
+@pytest.mark.parametrize("alternative", [False, True])
+def test_eigenvalue_rows_equal_single_degree_oracle(name, alternative):
+    # every row of the batched eigenvalue is bit for bit the degree's own
+    # formula, on a grid that holds the pole at 0 and at a scalar frequency
+    model = _models()[name]
+    hyp = Hypothesis.ALTERNATIVE if alternative else Hypothesis.NULL
+    w = np.linspace(-np.pi, np.pi, 101)
+    f = spectral_eigenvalue(model, w, hyp=hyp)
+    assert f.shape == (model.n_degrees, w.size)
+    f0 = spectral_eigenvalue(model, 0.3, hyp=hyp)
+    assert f0.shape == (model.n_degrees, 1)
+    for i, n in enumerate(model.degrees.degrees):
+        np.testing.assert_array_equal(f[i], eigenvalue_row(model, n, w, alternative))
+        assert f0[i, 0] == eigenvalue_row(model, n, 0.3, alternative)
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_batched_roots_match_np_roots(name):
+    # one eigenvalue call over the stacked companions finds each degree's
+    # roots, with trailing zero coefficients trimmed as np.roots needs them
+    model = _models()[name]
+    for coeffs in (-model.phi, model.psi):
+        for row, roots in zip(coeffs, _roots(coeffs)):
+            poly = np.trim_zeros(np.concatenate(([1.0], row)), "b")
+            want = np.roots(poly[::-1]) if poly.size > 1 else np.empty(0)
+            assert roots.size == want.size
+            got, want = np.sort_complex(roots), np.sort_complex(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    moduli = model.ar_root_moduli()
+    assert len(moduli) == model.n_degrees
+    for row, got in zip(-model.phi, moduli):
+        poly = np.trim_zeros(np.concatenate(([1.0], row)), "b")
+        want = np.sort(np.abs(np.roots(poly[::-1]))) if poly.size > 1 else np.empty(0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "changes, error, degree, message",
+    [
+        # a nonstationary middle degree, of full and of lower effective order
+        (dict(phi=[[0.5, 0.3], [1.25, 0.0], [0.0, 0.0], [-0.4, 0.2]]),
+         NonstationaryDegree, 2, "AR polynomial for degree 2 has a root of modulus 0.8 <= 1"),
+        (dict(phi=[[0.5, 0.3], [0.3, 0.0], [0.0, 0.0], [0.6, 0.5]]),
+         NonstationaryDegree, 4, "AR polynomial for degree 4 has a root of modulus 0.936229 <= 1"),
+        # 1 - 0.3 z shares its root z = 10/3 with the MA polynomial 1 - 0.3 z
+        (dict(psi=[[0.2, -0.1], [-0.3, 0.0], [0.6, 0.0], [0.3, 0.25]]),
+         CommonRoot, 2, "AR and MA polynomials share a root at degree 2"),
+        # the innovation is checked first, and the first failing degree raises
+        (dict(innov=[1.0, 1.0, 0.0, -1.0], phi=[[0.5, 0.3], [0.3, 0.0], [0.0, 0.0], [1.5, 0.0]]),
+         NonpositiveInnovation, 3, "innovation eigenvalue at degree 3 must be positive"),
+        (dict(innov=[1.0, 0.0, 1.0, 1.0], phi=[[0.5, 0.3], [1.5, 0.0], [0.0, 0.0], [-0.4, 0.2]]),
+         NonpositiveInnovation, 2, "innovation eigenvalue at degree 2 must be positive"),
+    ],
+)
+def test_first_failing_degree_is_named(changes, error, degree, message):
+    with pytest.raises(error) as info:
+        build_spharma(**{**_MIXED_ORDERS, **changes})
+    assert info.value.degree == degree
+    assert str(info.value) == message
 
 
 def test_eigenvalue_frequency_domain_checked(reference_model):
     with pytest.raises(ModelError):
-        spectral_eigenvalue(reference_model, 1, 4.0)
+        spectral_eigenvalue(reference_model, 4.0)
 
 
 def test_nonstationary_degree_rejected():
@@ -206,14 +295,14 @@ def test_srd_part_strips_memory(example1_model):
     np.testing.assert_allclose(srd.psi, example1_model.psi)
     w = np.linspace(0.1, 3.0, 7)
     np.testing.assert_allclose(
-        spectral_eigenvalue(srd, 3, w),
-        spectral_eigenvalue(example1_model, 3, w, Hypothesis.NULL),
+        spectral_eigenvalue(srd, w),
+        spectral_eigenvalue(example1_model, w, hyp=Hypothesis.NULL),
     )
 
 
 def test_ar_roots_outside_unit_circle(reference_model):
-    for n in reference_model.degrees.degrees:
-        assert np.all(reference_model.ar_root_moduli(n) > 1.0)
+    for moduli in reference_model.ar_root_moduli():
+        assert np.all(moduli > 1.0)
 
 
 def test_alpha_length_mismatch_rejected():
@@ -226,4 +315,4 @@ def test_alpha_length_mismatch_rejected():
 def test_white_noise_model_is_flat():
     wn = build_spharma(DegreeRange(1, 2), [], [], innov=2.0)
     w = np.linspace(-3, 3, 11)
-    np.testing.assert_allclose(spectral_eigenvalue(wn, 1, w), 2.0 / (2 * np.pi))
+    np.testing.assert_allclose(spectral_eigenvalue(wn, w), 2.0 / (2 * np.pi))
