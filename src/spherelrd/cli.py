@@ -4,11 +4,11 @@ Subcommands map one-to-one onto library entry points:
 
     simulate        draw one coefficient panel and write it out
     spectrum        smoothed diagonal spectrum of a simulated panel
-    test            the projected test on replication 0 of mc-size/mc-power
+    test            the fixed-column test on replication 0 of mc-size/mc-power
     mc-size         Monte Carlo empirical size table
     mc-power        Monte Carlo empirical power table
     mc-dist         null-distribution histograms and KS statistics
-    mc-divergence   projected Hilbert-Schmidt norms over a T grid
+    mc-divergence   Hilbert-Schmidt norms of the statistic matrix over a T grid
     mc-sweep        bandwidth-rescaled norms over a beta x T grid
     mc-consistency  integrated-variance decay of the spectral estimator
     validate-model  per-degree stationarity and exponent diagnostics

@@ -47,7 +47,6 @@ from .lrdtest import (
     BandwidthRule,
     _entries,
     bandwidth,
-    column_calibration,
     column_degrees,
     critical_value,
     g_weights,
@@ -312,31 +311,36 @@ def _spectrum_moments(dft, acc, B) -> None:
 # --- experiments ------------------------------------------------------------
 
 def _calibrate(config: ExperimentConfig) -> list:
-    """Null moments for every T, resolved before any replication runs, so a T
-    with a degenerate bandwidth or an empty window fails first."""
+    """Per T, its bandwidth and the null mean and sd of a diagonal entry per
+    degree, resolved before any replication runs, so a T with a degenerate
+    bandwidth or an empty window fails first."""
     calib = config.null_model()
-    return [null_moments(calib, T, bandwidth(T, config.rule())) for T in config.T_values]
+    out = []
+    for T in config.T_values:
+        B = bandwidth(T, config.rule())
+        out.append((B, *null_moments(calib, T, B)))
+    return out
 
 
 def _standardized_entries(config: ExperimentConfig, cols, R: int) -> list:
     """Per T, the (R, len(cols)) diagonal entries S[a, a] of the basis columns
     ``cols`` in replications 0..R-1, and the same entries standardized.
 
-    Only the degrees the columns touch are simulated.  Each replication stacks
-    its raw entries; they are standardized once per table, which gives the
-    same floats as standardizing row by row.  Size and power read R =
-    ``config.R``; ``spherelrd test`` reads replication 0 alone (R = 1).
+    Only the degrees the columns touch are simulated, so a column's index is
+    its place in that sub-range.  Each replication stacks its raw entries;
+    they are standardized once per table by their degree's null mean and sd,
+    which gives the same floats as standardizing row by row.  Size and power
+    read R = ``config.R``; ``spherelrd test`` reads replication 0 alone (R = 1).
     """
     degrees = column_degrees(cols)
-    args, calibrations = [], []
-    for moments in _calibrate(config):
-        idx, mean, sd = column_calibration(degrees, moments, cols)
-        args.append((moments.B, idx))
-        calibrations.append((mean, sd))
-    plan = _Plan(config.model, config.T_values, config.seed, _column_entries, tuple(args),
-                 ((len(cols),),) * len(args), stack=True, degrees=degrees)
+    idx = [degrees.column(n, j) for n, j in cols]
+    rows = [n - config.model.degrees.n_min for n, _ in cols]
+    calibrations = _calibrate(config)
+    plan = _Plan(config.model, config.T_values, config.seed, _column_entries,
+                 tuple((B, idx) for B, _, _ in calibrations),
+                 ((len(cols),),) * len(calibrations), stack=True, degrees=degrees)
     entries = _replicate(plan, R, config.threads)
-    return [(s, (s - mean) / sd) for s, (mean, sd) in zip(entries, calibrations)]
+    return [(s, (s - mean[rows]) / sd[rows]) for s, (_, mean, sd) in zip(entries, calibrations)]
 
 
 def run_size(config: ExperimentConfig) -> McTable:
@@ -407,7 +411,7 @@ _UNCALIBRATED = ("level", "n_directions", "calibration")
 
 
 def run_divergence(config: ExperimentConfig) -> McTable:
-    """Projected Hilbert-Schmidt norms of the statistic over the T grid.
+    """Hilbert-Schmidt (Frobenius) norms of the full statistic matrix over the T grid.
 
     Per T, the median over ``config.R`` replications of the statistic-scale
     norm and of the grid-sum (table-comparable) norm; at R = 1 that is the
@@ -448,9 +452,9 @@ def run_bandwidth_sweep(config: ExperimentConfig, betas) -> McTable:
     for beta in betas:
         for T in config.T_values:
             B = bandwidth(T, BandwidthRule(beta=beta))
-            mean_diag = profile_mean_diag(calib, T, B)
+            mean_diag = zip(calib.degrees.degrees, profile_mean_diag(calib, T, B).tolist())
             gridsum = float(T) ** 2 / (2 * math.pi) ** 4
-            norm = math.sqrt(sum((2 * n + 1) * m**2 for n, m in mean_diag.items())) * gridsum
+            norm = math.sqrt(sum((2 * n + 1) * m**2 for n, m in mean_diag)) * gridsum
             table.add(T, 0, beta, "rescaled_norm", norm / math.sqrt(B * T))
     return table
 

@@ -15,8 +15,8 @@ with g_v = (2 pi / T) * sum_{s in window} W^(T)(w_s - w_v).  The panel is
 real and g is even, so the terms at v and T - v are conjugate and S is real:
 it is summed over the half grid v = 1..T//2 with folded weights 2 g_v, and
 only over the support of g (the window widened by the kernel's nonzero lags,
-about a tenth of the half grid at B = T^(-1/4)).  All null means and
-(co)variances are evaluated on the same Fourier grid with the same g
+about a tenth of the half grid at B = T^(-1/4)).  The null means and
+variances are evaluated on the same Fourier grid with the same g
 weights, which removes the O(1/(T sqrt(B))) centering bias a continuous
 approximation would leave at small T.  Only the bandwidth sweep integrates
 the limiting window profile instead (``profile_mean_diag``), because that
@@ -39,7 +39,7 @@ import numpy as np
 from scipy import special
 
 from .harmonics import DegreeRange
-from .models import Hypothesis, SpectralModel, spectral_eigenvalue
+from .models import SpectralModel, spectral_eigenvalue
 from .spectral import GRID_CACHE_SIZE, DftPanel, epanechnikov_cdf, kernel_row, reduce_frequency
 
 
@@ -164,61 +164,42 @@ def statistic_matrix(dft: DftPanel, B: float) -> np.ndarray:
 
 # --- null calibration -------------------------------------------------------
 
-@dataclass(frozen=True)
-class NullMoments:
-    """Null mean of a diagonal entry per degree, and the entries' variance kernel.
+def null_moments(model: SpectralModel, T: int, B: float) -> tuple:
+    """Null mean and standard deviation of a diagonal entry S[a, a], per degree
+    of a short-memory model: two arrays of shape (n_degrees,).
 
-    ``second_moment`` is the shared quadratic kernel
-    V2(n, h) = T (2 pi / T)^2 sum_v g_v^2 f_n(w_v) f_h(w_v); the variance of
-    entry (a, b) is (1 + delta_ab) * V2(n_a, n_b), and the covariance between
-    entries (a, b) and (c, d) is V2 * (delta_ac delta_bd + delta_ad delta_bc).
-    A diagonal entry of degree n thus has variance 2 V2(n, n).
-    """
-
-    T: int
-    B: float
-    mean_diag: dict  # degree n -> E S[a, a] for any a in degree n
-    second_moment: dict  # (n, h) -> V2(n, h)
-
-
-def null_moments(model: SpectralModel, T: int, B: float) -> NullMoments:
-    """Null mean and variance kernel for all degrees of a short-memory model.
-
+    An entry of degree n has mean sqrt(T) (2 pi / T) sum_v g_v f_n(w_v) and
+    variance 2 V2(n, n), with V2(n, n) = T (2 pi / T)^2 sum_v g_v^2 f_n(w_v)^2.
     The moments put the spectral density f_n(w_v) at each Fourier ordinate
     where the exact finite-T moments of the Gaussian quadratic form have the
     Fejer-smoothed E|d(w_v)|^2, so they are grid approximations, not exact:
     at T = 50 the grid mean is 0.989 (n = 1) and 0.975 (n = 8) of the exact
     mean, and the gap closes as T grows.  The tests calibrate against them.
     A long-memory model is rejected: calibrate against its ``srd_part()``.
-    V2 takes one reduction of g^2 f_n against every degree's row per n, so no
-    temporary exceeds (n_degrees, T); a sum along a row rounds as a pair's would.
     """
     if not model.alpha.is_null:
         raise CalibrationUnderAlternative(
             "model has nonzero memory exponents; calibrate against its "
             "short-range factor (srd_part())"
         )
-    degs = model.degrees.degrees
     g = g_weights(T, B)[1:]
     omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
-    f = spectral_eigenvalue(model, omegas, hyp=Hypothesis.NULL)
+    f = spectral_eigenvalue(model, omegas)
     mean = math.sqrt(T) * (2 * np.pi / T) * np.sum(g * f, axis=1)
-    second = {}
-    for i, n in enumerate(degs):
-        v2 = T * (2 * np.pi / T) ** 2 * np.sum(g * g * f[i] * f, axis=1)
-        if v2[i] <= 0:
-            raise TestError(f"nonpositive variance for degree {n}")
-        second.update(zip(((n, h) for h in degs), v2.tolist()))
-    return NullMoments(T=T, B=B, mean_diag=dict(zip(degs, mean.tolist())), second_moment=second)
+    v2 = T * (2 * np.pi / T) ** 2 * np.sum(g * g * f * f, axis=1)
+    bad = np.flatnonzero(v2 <= 0)
+    if bad.size:
+        raise TestError(f"nonpositive variance for degree {model.degrees.n_min + bad[0]}")
+    return mean, np.sqrt(2.0 * v2)
 
 
 # Midpoint-quadrature nodes of ``profile_mean_diag``.
 _NODES = 256
 
 
-def profile_mean_diag(model: SpectralModel, T: int, B: float) -> dict:
-    """Null mean of a diagonal entry per degree, integrated over the limiting
-    window profile G by midpoint quadrature with ``_NODES`` nodes.
+def profile_mean_diag(model: SpectralModel, T: int, B: float) -> np.ndarray:
+    """Null mean of a diagonal entry per degree, shape (n_degrees,), integrated
+    over the limiting window profile G by midpoint quadrature with ``_NODES`` nodes.
 
     Unlike the grid mean of ``null_moments`` it carries an O(1/(T sqrt(B)))
     centering offset, and it scales exactly as sqrt(B T) even when B falls
@@ -229,8 +210,7 @@ def profile_mean_diag(model: SpectralModel, T: int, B: float) -> dict:
     w = lo + (hi - lo) * (np.arange(_NODES) + 0.5) / _NODES
     dw = (hi - lo) / _NODES
     G = epanechnikov_cdf((half - w) / B) - epanechnikov_cdf((-half - w) / B)
-    f = spectral_eigenvalue(model, w, hyp=Hypothesis.NULL)
-    return dict(zip(model.degrees.degrees, (math.sqrt(T) * np.sum(G * f, axis=1) * dw).tolist()))
+    return math.sqrt(T) * np.sum(G * spectral_eigenvalue(model, w), axis=1) * dw
 
 
 @functools.lru_cache(maxsize=16)
@@ -243,11 +223,11 @@ def critical_value(level: float) -> float:
 
 # --- the tested entries -----------------------------------------------------
 
-def leading_columns(degrees: DegreeRange, count: int | None) -> list:
-    """The first ``count`` (None for all) basis functions (n, j) with n >= 1,
-    in column order: the diagonal entries S[a, a] the test reports."""
+def leading_columns(degrees: DegreeRange, count: int) -> list:
+    """The first ``count`` basis functions (n, j) with n >= 1, in column order:
+    the diagonal entries S[a, a] the test reports."""
     cols = [(n, j) for n, j in degrees.index_list() if n >= 1]
-    if count is not None and not 1 <= count <= len(cols):
+    if not 1 <= count <= len(cols):
         raise TestError(
             f"directions must lie in [1, {len(cols)}] for degrees "
             f"{degrees.n_min}..{degrees.n_max}, got {count}"
@@ -260,14 +240,3 @@ def column_degrees(cols) -> DegreeRange:
     touched = [n for n, _ in cols]
     return DegreeRange(min(touched), max(touched))
 
-
-def column_calibration(degrees: DegreeRange, moments: NullMoments, cols) -> tuple:
-    """Indices of ``cols`` in a panel over ``degrees``, and the null means and
-    standard deviations of their diagonal entries.
-
-    The entry S[a, a] of column ``idx[k]`` standardizes to (S - mean[k]) / sd[k].
-    """
-    idx = [degrees.column(n, j) for n, j in cols]
-    mean = np.array([moments.mean_diag[n] for n, _ in cols])
-    sd = np.sqrt([2.0 * moments.second_moment[(n, n)] for n, _ in cols])
-    return idx, mean, sd

@@ -3,20 +3,21 @@
 A model assigns to each spherical-harmonic degree n a scalar ARMA(p, q)
 transfer function with AR polynomial Phi_n(z) = 1 - sum phi_{n,i} z^i and MA
 polynomial Psi_n(z) = 1 + sum psi_{n,l} z^l, an innovation variance, and a
-memory exponent alpha(n).  The short-memory spectral eigenvalue is
+memory exponent alpha(n).  The short-memory spectral eigenvalue, which
+calibrates the test (``spectral_eigenvalue``), is
 
     f_n(w) = innov_n / (2 pi) * |Psi_n(e^{-iw})|^2 / |Phi_n(e^{-iw})|^2.
 
 The memory exponent is the fractional differencing order d of
 (1 - B)^(-alpha(n)), the filter the simulator applies, so under the
-long-memory alternative f_n is multiplied by |1 - e^{-iw}|^(-2 alpha(n)) =
-(2 |sin(w/2)|)^(-2 alpha(n)).  The process is stationary for alpha(n) < 1/2;
-the pole at w = 0 is integrable only there.
+long-memory alternative the simulated degree n has f_n times
+|1 - e^{-iw}|^(-2 alpha(n)) = (2 |sin(w/2)|)^(-2 alpha(n)) as its spectral
+density.  The process is stationary for alpha(n) < 1/2; the pole at w = 0 is
+integrable only there.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,11 +53,6 @@ class NonpositiveInnovation(ModelError):
 
 class AlphaRangeError(ModelError):
     pass
-
-
-class Hypothesis(enum.Enum):
-    NULL = "null"
-    ALTERNATIVE = "alternative"
 
 
 @dataclass(frozen=True)
@@ -216,15 +212,9 @@ def build_spharma(
     )
 
 
-def spectral_eigenvalue(
-    model: SpectralModel,
-    omega,
-    *,
-    hyp: Hypothesis = Hypothesis.NULL,
-) -> np.ndarray:
-    """f_n(omega) at omega in [-pi, pi], one row per degree: shape (n_degrees,
-    omega.size).  The alternative multiplies row n by |2 sin(omega/2)|^(-2 alpha(n)),
-    +inf at omega = 0 if alpha(n) > 0.  A row rounds as one degree alone would."""
+def spectral_eigenvalue(model: SpectralModel, omega) -> np.ndarray:
+    """Short-memory f_n(omega) at omega in [-pi, pi], one row per degree: shape
+    (n_degrees, omega.size).  A row rounds as one degree alone would."""
     w = np.asarray(omega, dtype=float).reshape(-1)
     if np.any(np.abs(w) > np.pi + 1e-12):
         raise ModelError("frequency outside [-pi, pi]")
@@ -235,13 +225,7 @@ def spectral_eigenvalue(
     den = np.ones_like(num)
     for k in range(model.p):
         den = den - model.phi[:, k, None] * z ** (k + 1)
-    f = model.innov[:, None] / (2 * np.pi) * np.abs(num) ** 2 / np.abs(den) ** 2
-    a = model.alpha.values[:, None]
-    if hyp is Hypothesis.ALTERNATIVE and np.any(a > 0):
-        mod = 2.0 * np.abs(np.sin(w / 2.0))
-        with np.errstate(divide="ignore"):
-            f = np.where((mod == 0.0) & (a > 0), np.inf, f * mod ** (-2.0 * a))
-    return f
+    return model.innov[:, None] / (2 * np.pi) * np.abs(num) ** 2 / np.abs(den) ** 2
 
 
 # --- canonical model generators -------------------------------------------

@@ -40,24 +40,21 @@ class SpectralError(ValueError):
 def epanechnikov(x):
     """W(x) = 0.75 (1 - x^2) on [-1, 1], zero outside."""
     x = np.asarray(x, dtype=float)
-    val = np.where(np.abs(x) < 1.0, 0.75 * (1.0 - x * x), 0.0)
-    return val if val.shape else float(val)
+    return np.where(np.abs(x) < 1.0, 0.75 * (1.0 - x * x), 0.0)
 
 
 def epanechnikov_cdf(x):
     """Antiderivative of the Epanechnikov kernel, clipped to [0, 1]."""
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, -1.0, 1.0)
-    val = 0.5 + 0.75 * xc - 0.25 * xc**3
-    return val if val.shape else float(val)
+    return 0.5 + 0.75 * xc - 0.25 * xc**3
 
 
 def reduce_frequency(omega):
     """Map a frequency to its representative in (-pi, pi]."""
     w = np.asarray(omega, dtype=float)
     red = w - 2 * np.pi * np.round(w / (2 * np.pi))
-    red = np.where(red <= -np.pi, red + 2 * np.pi, red)
-    return red if red.shape else float(red)
+    return np.where(red <= -np.pi, red + 2 * np.pi, red)
 
 
 def kernel_row(T: int, B: float) -> np.ndarray:

@@ -82,7 +82,10 @@ def smoothed_cross_spectrum(dft, a, b, omega: float, B: float) -> complex:
 
 def eigenvalue_row(model, n, omega, alternative=False) -> np.ndarray:
     """f_n(omega) of one degree, evaluated on its own: the single-degree
-    formula ``spectral_eigenvalue`` batches over degrees."""
+    formula ``spectral_eigenvalue`` batches over degrees.  With
+    ``alternative`` it is the long-memory density of what ``simulate_panel``
+    draws, times |2 sin(omega/2)|^(-2 alpha(n)) and +inf at omega = 0 if
+    alpha(n) > 0; the package itself never evaluates it."""
     w = np.asarray(omega, dtype=float)
     i = n - model.degrees.n_min
     z = np.exp(-1j * w)
@@ -103,7 +106,9 @@ def eigenvalue_row(model, n, omega, alternative=False) -> np.ndarray:
 
 def null_moments_by_pair(model, T: int, B: float) -> tuple:
     """Grid null means per degree and V2 per pair of degrees, each summed on
-    its own: the per-degree, per-pair formula ``null_moments`` batches."""
+    its own.  ``null_moments`` batches the means and the diagonal V2(n, n)
+    (its sd is sqrt(2 V2(n, n))); the cross kernel V2(n, h), the covariance
+    of the entries (a, b) and (b, a) of degrees n and h, lives only here."""
     g = g_weights(T, B)[1:]
     omegas = reduce_frequency(2 * np.pi * np.arange(1, T) / T)
     degs = list(model.degrees.degrees)

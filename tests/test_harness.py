@@ -231,13 +231,13 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
     run_distribution(config)
     assert calls == []
     assert len(rows) == 6
-    moments = null_moments(small_model, 512, bandwidth(512, config.rule()))
-    degree = [n for n, _ in small_model.degrees.index_list()]
-    means = np.array([moments.mean_diag[n] for n in degree])
-    sds = np.sqrt([2.0 * moments.second_moment[(n, n)] for n in degree])
+    B = bandwidth(512, config.rule())
+    mean, sd = null_moments(small_model, 512, B)
+    degree = [n - 1 for n, _ in small_model.degrees.index_list()]
+    means, sds = mean[degree], sd[degree]
     for dft, row in rows:
         z = (row - means) / sds
-        want = (np.diag(statistic_matrix(dft, moments.B)) - means) / sds
+        want = (np.diag(statistic_matrix(dft, B)) - means) / sds
         np.testing.assert_allclose(z, want, rtol=0, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
-from spherelrd.harness import ExperimentConfig
+from spherelrd.harness import ExperimentConfig, _standardized_entries
 from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
@@ -21,7 +21,6 @@ from spherelrd.lrdtest import (
     TestError,
     _entries,
     bandwidth,
-    column_calibration,
     column_degrees,
     critical_value,
     g_weights,
@@ -194,7 +193,7 @@ def test_projected_test_matches_statistic_matrix(tmp_path):
     model = example_model(1, 1, 3)
     dft = fdft_panel(simulate_panel(model, 300, SeedSpec(base_seed=41)))
     B = bandwidth(300, BandwidthRule(beta=0.25))
-    moments = null_moments(model.srd_part(), 300, B)
+    mean, sd = null_moments(model.srd_part(), 300, B)
     S = statistic_matrix(dft, B)
     cols = leading_columns(model.degrees, 10)
     assert [r["label"] for r in rows] == [f"({n},{j})x({n},{j})" for n, j in cols]
@@ -202,8 +201,8 @@ def test_projected_test_matches_statistic_matrix(tmp_path):
         k = model.degrees.column(n, j)
         want = S[k, k]
         assert row["statistic"] == pytest.approx(want, rel=1e-12)
-        sd = math.sqrt(2.0 * moments.second_moment[(n, n)])
-        assert row["z"] == pytest.approx((want - moments.mean_diag[n]) / sd, rel=1e-12)
+        i = n - model.degrees.n_min
+        assert row["z"] == pytest.approx((want - mean[i]) / sd[i], rel=1e-12)
 
 
 def test_statistic_quadratic_scaling(small_model):
@@ -225,18 +224,21 @@ def test_white_noise_null_moments_frozen(white_noise_model):
     # [DERIVED] frozen grid-exact moments for unit white noise at T = 1000,
     # B = 1000^(-1/4); the continuous-profile mean has the closed form
     # sqrt(B T) / (2 pi) and the grid mean sits ~3% below it because the
-    # v = 0 ordinate is excluded.
+    # v = 0 ordinate is excluded.  The sd is sqrt(2 V2(n, n)); a flat
+    # spectrum gives every pair of degrees the same kernel V2(n, h).
     T = 1000
     B = bandwidth(T, BandwidthRule(beta=0.25))
-    m = null_moments(white_noise_model, T, B)
-    assert m.mean_diag[1] == pytest.approx(2.0564905230746127, abs=1e-9)
-    assert m.mean_diag[2] == pytest.approx(m.mean_diag[1], abs=1e-12)
-    assert m.second_moment[(1, 1)] == pytest.approx(0.049643400509657036, abs=1e-9)
-    assert m.second_moment[(1, 2)] == pytest.approx(m.second_moment[(1, 1)], abs=1e-12)
+    mean, sd = null_moments(white_noise_model, T, B)
+    assert mean[0] == pytest.approx(2.0564905230746127, abs=1e-9)
+    assert mean[1] == pytest.approx(mean[0], abs=1e-12)
+    assert sd[0] ** 2 / 2 == pytest.approx(0.049643400509657036, abs=1e-9)
+    assert sd[1] == pytest.approx(sd[0], abs=1e-12)
+    _, second = null_moments_by_pair(white_noise_model, T, B)
+    assert second[(1, 2)] == pytest.approx(second[(1, 1)], abs=1e-12)
     cont = profile_mean_diag(white_noise_model, T, B)
-    assert cont[1] == pytest.approx(math.sqrt(B * T) / (2 * math.pi), rel=1e-6)
-    assert m.mean_diag[1] < cont[1]
-    assert cont[1] / m.mean_diag[1] == pytest.approx(1.0, abs=0.05)
+    assert cont[0] == pytest.approx(math.sqrt(B * T) / (2 * math.pi), rel=1e-6)
+    assert mean[0] < cont[0]
+    assert cont[0] / mean[0] == pytest.approx(1.0, abs=0.05)
 
 
 @pytest.mark.parametrize(
@@ -251,26 +253,33 @@ def test_white_noise_null_moments_frozen(white_noise_model):
 )
 @pytest.mark.parametrize("T", [50, 1000, 3000])
 def test_null_moments_equal_per_pair_oracle(model, T):
-    # the batched moments are bit for bit the per-degree, per-pair sums
+    # the batched moments are bit for bit the per-degree sums: the mean, and
+    # the sd as sqrt(2 V2(n, n)) of the per-pair kernel's diagonal
     B = bandwidth(T, BandwidthRule(beta=0.25))
-    m = null_moments(model, T, B)
-    mean, second = null_moments_by_pair(model, T, B)
-    assert m.mean_diag == mean
-    assert m.second_moment == second
+    mean, sd = null_moments(model, T, B)
+    want_mean, second = null_moments_by_pair(model, T, B)
+    degs = model.degrees.degrees
+    np.testing.assert_array_equal(mean, [want_mean[n] for n in degs])
+    np.testing.assert_array_equal(sd, np.sqrt([2.0 * second[(n, n)] for n in degs]))
 
 
 def test_null_moment_accessors(small_model):
-    # a diagonal entry of degree n has null mean mean_diag[n] and variance
-    # 2 V2(n, n); its index is that of its column in the simulated sub-range
-    m = null_moments(small_model, 500, 0.2)
-    cols = [(2, 1), (1, 3), (2, 5)]
-    idx, mean, sd = column_calibration(DegreeRange(1, 2), m, cols)
-    assert idx == [3, 2, 7]
-    np.testing.assert_array_equal(mean, [m.mean_diag[2], m.mean_diag[1], m.mean_diag[2]])
-    np.testing.assert_allclose(sd**2, [2.0 * m.second_moment[(n, n)] for n, _ in cols], rtol=1e-15)
-    assert m.mean_diag[1] != m.mean_diag[2]
-    idx, _, _ = column_calibration(DegreeRange(2, 2), m, [(2, 1), (2, 5)])
-    assert idx == [0, 4]
+    # a column's raw entry is read at its index in the simulated sub-range,
+    # and standardized by the null mean and sd of its degree
+    T = 500
+    config = ExperimentConfig(model=small_model, T_values=(T,), R=1, seed=83)
+    B = bandwidth(T, config.rule())
+    mean, sd = null_moments(small_model, T, B)
+    assert mean[0] != mean[1] and sd[0] != sd[1]
+    cases = [
+        ([(2, 1), (1, 3), (2, 5)], DegreeRange(1, 2), [3, 2, 7], [1, 0, 1]),
+        ([(2, 1), (2, 5)], DegreeRange(2, 2), [0, 4], [1, 1]),
+    ]
+    for cols, degrees, idx, rows in cases:
+        [(s, z)] = _standardized_entries(config, cols, 1)
+        panel = simulate_panel(small_model, T, SeedSpec(base_seed=83), degrees=degrees)
+        np.testing.assert_array_equal(s[0], _entries(fdft_panel(panel), B, idx))
+        np.testing.assert_array_equal(z, (s - mean[rows]) / sd[rows])
 
 
 def test_continuous_moments_node_converged(small_model, monkeypatch):
@@ -281,8 +290,8 @@ def test_continuous_moments_node_converged(small_model, monkeypatch):
     m1 = profile_mean_diag(small_model, T, B)
     monkeypatch.setattr(lrdtest, "_NODES", 512)
     m2 = profile_mean_diag(small_model, T, B)
-    for n in (1, 2):
-        assert m1[n] == pytest.approx(m2[n], rel=1e-3)
+    assert m1.shape == (2,)
+    np.testing.assert_allclose(m1, m2, rtol=1e-3)
 
 
 def test_calibration_under_alternative(example1_model):
@@ -291,9 +300,9 @@ def test_calibration_under_alternative(example1_model):
         null_moments(example1_model, T, B)
     # the experiments calibrate a long-memory model against its short-memory factor
     config = ExperimentConfig(model=example1_model, T_values=(T,), R=1)
-    m = null_moments(config.null_model(), T, B)
-    srd = null_moments(example1_model.srd_part(), T, B)
-    assert m.mean_diag[1] == pytest.approx(srd.mean_diag[1], abs=1e-12)
+    mean, _ = null_moments(config.null_model(), T, B)
+    srd_mean, _ = null_moments(example1_model.srd_part(), T, B)
+    assert mean[0] == pytest.approx(srd_mean[0], abs=1e-12)
 
 
 def test_statistic_moments_match_monte_carlo(small_model):
@@ -301,14 +310,14 @@ def test_statistic_moments_match_monte_carlo(small_model):
     # diagonal entry within 4 standard errors, variance within 25%.
     T, R = 500, 400
     B = bandwidth(T, BandwidthRule(beta=0.25))
-    m = null_moments(small_model, T, B)
+    mean, sd = null_moments(small_model, T, B)
     vals = np.empty(R)
     for r in range(R):
         panel = simulate_panel(small_model, T, SeedSpec(base_seed=808, stream_id=r))
         vals[r] = statistic_matrix(fdft_panel(panel), B)[0, 0]
     se = vals.std(ddof=1) / math.sqrt(R)
-    assert abs(vals.mean() - m.mean_diag[1]) < 4 * se
-    assert vals.var(ddof=1) == pytest.approx(2.0 * m.second_moment[(1, 1)], rel=0.25)
+    assert abs(vals.mean() - mean[0]) < 4 * se
+    assert vals.var(ddof=1) == pytest.approx(sd[0] ** 2, rel=0.25)
 
 
 # --- decisions and reports --------------------------------------------------
@@ -354,7 +363,7 @@ def test_leading_columns():
     assert cols == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5)]
     # degree 0 carries no test column
     assert leading_columns(DegreeRange(0, 2), 2) == [(1, 1), (1, 2)]
-    assert len(leading_columns(DegreeRange(0, 2), None)) == 8
+    assert leading_columns(DegreeRange(0, 2), 8) == DegreeRange(1, 2).index_list()
     assert column_degrees(cols) == DegreeRange(1, 2)
     assert column_degrees([(3, 1), (5, 2)]) == DegreeRange(3, 5)
 

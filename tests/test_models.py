@@ -9,7 +9,6 @@ from spherelrd.models import (
     AlphaProfile,
     AlphaRangeError,
     CommonRoot,
-    Hypothesis,
     ModelError,
     NonpositiveInnovation,
     NonstationaryDegree,
@@ -58,11 +57,11 @@ def test_eigenvalue_is_even_and_positive(reference_model):
 
 
 def test_alternative_eigenvalue_pole(example1_model):
-    assert spectral_eigenvalue(example1_model, 0.0, hyp=Hypothesis.ALTERNATIVE)[0, 0] == np.inf
+    assert eigenvalue_row(example1_model, 1, 0.0, alternative=True) == np.inf
     w = 0.3
     a = example1_model.alpha.values[0]
     null = spectral_eigenvalue(example1_model, w)[0, 0]
-    alt = spectral_eigenvalue(example1_model, w, hyp=Hypothesis.ALTERNATIVE)[0, 0]
+    alt = eigenvalue_row(example1_model, 1, w, alternative=True)
     assert alt == pytest.approx(null * (2 * np.sin(w / 2)) ** (-2 * a), rel=1e-12)
 
 
@@ -112,7 +111,7 @@ def test_mean_periodogram_matches_alternative_eigenvalue(example, n):
     I = _example_periodograms(example, n)
     T = 2 * (I.shape[0] + 1)
     s = np.arange(8, 128)
-    f = spectral_eigenvalue(model, 2 * np.pi * s / T, hyp=Hypothesis.ALTERNATIVE)[n - 1]
+    f = eigenvalue_row(model, n, 2 * np.pi * s / T, alternative=True)
     assert abs(np.mean(I[s - 1] / f[:, None]) - 1.0) < 0.05
 
 
@@ -144,18 +143,27 @@ def _models() -> dict:
 @pytest.mark.parametrize("name", list(_models()))
 @pytest.mark.parametrize("alternative", [False, True])
 def test_eigenvalue_rows_equal_single_degree_oracle(name, alternative):
-    # every row of the batched eigenvalue is bit for bit the degree's own
-    # formula, on a grid that holds the pole at 0 and at a scalar frequency
+    # every row of the batched short-memory eigenvalue is bit for bit the
+    # degree's own formula, on a grid that holds the pole at 0 and at a scalar
+    # frequency; the oracle's alternative is that row times the simulator's
+    # fractional filter gain |1 - e^{-iw}|^(-2 alpha(n)), +inf at the pole
     model = _models()[name]
-    hyp = Hypothesis.ALTERNATIVE if alternative else Hypothesis.NULL
     w = np.linspace(-np.pi, np.pi, 101)
-    f = spectral_eigenvalue(model, w, hyp=hyp)
+    w[50] = 0.0  # linspace leaves the midpoint at 4.4e-16, off the pole
+    f = spectral_eigenvalue(model, w)
     assert f.shape == (model.n_degrees, w.size)
-    f0 = spectral_eigenvalue(model, 0.3, hyp=hyp)
+    f0 = spectral_eigenvalue(model, 0.3)
     assert f0.shape == (model.n_degrees, 1)
     for i, n in enumerate(model.degrees.degrees):
-        np.testing.assert_array_equal(f[i], eigenvalue_row(model, n, w, alternative))
-        assert f0[i, 0] == eigenvalue_row(model, n, 0.3, alternative)
+        if alternative:
+            with np.errstate(divide="ignore"):
+                gain = np.abs(1.0 - np.exp(-1j * w)) ** (-2.0 * model.alpha.values[i])
+            want = eigenvalue_row(model, n, w, alternative=True)
+            np.testing.assert_allclose(want, f[i] * gain, rtol=1e-12)
+            assert np.isinf(want[50]) == (model.alpha.values[i] > 0)
+        else:
+            np.testing.assert_array_equal(f[i], eigenvalue_row(model, n, w))
+            assert f0[i, 0] == eigenvalue_row(model, n, 0.3)
 
 
 @pytest.mark.parametrize("name", list(_models()))
@@ -296,7 +304,7 @@ def test_srd_part_strips_memory(example1_model):
     w = np.linspace(0.1, 3.0, 7)
     np.testing.assert_allclose(
         spectral_eigenvalue(srd, w),
-        spectral_eigenvalue(example1_model, w, hyp=Hypothesis.NULL),
+        spectral_eigenvalue(example1_model, w),
     )
 
 

@@ -7,6 +7,8 @@ neither the CLI nor the harness.  No such name is kept.
 
 Likewise a defaulted parameter of a module-level function that no call in
 the package passes, by keyword or by position, is a knob only tests turn.
+A call that passes the parameter's own default expression (``x=None`` where
+the default is ``None``) does not count as passing it.
 The one kept on purpose is ``cli.main``'s ``argv``: the console script calls
 ``main()`` bare.
 """
@@ -71,7 +73,8 @@ def _callee(call: ast.Call):
 
 
 def _unpassed_defaults() -> set:
-    """Defaulted parameters of module-level functions that no package call passes."""
+    """Defaulted parameters of module-level functions that no package call
+    passes, or passes only as their own default expression."""
     defaults, calls = [], {}
     for path in pathlib.Path(spherelrd.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -81,11 +84,11 @@ def _unpassed_defaults() -> set:
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)
                 defaults += [
-                    (path.stem, node.name, a.arg, i)
-                    for i, a in enumerate(positional[first:], start=first)
+                    (path.stem, node.name, a.arg, i, ast.dump(d))
+                    for i, (a, d) in enumerate(zip(positional[first:], args.defaults), start=first)
                 ]
                 defaults += [
-                    (path.stem, node.name, a.arg, None)
+                    (path.stem, node.name, a.arg, None, ast.dump(d))
                     for a, d in zip(args.kwonlyargs, args.kw_defaults)
                     if d is not None
                 ]
@@ -93,17 +96,20 @@ def _unpassed_defaults() -> set:
             if isinstance(node, ast.Call):
                 calls.setdefault(_callee(node), []).append(node)
 
-    def passed(call, name, index) -> bool:
-        if any(k.arg in (name, None) for k in call.keywords):
+    def passed(call, name, index, default) -> bool:
+        if any(k.arg is None for k in call.keywords):
             return True
         if any(isinstance(a, ast.Starred) for a in call.args):
             return True
-        return index is not None and len(call.args) > index
+        given = [k.value for k in call.keywords if k.arg == name]
+        if index is not None and len(call.args) > index:
+            given.append(call.args[index])
+        return any(ast.dump(value) != default for value in given)
 
     return {
         f"{module}.{func}({name})"
-        for module, func, name, index in defaults
-        if not any(passed(c, name, index) for c in calls.get(func, []))
+        for module, func, name, index, default in defaults
+        if not any(passed(c, name, index, default) for c in calls.get(func, []))
     }
 
 
