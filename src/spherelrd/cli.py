@@ -16,7 +16,8 @@ Subcommands map one-to-one onto library entry points:
 Each command reads only the experiment keys its entry in ``_COMMANDS`` names,
 and takes only the flags that follow from them; any other flag is a usage
 error.  validate-model prints to stdout and takes --config alone; every
-other command writes its files under --out (default: current directory).
+other command writes CSV files under --out (default: current directory),
+each mc-* table with a ``*_manifest.json`` beside it.
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 """
 
@@ -52,8 +53,8 @@ from .harness import (
 )
 from .lrdtest import TestError, bandwidth, critical_value, leading_columns
 from .models import ModelError
-from .simulate import SeedSpec, SimulationError, simulate_panel, write_panel_csv
-from .spectral import fdft_panel, write_spectrum_csv
+from .simulate import SeedSpec, SimulationError, simulate_panel
+from .spectral import fdft_panel, smoothed_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,28 +71,26 @@ _FLAG_SPECS = {
     "seed": dict(type=int, default=None, help="override base seed"),
     "out": dict(default=".", help="output directory"),
     "threads": dict(type=int, default=1, help="worker count (default: 1)"),
-    "format": dict(choices=("csv", "json"), default="csv"),
     "T": dict(type=int, default=None, help="override sample length"),
 }
 
 
 class _Command(NamedTuple):
-    """A command's handler(doc, args), the experiment keys it reads and the
-    output formats it writes."""
+    """A command's handler(doc, args), the experiment keys it reads and
+    whether it writes files."""
 
     run: Callable
     keys: tuple
-    formats: tuple
+    writes: bool = True
 
     def flags(self) -> list:
         """The flags it takes besides --config, in ``_FLAG_SPECS`` order:
-        --seed and --T with the key of that name, --threads with R, --out
-        with any output format and --format with more than one."""
+        --seed and --T with the key of that name, --threads with R and --out
+        when it writes files."""
         takes = {
             "seed": "seed" in self.keys,
-            "out": bool(self.formats),
+            "out": self.writes,
             "threads": "R" in self.keys,
-            "format": len(self.formats) > 1,
             "T": "T" in self.keys,
         }
         return [flag for flag in _FLAG_SPECS if takes[flag]]
@@ -115,13 +114,19 @@ def _out_path(args, filename: str) -> str:
     return os.path.join(args.out, filename)
 
 
+def _write_csv(args, filename: str, header, rows) -> None:
+    with open(_out_path(args, filename), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _emit_table(table, args, name: str) -> None:
-    if args.format == "json":
-        with open(_out_path(args, f"{name}.json"), "w") as fh:
-            json.dump(table.to_dict(), fh, indent=2)
-    else:
-        table.write_csv(_out_path(args, f"{name}.csv"))
-        table.write_manifest(_out_path(args, f"{name}_manifest.json"))
+    """The table as ``name``.csv (floats in ``.10g``) and ``name``_manifest.json."""
+    rows = ([f"{v:.10g}" if isinstance(v, float) else v for v in r.values()] for r in table.rows)
+    _write_csv(args, f"{name}.csv", table.COLUMNS, rows)
+    with open(_out_path(args, f"{name}_manifest.json"), "w") as fh:
+        json.dump(table.manifest, fh, indent=2)
 
 
 def _experiment(doc, args):
@@ -142,57 +147,46 @@ def _single_panel(config):
 
 
 def _cmd_simulate(doc, args) -> None:
+    """panel.csv: a ``t`` column, then one ``a_n_j`` column per basis
+    function, each value in ``.17g`` (exact for a float64)."""
     _, panel = _single_panel(_experiment(doc, args))
-    if args.format == "json":
-        payload = {
-            "T": panel.T,
-            "degrees": [panel.degrees.n_min, panel.degrees.n_max],
-            "columns": [[n, j] for n, j in panel.degrees.index_list()],
-            "data": panel.data.tolist(),
-        }
-        with open(_out_path(args, "panel.json"), "w") as fh:
-            json.dump(payload, fh)
-    else:
-        write_panel_csv(_out_path(args, "panel.csv"), panel)
+    header = ["t"] + [f"a_{n}_{j}" for n, j in panel.degrees.index_list()]
+    rows = ([t] + [f"{v:.17g}" for v in row] for t, row in enumerate(panel.data))
+    _write_csv(args, "panel.csv", header, rows)
 
 
 def _cmd_spectrum(doc, args) -> None:
+    """spectrum.csv: the smoothed diagonal f_hat_omega[a, a] of every basis
+    column a = (n, j) at 65 frequencies omega in [0, pi], in ``.10g``."""
     config = _experiment(doc, args)
     T, panel = _single_panel(config)
     B = bandwidth(T, config.rule())
     omegas = np.linspace(0.0, np.pi, 65)
-    write_spectrum_csv(_out_path(args, "spectrum.csv"), fdft_panel(panel), omegas, B)
+    values = smoothed_spectrum(fdft_panel(panel), omegas, B)
+    rows = (
+        [f"{omega:.10g}", n, j, f"{v:.10g}"]
+        for omega, row in zip(omegas, values)
+        for (n, j), v in zip(panel.degrees.index_list(), row)
+    )
+    _write_csv(args, "spectrum.csv", ("omega", "n", "j", "f_hat"), rows)
 
 
 def _cmd_test(doc, args) -> None:
     """Replication 0 of the size/power engine: the diagonal entries of the
-    leading columns on stream 0, standardized and decided at the config's level."""
+    leading columns on stream 0, standardized and decided at the config's
+    level.  test_report.csv has one row per column (n, j), with the
+    statistic, z and p in ``.17g`` and reject as 0 or 1."""
     config = _experiment(doc, args)
     _one_T(config)
     cols = leading_columns(config.model.degrees, config.n_directions)
     crit = critical_value(config.level)
     [(s, z)] = _standardized_entries(config, cols, 1)
-    s, z = s[0], z[0]
-    p = 2.0 * special.ndtr(-np.abs(z))
-    reject = np.abs(z) > crit
-    labels = [f"({n},{j})x({n},{j})" for n, j in cols]
-    rows = list(zip(labels, s.tolist(), z.tolist(), p.tolist(), reject.tolist()))
-    if args.format == "json":
-        keys = ("label", "statistic", "z", "p", "reject")
-        report = {
-            "mode": "projected",
-            "level": config.level,
-            "one_sided": False,
-            "results": [dict(zip(keys, row)) for row in rows],
-        }
-        with open(_out_path(args, "test_report.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
-        return
-    with open(_out_path(args, "test_report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_or_direction", "statistic", "z", "p", "reject"])
-        for label, *values, rej in rows:
-            writer.writerow([label, *(f"{v:.10g}" for v in values), int(rej)])
+    p = 2.0 * special.ndtr(-np.abs(z[0]))
+    rows = (
+        [n, j, f"{sv:.17g}", f"{zv:.17g}", f"{pv:.17g}", int(abs(zv) > crit)]
+        for (n, j), sv, zv, pv in zip(cols, s[0].tolist(), z[0].tolist(), p.tolist())
+    )
+    _write_csv(args, "test_report.csv", ("n", "j", "statistic", "z", "p", "reject"), rows)
 
 
 def _cmd_sweep(doc, args) -> None:
@@ -215,22 +209,21 @@ def _cmd_mc(name: str, runner, doc, args) -> None:
 
 _EVERY_KEY = ("T", "R", "beta", "level", "directions", "seed")
 _REPLICATED = ("T", "R", "beta", "seed")
-_TABLE = ("csv", "json")
 
 # The one table of commands.  A key of the experiment section that a command
 # does not read is neither converted, checked nor hashed; the run names it on
 # stderr.
 _COMMANDS = {
-    "simulate": _Command(_cmd_simulate, ("T", "seed"), ("csv", "json")),
-    "spectrum": _Command(_cmd_spectrum, ("T", "beta", "seed"), ("csv",)),
-    "test": _Command(_cmd_test, ("T", "beta", "level", "directions", "seed"), ("csv", "json")),
-    "mc-size": _Command(partial(_cmd_mc, "size", run_size), _EVERY_KEY, _TABLE),
-    "mc-power": _Command(partial(_cmd_mc, "power", run_power), _EVERY_KEY, _TABLE),
-    "mc-dist": _Command(partial(_cmd_mc, "distribution", run_distribution), _REPLICATED, _TABLE),
-    "mc-divergence": _Command(partial(_cmd_mc, "divergence", run_divergence), _REPLICATED, _TABLE),
-    "mc-sweep": _Command(_cmd_sweep, ("T", "betas"), _TABLE),
-    "mc-consistency": _Command(partial(_cmd_mc, "consistency", run_consistency), _REPLICATED, _TABLE),
-    "validate-model": _Command(_cmd_validate_model, (), ()),
+    "simulate": _Command(_cmd_simulate, ("T", "seed")),
+    "spectrum": _Command(_cmd_spectrum, ("T", "beta", "seed")),
+    "test": _Command(_cmd_test, ("T", "beta", "level", "directions", "seed")),
+    "mc-size": _Command(partial(_cmd_mc, "size", run_size), _EVERY_KEY),
+    "mc-power": _Command(partial(_cmd_mc, "power", run_power), _EVERY_KEY),
+    "mc-dist": _Command(partial(_cmd_mc, "distribution", run_distribution), _REPLICATED),
+    "mc-divergence": _Command(partial(_cmd_mc, "divergence", run_divergence), _REPLICATED),
+    "mc-sweep": _Command(_cmd_sweep, ("T", "betas")),
+    "mc-consistency": _Command(partial(_cmd_mc, "consistency", run_consistency), _REPLICATED),
+    "validate-model": _Command(_cmd_validate_model, (), writes=False),
 }
 
 

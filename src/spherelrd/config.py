@@ -215,6 +215,15 @@ def experiment_from_config(
         raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 
+def _distinct(values: tuple) -> tuple:
+    """``values`` if it is nonempty and lists no value twice, as 'T' must be."""
+    if not values:
+        raise ValueError("expected at least one value")
+    if len(set(values)) < len(values):
+        raise ValueError("lists a value more than once")
+    return values
+
+
 def sweep_betas(doc: dict) -> tuple:
     betas = doc.get("experiment", {}).get("betas", [0.2, 0.55, 0.9])
-    return _field("experiment", "betas", betas, _list_of(float))
+    return _field("experiment", "betas", betas, lambda v: _distinct(_list_of(float)(v)))

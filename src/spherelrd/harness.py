@@ -24,7 +24,6 @@ touch; per-degree streams make this exact.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -121,48 +120,18 @@ class ExperimentConfig:
 
 @dataclass
 class McTable:
-    """Long-format result rows plus a reproducibility manifest."""
+    """Long-format result rows, each a dict keyed by ``COLUMNS`` in that
+    order, plus a reproducibility manifest."""
+
+    COLUMNS = ("experiment", "T", "R", "beta", "key", "value", "se")
 
     experiment: str
     rows: list = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
 
     def add(self, T: int, R: int, beta: float, key: str, value: float, se: float = float("nan")) -> None:
-        self.rows.append(
-            {
-                "experiment": self.experiment,
-                "T": int(T),
-                "R": int(R),
-                "beta": float(beta),
-                "key": key,
-                "value": float(value),
-                "se": float(se),
-            }
-        )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["experiment", "T", "R", "beta", "key", "value", "se"])
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r["experiment"],
-                        r["T"],
-                        r["R"],
-                        f"{r['beta']:.10g}",
-                        r["key"],
-                        f"{r['value']:.10g}",
-                        f"{r['se']:.10g}",
-                    ]
-                )
-
-    def write_manifest(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.manifest, fh, indent=2)
-
-    def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "manifest": self.manifest, "rows": self.rows}
+        row = (self.experiment, int(T), int(R), float(beta), key, float(value), float(se))
+        self.rows.append(dict(zip(self.COLUMNS, row)))
 
 
 def _model_manifest(model: SpectralModel) -> dict:

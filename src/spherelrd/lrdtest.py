@@ -173,8 +173,8 @@ def null_moments(model: SpectralModel, T: int, B: float) -> tuple:
     The moments put the spectral density f_n(w_v) at each Fourier ordinate
     where the exact finite-T moments of the Gaussian quadratic form have the
     Fejer-smoothed E|d(w_v)|^2, so they are grid approximations, not exact:
-    at T = 50 the grid mean is 0.989 (n = 1) and 0.975 (n = 8) of the exact
-    mean, and the gap closes as T grows.  The tests calibrate against them.
+    on the reference model at T = 50 the exact mean is 0.989 (n = 1) and
+    0.975 (n = 8) of the grid mean, and the gap closes as T grows.  The tests calibrate against them.
     A long-memory model is rejected: calibrate against its ``srd_part()``.
     """
     if not model.alpha.is_null:

@@ -57,7 +57,6 @@ every T of an experiment from one panel at the longest T.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -264,15 +263,3 @@ def simulate_panel(
             xs *= _weight_spectrum(a, K, nfft)[:, None]
             data[:, off : off + m] = fft.irfft(xs, nfft, axis=0)[K : K + T]
     return CoefficientPanel(T=T, degrees=degrees, data=data)
-
-
-# --- CSV export --------------------------------------------------------------
-
-def write_panel_csv(path, panel: CoefficientPanel) -> None:
-    """Write a panel as CSV: a ``t`` column, then one ``a_n_j`` column per
-    basis function, each value in ``.17g`` (exact for a float64)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"a_{n}_{j}" for n, j in panel.degrees.index_list()])
-        for t in range(panel.T):
-            writer.writerow([t] + [f"{v:.17g}" for v in panel.data[t]])

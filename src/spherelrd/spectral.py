@@ -21,7 +21,6 @@ periodograms at arbitrary frequencies in [0, pi] with one matrix product.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -152,15 +151,3 @@ def smoothed_spectrum(dft: DftPanel, omegas: np.ndarray, B: float) -> np.ndarray
     w = 2 * np.pi * np.arange(1, T) / T
     weights = (2 * np.pi / T) * epanechnikov(reduce_frequency(omegas[:, None] - w) / B) / B
     return weights @ _periodogram(dft.coeffs, T)[:, 1:].T
-
-
-def write_spectrum_csv(path, dft: DftPanel, omegas: np.ndarray, B: float) -> None:
-    """Write ``smoothed_spectrum`` per omega and basis column a = (n, j):
-    rows (omega, n, j, n, j, re, im), with im = 0 because the entry is real."""
-    values = smoothed_spectrum(dft, omegas, B)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"])
-        for omega, row in zip(omegas, values):
-            for (n, j), val in zip(dft.degrees.index_list(), row):
-                writer.writerow([f"{omega:.10g}", n, j, n, j, f"{val:.10g}", "0"])

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import json
 import math
 import warnings
 
@@ -113,17 +115,18 @@ def test_one_pool_per_experiment(small_model, monkeypatch):
 
 
 def test_mc_table_roundtrip(tmp_path):
+    # the CLI writes a table's rows as CSV, floats in .10g, and its manifest
+    # as indented JSON
+    from spherelrd.cli import _emit_table
+
     tab = McTable("demo", manifest={"config_hash": "abc"})
     tab.add(100, 10, 0.25, "rate", 0.5, 0.05)
-    path = tmp_path / "demo.csv"
-    tab.write_csv(path)
-    with open(path) as fh:
+    assert tab.rows[0]["value"] == 0.5
+    _emit_table(tab, argparse.Namespace(out=str(tmp_path)), "demo")
+    with open(tmp_path / "demo.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["experiment", "T", "R", "beta", "key", "value", "se"]
-    assert rows[1][:3] == ["demo", "100", "10"]
-    tab.write_manifest(tmp_path / "demo_manifest.json")
-    assert (tmp_path / "demo_manifest.json").exists()
-    assert tab.to_dict()["rows"][0]["value"] == 0.5
+    assert rows == [list(McTable.COLUMNS), ["demo", "100", "10", "0.25", "rate", "0.5", "0.05"]]
+    assert (tmp_path / "demo_manifest.json").read_text() == json.dumps(tab.manifest, indent=2)
 
 
 def test_run_size_requires_null(example1_model):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import null_moments_by_pair, smoothed_cross_spectrum
-from scipy import stats
+from scipy import special, stats
 
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
@@ -167,14 +167,12 @@ def test_statistic_hermitian_real_diagonal(small_dft):
     assert np.all(np.diag(S).real > 0)
 
 
-def _test_report(tmp_path, doc, fmt="csv") -> list:
+def _test_report(tmp_path, doc) -> list:
     """Rows that ``spherelrd test`` writes for ``doc``, as a list of dicts."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["test", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
-    if fmt == "json":
-        return json.loads((out / "test_report.json").read_text())["results"]
+    assert main(["test", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "test_report.csv") as fh:
         return list(csv.DictReader(fh))
 
@@ -189,20 +187,20 @@ def test_projected_test_matches_statistic_matrix(tmp_path):
     # spherelrd test reports diagonal entries of the full statistic matrix of
     # the stream-0 panel, standardized by the null mean and sd sqrt(2 V2(n, n)),
     # across a degree boundary (directions 10 reach degree 3).
-    rows = _test_report(tmp_path, TEST_DOC, "json")
+    rows = _test_report(tmp_path, TEST_DOC)
     model = example_model(1, 1, 3)
     dft = fdft_panel(simulate_panel(model, 300, SeedSpec(base_seed=41)))
     B = bandwidth(300, BandwidthRule(beta=0.25))
     mean, sd = null_moments(model.srd_part(), 300, B)
     S = statistic_matrix(dft, B)
     cols = leading_columns(model.degrees, 10)
-    assert [r["label"] for r in rows] == [f"({n},{j})x({n},{j})" for n, j in cols]
+    assert [(int(r["n"]), int(r["j"])) for r in rows] == cols
     for (n, j), row in zip(cols, rows):
         k = model.degrees.column(n, j)
         want = S[k, k]
-        assert row["statistic"] == pytest.approx(want, rel=1e-12)
+        assert float(row["statistic"]) == pytest.approx(want, rel=1e-12)
         i = n - model.degrees.n_min
-        assert row["z"] == pytest.approx((want - mean[i]) / sd[i], rel=1e-12)
+        assert float(row["z"]) == pytest.approx((want - mean[i]) / sd[i], rel=1e-12)
 
 
 def test_statistic_quadratic_scaling(small_model):
@@ -261,6 +259,38 @@ def test_null_moments_equal_per_pair_oracle(model, T):
     degs = model.degrees.degrees
     np.testing.assert_array_equal(mean, [want_mean[n] for n in degs])
     np.testing.assert_array_equal(sd, np.sqrt([2.0 * second[(n, n)] for n in degs]))
+
+
+def _exact_arma11_mean(model, T: int, B: float) -> np.ndarray:
+    """Exact finite-T mean of a diagonal entry S[a, a] per degree of an
+    ARMA(1, 1) model: the Fejer sum (2 pi T)^(-1) sum_{|h|<T} (T - |h|)
+    gamma(h) cos(h w) = E|d(w)|^2 at the g-support ordinates of
+    ``_half_support``, from the closed-form autocovariance gamma(h)."""
+    from spherelrd.lrdtest import _half_support
+
+    phi, psi, s2 = model.phi[:, 0], model.psi[:, 0], model.innov
+    gamma0 = s2 * (1 + 2 * phi * psi + psi**2) / (1 - phi**2)
+    gamma1 = s2 * (1 + phi * psi) * (phi + psi) / (1 - phi**2)
+    h = np.arange(1, T)
+    gamma = gamma1[:, None] * phi[:, None] ** (h - 1)
+    v, w = _half_support(T, B)
+    fejer = (T * gamma0[:, None] + 2 * ((T - h) * gamma) @ np.cos(np.outer(h, 2 * np.pi * v / T)))
+    return math.sqrt(T) * (2 * np.pi / T) * (fejer / (2 * np.pi * T)) @ w
+
+
+def test_null_mean_is_a_grid_approximation_of_the_exact_mean():
+    # null_moments puts f_n(w_v) where the exact mean has the Fejer-smoothed
+    # E|d(w_v)|^2: on the reference model the exact mean falls short of the
+    # grid mean, most at small T and high degree, and the gap closes with T
+    model = reference_spharma11()
+    want = {50: (0.989, 0.975), 100: (0.994, 0.986), 1000: (0.999, 0.998)}
+    ratios = []
+    for T, (first, last) in want.items():
+        B = bandwidth(T, BandwidthRule(beta=0.25))
+        ratio = _exact_arma11_mean(model, T, B) / null_moments(model, T, B)[0]
+        assert (ratio[0], ratio[-1]) == (pytest.approx(first, abs=5e-4), pytest.approx(last, abs=5e-4))
+        ratios.append(ratio)
+    assert np.all(np.diff(ratios, axis=0) > 0) and np.all(np.asarray(ratios) < 1)
 
 
 def test_null_moment_accessors(small_model):
@@ -333,29 +363,30 @@ def test_critical_value():
 
 def test_report_rows_and_csv(tmp_path):
     rows = _test_report(tmp_path, TEST_DOC)
-    assert list(rows[0]) == ["pair_or_direction", "statistic", "z", "p", "reject"]
-    assert [r["pair_or_direction"] for r in rows][:4] == [
-        "(1,1)x(1,1)", "(1,2)x(1,2)", "(1,3)x(1,3)", "(2,1)x(2,1)"
-    ]
+    assert list(rows[0]) == ["n", "j", "statistic", "z", "p", "reject"]
+    assert [(r["n"], r["j"]) for r in rows][:4] == [("1", "1"), ("1", "2"), ("1", "3"), ("2", "1")]
     assert all(r["reject"] in ("0", "1") for r in rows)
     # Example 1 is long-memory: its first directions reject at T = 300
     assert rows[0]["reject"] == "1"
-    jrows = _test_report(tmp_path, TEST_DOC, "json")
-    for row, jrow in zip(rows, jrows):
-        for key in ("statistic", "z", "p"):
-            assert row[key] == f"{jrow[key]:.10g}"
-        assert row["reject"] == str(int(jrow["reject"]))
+    # .17g holds each float the run computed exactly
+    config = ExperimentConfig(
+        model=example_model(1, 1, 3), T_values=(300,), beta=0.25, n_directions=10, seed=41
+    )
+    [(s, z)] = _standardized_entries(config, leading_columns(config.model.degrees, 10), 1)
+    p = 2.0 * special.ndtr(-np.abs(z[0]))
+    for row, want in zip(rows, zip(s[0], z[0], p)):
+        assert tuple(float(row[key]) for key in ("statistic", "z", "p")) == want
 
 
 def test_report_extend_decides_like_scalar_formulas(tmp_path):
     # the vector decision gives the rows the per-row scalar formulas give
     crit = critical_value(0.05)
-    rows = _test_report(tmp_path, TEST_DOC, "json")
+    rows = _test_report(tmp_path, TEST_DOC)
     assert len(rows) == 10
     for row in rows:
-        z = row["z"]
-        assert row["p"] == float(2.0 * stats.norm.sf(abs(z)))
-        assert row["reject"] is (abs(z) > crit)
+        z = float(row["z"])
+        assert float(row["p"]) == float(2.0 * stats.norm.sf(abs(z)))
+        assert row["reject"] == str(int(abs(z) > crit))
 
 
 def test_leading_columns():

@@ -19,7 +19,6 @@ from spherelrd.spectral import (
     reduce_frequency,
     smoothed_spectrum,
     smoothed_spectrum_grid,
-    write_spectrum_csv,
 )
 
 
@@ -211,18 +210,6 @@ def test_flat_spectrum_smoothing_is_unbiased(white_noise_model):
     assert acc / count == pytest.approx(target, rel=0.05)
 
 
-def test_write_spectrum_csv(tmp_path, small_dft):
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(path, small_dft, np.array([0.5, 1.0]), 0.2)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["omega", "n_a", "j_a", "n_b", "j_b", "re", "im"]
-    assert len(rows) == 1 + 2 * 8
-    assert rows[1][:5] == ["0.5", "1", "1", "1", "1"]
-    assert rows[-1][:5] == ["1", "2", "5", "2", "5"]
-    assert all(float(row[5]) > 0 and row[6] == "0" for row in rows[1:])
-
-
 @pytest.mark.parametrize("T", [64, 1001])
 def test_spectrum_matches_cross_spectrum_oracle(tmp_path, T):
     # spherelrd spectrum smooths in one matrix product; the oracle sums each
@@ -245,9 +232,8 @@ def test_spectrum_matches_cross_spectrum_oracle(tmp_path, T):
     np.testing.assert_allclose(smoothed_spectrum(dft, omegas, B), oracle, rtol=1e-12, atol=0)
     assert len(rows) == oracle.size
     for row, (w, (n, j)), want in zip(rows, ((w, a) for w in omegas for a in index), oracle.ravel()):
-        assert (row["omega"], row["n_a"], row["j_a"]) == (f"{w:.10g}", str(n), str(j))
-        assert (row["n_b"], row["j_b"], row["im"]) == (str(n), str(j), "0")
-        assert float(row["re"]) == pytest.approx(want, rel=5e-10)
+        assert (row["omega"], row["n"], row["j"]) == (f"{w:.10g}", str(n), str(j))
+        assert float(row["f_hat"]) == pytest.approx(want, rel=5e-10)
 
 
 def test_dft_panel_validation():
