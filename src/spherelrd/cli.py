@@ -13,7 +13,8 @@ Subcommands map one-to-one onto library entry points:
     mc-consistency  integrated-variance decay of the spectral estimator
     validate-model  per-degree stationarity and exponent diagnostics
 
-Each command reads only the experiment keys its entry in ``_COMMANDS`` names,
+Each command reads only the experiment keys its entry in ``_COMMANDS`` names
+(an mc-* command, those its experiment lists in ``harness.EXPERIMENTS``),
 and takes only the flags that follow from them; any other flag is a usage
 error.  validate-model prints to stdout and takes --config alone; every
 other command writes CSV files under --out (default: current directory),
@@ -34,23 +35,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from .config import (
-    ConfigError,
-    experiment_from_config,
-    load_config,
-    model_from_config,
-    sweep_betas,
-)
-from .harness import (
-    HarnessError,
-    _standardized_entries,
-    run_bandwidth_sweep,
-    run_consistency,
-    run_distribution,
-    run_divergence,
-    run_power,
-    run_size,
-)
+from .config import ConfigError, experiment_from_config, load_config, model_from_config
+from .harness import EXPERIMENTS, HarnessError, _standardized_entries
 from .lrdtest import TestError, bandwidth, critical_value, leading_columns
 from .models import ModelError
 from .simulate import SeedSpec, SimulationError, simulate_panel
@@ -160,7 +146,7 @@ def _cmd_spectrum(doc, args) -> None:
     column a = (n, j) at 65 frequencies omega in [0, pi], in ``.10g``."""
     config = _experiment(doc, args)
     T, panel = _single_panel(config)
-    B = bandwidth(T, config.rule())
+    B = bandwidth(T, config.beta)
     omegas = np.linspace(0.0, np.pi, 65)
     values = smoothed_spectrum(fdft_panel(panel), omegas, B)
     rows = (
@@ -189,11 +175,6 @@ def _cmd_test(doc, args) -> None:
     _write_csv(args, "test_report.csv", ("n", "j", "statistic", "z", "p", "reject"), rows)
 
 
-def _cmd_sweep(doc, args) -> None:
-    table = run_bandwidth_sweep(_experiment(doc, args), sweep_betas(doc))
-    _emit_table(table, args, "bandwidth_sweep")
-
-
 def _cmd_validate_model(doc, args) -> None:
     model = model_from_config(doc)
     hi = 1.0 if model.alpha.extended else 0.5
@@ -203,12 +184,14 @@ def _cmd_validate_model(doc, args) -> None:
         print(f"degree {n}: ar_root_moduli=[{mods}] innov={innov:.6g} alpha={a:.4f} in [0,{hi}) ok")
 
 
-def _cmd_mc(name: str, runner, doc, args) -> None:
-    _emit_table(runner(_experiment(doc, args)), args, name)
+def _cmd_mc(name: str, doc, args) -> None:
+    _emit_table(EXPERIMENTS[name].run(_experiment(doc, args)), args, name)
 
 
-_EVERY_KEY = ("T", "R", "beta", "level", "directions", "seed")
-_REPLICATED = ("T", "R", "beta", "seed")
+def _mc(name: str) -> _Command:
+    """The command that runs the experiment ``name`` and writes its table."""
+    return _Command(partial(_cmd_mc, name), EXPERIMENTS[name].keys)
+
 
 # The one table of commands.  A key of the experiment section that a command
 # does not read is neither converted, checked nor hashed; the run names it on
@@ -217,12 +200,12 @@ _COMMANDS = {
     "simulate": _Command(_cmd_simulate, ("T", "seed")),
     "spectrum": _Command(_cmd_spectrum, ("T", "beta", "seed")),
     "test": _Command(_cmd_test, ("T", "beta", "level", "directions", "seed")),
-    "mc-size": _Command(partial(_cmd_mc, "size", run_size), _EVERY_KEY),
-    "mc-power": _Command(partial(_cmd_mc, "power", run_power), _EVERY_KEY),
-    "mc-dist": _Command(partial(_cmd_mc, "distribution", run_distribution), _REPLICATED),
-    "mc-divergence": _Command(partial(_cmd_mc, "divergence", run_divergence), _REPLICATED),
-    "mc-sweep": _Command(_cmd_sweep, ("T", "betas")),
-    "mc-consistency": _Command(partial(_cmd_mc, "consistency", run_consistency), _REPLICATED),
+    "mc-size": _mc("size"),
+    "mc-power": _mc("power"),
+    "mc-dist": _mc("distribution"),
+    "mc-divergence": _mc("divergence"),
+    "mc-sweep": _mc("bandwidth_sweep"),
+    "mc-consistency": _mc("consistency"),
     "validate-model": _Command(_cmd_validate_model, (), writes=False),
 }
 

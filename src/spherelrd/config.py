@@ -24,6 +24,7 @@ except that an explicit ``alpha`` section may be attached to "reference").
 fails at load instead of being ignored.  A known key that the command reads
 and whose value does not convert fails as the config is built, with a
 ``ConfigError`` naming the key; a known key it does not read is left alone.
+Numbers are JSON numbers: a string or a boolean where one is expected fails.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .models import (
     example_model,
     reference_spharma11,
 )
-from .harness import ExperimentConfig, HarnessError
+from .harness import EXPERIMENT_FIELDS, ExperimentConfig, HarnessError
 from .simulate import SimulationError
 
 
@@ -56,7 +57,7 @@ _KEYS = {
     "": {"model", "experiment"},
     "model": {"generator", "degrees", "phi", "psi", "innov", "alpha"},
     "alpha": {"kind", "values", "endpoints", "peak", "extended"},
-    "experiment": {"T", "R", "beta", "level", "directions", "seed", "betas"},
+    "experiment": set(EXPERIMENT_FIELDS),
 }
 
 
@@ -92,11 +93,21 @@ def _field(section: str, key: str, value, convert):
 
 
 def _integer(value) -> int:
-    """``value`` as an int; a number with a fractional part is an error, not truncated."""
+    """``value`` as an int; a boolean, or a number with a fractional part,
+    is an error, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
     out = int(value)
     if out != value:
         raise ValueError(f"{value!r} is not an integer")
     return out
+
+
+def _real(value) -> float:
+    """``value`` as a float; a string or a boolean is an error, not parsed."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _list_of(convert):
@@ -169,27 +180,21 @@ def model_from_config(doc: dict) -> SpectralModel:
         raise ConfigError(f"invalid model config: {exc}") from exc
 
 
-# Each experiment key ExperimentConfig reads: the field it fills, and its conversion.
-_EXPERIMENT_FIELDS = {
-    "T": ("T_values", _list_of(_integer)),
-    "R": ("R", _integer),
-    "beta": ("beta", float),
-    "level": ("level", float),
-    "directions": ("n_directions", _integer),
-    "seed": ("seed", _integer),
-}
+# The conversion of each experiment key; EXPERIMENT_FIELDS names the field it fills.
+_CONVERT = {"T": _list_of(_integer), "R": _integer, "beta": _real, "level": _real,
+            "directions": _integer, "seed": _integer, "betas": _list_of(_real)}
 
 
 def experiment_from_config(
     doc: dict,
-    keys: tuple | None = None,
+    keys: tuple = tuple(EXPERIMENT_FIELDS),
     seed: int | None = None,
     T: int | None = None,
     threads: int = 1,
 ) -> ExperimentConfig:
     """Build an ExperimentConfig from the experiment ``keys`` a command reads
-    (None: every key); each of them that the document sets is converted and
-    checked, and the rest keep the ``ExperimentConfig`` defaults.  A key
+    (by default every key); each of them that the document sets is converted
+    and checked, and the rest keep the ``ExperimentConfig`` defaults.  A key
     outside ``keys`` is neither converted nor checked.  CLI-level overrides
     win over the document."""
     model = model_from_config(doc)
@@ -205,25 +210,12 @@ def experiment_from_config(
         values["T"] = [values["T"]]
 
     fields = {
-        name: _field("experiment", key, values[key], convert)
-        for key, (name, convert) in _EXPERIMENT_FIELDS.items()
-        if key in values and (keys is None or key in keys)
+        EXPERIMENT_FIELDS[key]: _field("experiment", key, values[key], _CONVERT[key])
+        for key in keys
+        if key in values
     }
     try:
         return ExperimentConfig(model=model, threads=threads, **fields)
     except (HarnessError, SimulationError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
 
-
-def _distinct(values: tuple) -> tuple:
-    """``values`` if it is nonempty and lists no value twice, as 'T' must be."""
-    if not values:
-        raise ValueError("expected at least one value")
-    if len(set(values)) < len(values):
-        raise ValueError("lists a value more than once")
-    return values
-
-
-def sweep_betas(doc: dict) -> tuple:
-    betas = doc.get("experiment", {}).get("betas", [0.2, 0.55, 0.9])
-    return _field("experiment", "betas", betas, lambda v: _distinct(_list_of(float)(v)))

@@ -24,14 +24,13 @@ touch; per-degree streams make this exact.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -43,7 +42,6 @@ from .models import SpectralModel
 from .simulate import STREAMS, SeedSpec, simulate_panel
 from .spectral import fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
-    BandwidthRule,
     _entries,
     bandwidth,
     column_degrees,
@@ -66,13 +64,17 @@ class InsufficientReplications(HarnessError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment parameters.
+    """Shared experiment parameters: ``model``, one field per key of a
+    config's experiment section (``EXPERIMENT_FIELDS``), and ``threads``.
 
     ``model`` is the data-generating model; it is calibrated against its
     short-memory factor (see ``null_model``).  ``threads`` is the worker
-    count.  The worker count, the seed, R and T (none listed twice) are checked
-    here, so a bad one fails before any run; ``level`` and ``n_directions`` only
-    where they are read (``critical_value``, ``leading_columns``), also before.
+    count.  The bandwidth sweep runs over the exponents ``betas``; every
+    other experiment reads ``beta``.  The worker count, the seed, R, and T
+    and betas (each nonempty, none listed twice) are checked here, so a bad
+    one fails before any run; ``level``, ``n_directions`` and each exponent
+    only where they are read (``critical_value``, ``leading_columns``,
+    ``bandwidth``), also before.
     """
 
     model: SpectralModel
@@ -82,6 +84,7 @@ class ExperimentConfig:
     level: float = 0.05
     n_directions: int = 8
     seed: int = 20260825
+    betas: tuple = (0.2, 0.55, 0.9)
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -90,11 +93,12 @@ class ExperimentConfig:
         SeedSpec(base_seed=self.seed)  # the range check every replication makes
         if self.R < 1:
             raise HarnessError("R must be >= 1")
-        ts = tuple(int(t) for t in self.T_values)
-        if not ts:
-            raise HarnessError("need at least one sample length")
-        if len(set(ts)) < len(ts):
-            raise HarnessError(f"'T' lists a sample length more than once: {list(ts)}")
+        ts, betas = tuple(int(t) for t in self.T_values), tuple(self.betas)
+        for key, values in (("T", ts), ("betas", betas)):
+            if not values:
+                raise HarnessError(f"{key!r} lists no value")
+            if len(set(values)) < len(values):
+                raise HarnessError(f"{key!r} lists a value more than once: {list(values)}")
         for t in ts:
             if t < 64:
                 # level 3 skips this method and the generated __init__, so
@@ -104,18 +108,20 @@ class ExperimentConfig:
                     stacklevel=3,
                 )
         object.__setattr__(self, "T_values", ts)
+        object.__setattr__(self, "betas", betas)
 
     def null_model(self) -> SpectralModel:
-        return self._null_model
-
-    @functools.cached_property
-    def _null_model(self) -> SpectralModel:
         """The model itself when null, else its short-memory factor: built on
-        first use and kept, so a run validates it once."""
-        return self.model if self.model.is_null() else self.model.srd_part()
+        first call and kept, so a run validates it once."""
+        kept = self.__dict__
+        if "_null_model" not in kept:
+            model = self.model
+            kept["_null_model"] = model if model.alpha.is_null else model.srd_part()
+        return kept["_null_model"]
 
-    def rule(self) -> BandwidthRule:
-        return BandwidthRule(beta=self.beta)
+    def rule(self) -> float:
+        """``beta``, as ``bandwidth`` takes it; perfbench/child.py calls this."""
+        return self.beta
 
 
 @dataclass
@@ -146,27 +152,24 @@ def _model_manifest(model: SpectralModel) -> dict:
     }
 
 
-def _config_manifest(config: ExperimentConfig, experiment: str, unread=()) -> dict:
-    """The manifest of ``experiment`` on ``config``, less the fields ``unread``
-    that it does not read, so that only what it reads moves its hash."""
-    desc = {
-        "experiment": experiment,
-        "T_values": list(config.T_values),
-        "R": config.R,
-        "beta": config.beta,
-        "level": config.level,
-        "n_directions": config.n_directions,
-        "seed": config.seed,
-        **_model_manifest(config.model),
-    }
-    if "calibration" not in unread:
+def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
+    """The manifest of ``experiment`` on ``config``: the fields of the keys
+    it reads (``EXPERIMENTS``), the model and the RNG when it replicates,
+    and the null model when it calibrates, so only what it reads moves its
+    hash; then, outside the hash, the package and library versions."""
+    reads = EXPERIMENTS[experiment]
+    replicates = "R" in reads.keys
+    desc = {"experiment": experiment}
+    for key in reads.keys:
+        name = EXPERIMENT_FIELDS[key]
+        value = getattr(config, name)
+        desc[name] = list(value) if isinstance(value, tuple) else value
+    if replicates:
+        desc.update(_model_manifest(config.model))
+    if reads.calibrates:
         desc["calibration"] = _model_manifest(config.null_model())
-    desc["rng"] = STREAMS
-    return _manifest({k: v for k, v in desc.items() if k not in unread})
-
-
-def _manifest(desc: dict) -> dict:
-    """``desc`` with its hash and, outside the hash, the package and library versions."""
+    if replicates:
+        desc["rng"] = STREAMS
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
     return {
         **desc,
@@ -286,7 +289,7 @@ def _calibrate(config: ExperimentConfig) -> list:
     calib = config.null_model()
     out = []
     for T in config.T_values:
-        B = bandwidth(T, config.rule())
+        B = bandwidth(T, config.beta)
         out.append((B, *null_moments(calib, T, B)))
     return out
 
@@ -314,14 +317,14 @@ def _standardized_entries(config: ExperimentConfig, cols, R: int) -> list:
 
 def run_size(config: ExperimentConfig) -> McTable:
     """Per-direction empirical rejection rate under the null model."""
-    if not config.model.is_null():
+    if not config.model.alpha.is_null:
         raise HarnessError("run_size requires a short-memory (null) model")
     return _rejection_experiment(config, "size")
 
 
 def run_power(config: ExperimentConfig) -> McTable:
     """Per-direction rejection rate under the alternative, null-calibrated."""
-    if config.model.is_null():
+    if config.model.alpha.is_null:
         warnings.warn("run_power on a null model reduces to run_size", stacklevel=2)
     return _rejection_experiment(config, "power")
 
@@ -356,8 +359,7 @@ _N_BINS = 41
 def run_distribution(config: ExperimentConfig) -> McTable:
     """Pooled standardized diagonal statistics per eigenspace: KS, variance, histogram."""
     degrees = config.model.degrees
-    manifest = _config_manifest(config, "distribution", ("level", "n_directions"))
-    table = McTable("distribution", manifest=manifest)
+    table = McTable("distribution", manifest=_config_manifest(config, "distribution"))
     edges = np.linspace(-5.0, 5.0, _N_BINS + 1)
     cols = degrees.index_list()
     for T, (_, z) in zip(config.T_values, _standardized_entries(config, cols, config.R)):
@@ -375,10 +377,6 @@ def run_distribution(config: ExperimentConfig) -> McTable:
     return table
 
 
-# Manifest fields of the experiments that neither decide nor calibrate.
-_UNCALIBRATED = ("level", "n_directions", "calibration")
-
-
 def run_divergence(config: ExperimentConfig) -> McTable:
     """Hilbert-Schmidt (Frobenius) norms of the full statistic matrix over the T grid.
 
@@ -386,10 +384,10 @@ def run_divergence(config: ExperimentConfig) -> McTable:
     norm and of the grid-sum (table-comparable) norm; at R = 1 that is the
     one seeded realization of stream 0.
     """
-    table = McTable("divergence", manifest=_config_manifest(config, "divergence", _UNCALIBRATED))
+    table = McTable("divergence", manifest=_config_manifest(config, "divergence"))
     args = []
     for T in config.T_values:
-        B = bandwidth(T, config.rule())
+        B = bandwidth(T, config.beta)
         g_weights(T, B)  # an empty window fails here, before any replication
         args.append((B,))
     plan = _Plan(config.model, config.T_values, config.seed, _hs_norms, tuple(args),
@@ -401,26 +399,20 @@ def run_divergence(config: ExperimentConfig) -> McTable:
     return table
 
 
-def run_bandwidth_sweep(config: ExperimentConfig, betas) -> McTable:
+def run_bandwidth_sweep(config: ExperimentConfig) -> McTable:
     """(T B_T)^(-1/2)-rescaled grid-sum norms over a beta x T grid.
 
     The norm is that of the expected statistic under the model's short-memory
     calibration, the deterministic quantity that is stable across bandwidth
     exponents (the rescaling cancels its sqrt(B T) growth exactly).  No
-    replication runs, so the sweep reads only ``config.T_values`` and
-    ``config.null_model()``, and its manifest hashes only those and ``betas``.
+    replication runs, so the sweep reads only ``config.T_values``,
+    ``config.betas`` and ``config.null_model()``.
     """
     calib = config.null_model()
-    manifest = _manifest({
-        "experiment": "bandwidth_sweep",
-        "T_values": list(config.T_values),
-        "betas": list(betas),
-        "calibration": _model_manifest(calib),
-    })
-    table = McTable("bandwidth_sweep", manifest=manifest)
-    for beta in betas:
+    table = McTable("bandwidth_sweep", manifest=_config_manifest(config, "bandwidth_sweep"))
+    for beta in config.betas:
         for T in config.T_values:
-            B = bandwidth(T, BandwidthRule(beta=beta))
+            B = bandwidth(T, beta)
             mean_diag = zip(calib.degrees.degrees, profile_mean_diag(calib, T, B).tolist())
             gridsum = float(T) ** 2 / (2 * math.pi) ** 4
             norm = math.sqrt(sum((2 * n + 1) * m**2 for n, m in mean_diag)) * gridsum
@@ -441,8 +433,8 @@ def run_consistency(config: ExperimentConfig) -> McTable:
     """
     if config.R < 2:
         raise InsufficientReplications("variance estimation requires R >= 2")
-    table = McTable("consistency", manifest=_config_manifest(config, "consistency", _UNCALIBRATED))
-    Bs = [bandwidth(T, config.rule()) for T in config.T_values]
+    table = McTable("consistency", manifest=_config_manifest(config, "consistency"))
+    Bs = [bandwidth(T, config.beta) for T in config.T_values]
     plan = _Plan(config.model, config.T_values, config.seed, _spectrum_moments,
                  tuple((B,) for B in Bs),
                  tuple((2, config.model.degrees.dim, T) for T in config.T_values))
@@ -460,3 +452,32 @@ def run_consistency(config: ExperimentConfig) -> McTable:
         slope = float(np.polyfit(logx, logy, 1)[0])
         table.add(0, config.R, config.beta, "loglog_slope", slope)
     return table
+
+
+# --- what each experiment reads ---------------------------------------------
+
+# The ExperimentConfig field each key of a config's experiment section fills.
+EXPERIMENT_FIELDS = {"T": "T_values", "R": "R", "beta": "beta", "level": "level",
+                     "directions": "n_directions", "seed": "seed", "betas": "betas"}
+
+
+class Experiment(NamedTuple):
+    """An experiment's runner, the experiment keys it reads (in manifest
+    order), and whether it calibrates against ``null_model()``."""
+
+    run: Callable
+    keys: tuple
+    calibrates: bool
+
+
+# The one list of the keys each experiment reads.  Its manifest hashes their
+# fields (see ``_config_manifest``); its mc-* command converts and checks
+# them alone, and takes --T, --seed and --threads as it reads T, seed and R.
+EXPERIMENTS = {
+    "size": Experiment(run_size, ("T", "R", "beta", "level", "directions", "seed"), True),
+    "power": Experiment(run_power, ("T", "R", "beta", "level", "directions", "seed"), True),
+    "distribution": Experiment(run_distribution, ("T", "R", "beta", "seed"), True),
+    "divergence": Experiment(run_divergence, ("T", "R", "beta", "seed"), False),
+    "bandwidth_sweep": Experiment(run_bandwidth_sweep, ("T", "betas"), True),
+    "consistency": Experiment(run_consistency, ("T", "R", "beta", "seed"), False),
+}

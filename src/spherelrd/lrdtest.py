@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -59,26 +58,18 @@ class CalibrationUnderAlternative(TestError):
     pass
 
 
-@dataclass(frozen=True)
-class BandwidthRule:
-    """Bandwidth B = T^(-beta)."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise DegenerateBandwidth(f"beta must lie in (0, 1), got {self.beta}")
-
-
-def bandwidth(T: int, rule: BandwidthRule) -> float:
-    """Resolve the rule to a bandwidth value, enforcing B < 1 and B * T > 1.
+def bandwidth(T: int, beta: float) -> float:
+    """The bandwidth B = T^(-beta), for beta in (0, 1), enforcing B < 1 and
+    B * T > 1.
 
     A beta inside (0, 1) can still round B to 1 (beta near 0) or B * T to 1
     (beta near 1), so both bounds are checked on B itself.
     """
+    if not 0.0 < beta < 1.0:
+        raise DegenerateBandwidth(f"beta must lie in (0, 1), got {beta}")
     if T < 2:
         raise TestError("T must be at least 2")
-    B = float(T) ** (-rule.beta)
+    B = float(T) ** (-beta)
     if not 0.0 < B < 1.0:
         raise DegenerateBandwidth(f"bandwidth {B:.6g} outside (0, 1)")
     if B * T <= 1.0:

@@ -164,9 +164,6 @@ class SpectralModel:
         """The same ARMA model with all memory exponents set to zero."""
         return replace(self, alpha=AlphaProfile(values=np.zeros(self.n_degrees)))
 
-    def is_null(self) -> bool:
-        return self.alpha.is_null
-
     def ar_root_moduli(self) -> list:
         """Sorted moduli of the AR roots, one array per degree."""
         return [np.sort(np.abs(r)) for r in _roots(-self.phi)]

@@ -17,7 +17,6 @@ from spherelrd.models import example_model, reference_spharma11, spectral_eigenv
 from spherelrd.simulate import SeedSpec, _weight_spectrum, fractional_weights, simulate_panel
 from spherelrd.spectral import fdft_panel
 from spherelrd.lrdtest import (
-    BandwidthRule,
     bandwidth,
     null_moments,
     statistic_matrix,
@@ -127,9 +126,9 @@ def test_acceptance_divergence():
 def test_acceptance_bandwidth_sweep():
     config = ExperimentConfig(
         model=example_model(1), T_values=(1000, 50000, 100000), R=1, beta=0.25,
-        seed=1,
+        seed=1, betas=(0.2, 0.55, 0.9),
     )
-    table = run_bandwidth_sweep(config, betas=(0.2, 0.55, 0.9))
+    table = run_bandwidth_sweep(config)
     at_1000 = [
         r["value"] for r in table.rows if r["T"] == 1000 and r["key"] == "rescaled_norm"
     ]
@@ -221,7 +220,7 @@ def test_acceptance_oracle_statistic_moments():
     # 15% of the grid-exact calibration at T=2000, R=2000.
     model = reference_spharma11(1, 2)
     T, R = 2000, 2000
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     mean, sd = null_moments(model, T, B)
     _, second = null_moments_by_pair(model, T, B)
     col = model.degrees.column

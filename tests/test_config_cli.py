@@ -7,14 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from spherelrd.cli import main
-from spherelrd.config import (
-    ConfigError,
-    experiment_from_config,
-    load_config,
-    model_from_config,
-    sweep_betas,
-)
+from spherelrd.cli import _COMMANDS, main
+from spherelrd.config import ConfigError, experiment_from_config, load_config, model_from_config
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_alpha_profile
 from spherelrd.simulate import SeedSpec, simulate_panel
@@ -45,6 +39,17 @@ SHIPPED_CONFIGS = sorted(
     os.path.splitext(f)[0] for f in os.listdir(CONFIG_DIR) if f.endswith(".json")
 )
 PAPER_CONFIGS = ("paper_h0", "example1", "example2", "example3", "example4")
+# The command each shipped config is written for, by the first word of its name.
+CONFIG_COMMANDS = {
+    "paper": "mc-size", "example1": "mc-power", "example2": "mc-power",
+    "example3": "mc-power", "example4": "mc-power", "power": "mc-power",
+    "distribution": "mc-dist", "divergence": "mc-divergence",
+    "consistency": "mc-consistency", "sweep": "mc-sweep",
+}
+
+
+def _keys(command: str) -> tuple:
+    return _COMMANDS[command].keys
 
 
 @pytest.mark.filterwarnings("ignore:sample length")
@@ -52,13 +57,13 @@ PAPER_CONFIGS = ("paper_h0", "example1", "example2", "example3", "example4")
 def test_shipped_configs_load(name):
     doc = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
     model = model_from_config(doc)
-    config = experiment_from_config(doc)
+    config = experiment_from_config(doc, _keys(CONFIG_COMMANDS[name.split("_")[0]]))
     assert model.degrees.n_max == 8
     if name not in PAPER_CONFIGS:
         return
     assert config.T_values == (1000,)
     if name == "paper_h0":
-        assert model.is_null()
+        assert model.alpha.is_null
     else:
         ex = int(name[-1])
         np.testing.assert_allclose(
@@ -115,10 +120,12 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.json")
     with pytest.raises(ConfigError):
-        experiment_from_config({"model": {"generator": "reference"}, "experiment": []})
+        experiment_from_config(
+            {"model": {"generator": "reference"}, "experiment": []}, _keys("mc-size")
+        )
     with pytest.raises(ConfigError):
         experiment_from_config(
-            {"model": {"generator": "reference"}, "experiment": {"R": 0}}
+            {"model": {"generator": "reference"}, "experiment": {"R": 0}}, _keys("mc-size")
         )
 
 
@@ -134,17 +141,21 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 
 def test_experiment_overrides_win(tmp_path):
-    config = experiment_from_config(SMALL_DOC, seed=123, T=64, threads=2)
+    config = experiment_from_config(SMALL_DOC, _keys("mc-power"), seed=123, T=64, threads=2)
     assert config.seed == 123
     assert config.T_values == (64,)
     assert config.threads == 2
-    base = experiment_from_config(SMALL_DOC)
+    base = experiment_from_config(SMALL_DOC, _keys("mc-power"))
     assert base.seed == 99 and base.T_values == (128,)
 
 
 def test_sweep_helpers():
-    assert sweep_betas({}) == (0.2, 0.55, 0.9)
-    assert sweep_betas({"experiment": {"betas": [0.3]}}) == (0.3,)
+    # the swept exponents are an experiment key like any other, with the
+    # default in ExperimentConfig
+    doc = {"model": {"generator": "reference"}}
+    assert experiment_from_config(doc, _keys("mc-sweep")).betas == (0.2, 0.55, 0.9)
+    doc["experiment"] = {"betas": [0.3]}
+    assert experiment_from_config(doc, _keys("mc-sweep")).betas == (0.3,)
 
 
 # --- CLI --------------------------------------------------------------------
@@ -328,7 +339,7 @@ def test_cli_mc_divergence_reads_R(tmp_path):
         rows = {row["key"]: row for row in csv.DictReader(fh)}
     assert {row["R"] for row in rows.values()} == {"5"}
     model = model_from_config(doc)
-    B = bandwidth(128, experiment_from_config(doc).rule())
+    B = bandwidth(128, experiment_from_config(doc, _keys("mc-divergence")).beta)
     norms = [
         np.linalg.norm(statistic_matrix(fdft_panel(simulate_panel(
             model, 128, SeedSpec(base_seed=3, stream_id=r))), B))
@@ -555,6 +566,17 @@ def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
         # a sample length listed twice: a consistency run would fit its
         # log-log slope on one distinct T
         pytest.param("mc-consistency", "experiment", "T", [512, 512], id="T-repeated"),
+        # numbers are JSON numbers: a boolean is no integer (true ran R = 1),
+        # and a string is no real number ("0.25" ran beta = 0.25)
+        pytest.param("mc-size", "experiment", "R", True, id="R-true"),
+        pytest.param("mc-size", "experiment", "seed", True, id="seed-true"),
+        pytest.param("test", "experiment", "directions", True, id="directions-true"),
+        pytest.param("mc-size", "experiment", "T", [True], id="T-true"),
+        pytest.param("validate-model", "model", "degrees", [True, 2], id="degrees-true"),
+        pytest.param("mc-size", "experiment", "beta", "0.25", id="beta-string"),
+        pytest.param("mc-size", "experiment", "level", "0.05", id="level-string"),
+        pytest.param("mc-sweep", "experiment", "betas", ["0.3"], id="betas-string"),
+        pytest.param("mc-sweep", "experiment", "betas", [True], id="betas-true"),
     ],
 )
 def test_cli_malformed_value_exits_1_naming_the_key(
@@ -594,13 +616,13 @@ def test_config_rejects_non_integral_numbers(tmp_path, key, value):
     doc = {"model": {"generator": "reference", "degrees": [1, 2]}, "experiment": {"R": 3}}
     (doc["model"] if key == "degrees" else doc["experiment"])[key] = value
     with pytest.raises(ConfigError, match=repr(key)):
-        experiment_from_config(doc)
+        experiment_from_config(doc, _keys("mc-size"))
     assert main(["mc-size", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path)]) == 1
     # an integral float is still an integer
     (doc["model"] if key == "degrees" else doc["experiment"])[key] = (
         [float(round(v)) for v in value] if isinstance(value, list) else float(round(value))
     )
-    experiment_from_config(doc)
+    experiment_from_config(doc, _keys("mc-size"))
 
 
 def test_experiment_defaults_live_in_the_dataclass():
@@ -608,9 +630,9 @@ def test_experiment_defaults_live_in_the_dataclass():
     from spherelrd.harness import ExperimentConfig
 
     def fields(c):
-        return (c.T_values, c.R, c.beta, c.level, c.n_directions, c.seed, c.threads)
+        return (c.T_values, c.R, c.beta, c.level, c.n_directions, c.seed, c.betas, c.threads)
 
-    config = experiment_from_config({"model": {"generator": "reference"}})
+    config = experiment_from_config({"model": {"generator": "reference"}}, _keys("mc-size"))
     assert fields(config) == fields(ExperimentConfig(model=config.model))
 
 
@@ -738,6 +760,39 @@ def test_manifest_hashes_only_what_the_experiment_reads(tmp_path, command, name,
         other = _manifest_of(tmp_path, command, name, {key: value}, key)
         assert (other["config_hash"] != bare["config_hash"]) == (field not in unread)
         assert (other == bare) == (field in unread)
+
+
+# The manifest of every mc-* command on one document that sets every
+# experiment key: its config_hash and its fields in file order, as the
+# manifests were written before the key lists moved into one table.
+_EVERY_KEY_DOC = {
+    "model": {"generator": "reference", "degrees": [1, 2]},
+    "experiment": {"T": [128, 256], "R": 2, "beta": 0.3, "level": 0.1,
+                   "directions": 3, "seed": 11, "betas": [0.3, 0.6]},
+}
+_MODEL_FIELDS = ["degrees", "phi", "psi", "innov", "alpha", "alpha_extended"]
+_REPLICATED = ["experiment", "T_values", "R", "beta", "seed", *_MODEL_FIELDS]
+_DECIDED = ["experiment", "T_values", "R", "beta", "level", "n_directions", "seed", *_MODEL_FIELDS]
+PINNED_MANIFESTS = {
+    "mc-size": ("size", "81c73d8fc6ed714d", _DECIDED + ["calibration", "rng"]),
+    "mc-power": ("power", "f1eb32d1bc92a8d1", _DECIDED + ["calibration", "rng"]),
+    "mc-dist": ("distribution", "5f2b5935d13ad5ce", _REPLICATED + ["calibration", "rng"]),
+    "mc-divergence": ("divergence", "33baa943f72d760d", _REPLICATED + ["rng"]),
+    "mc-sweep": ("bandwidth_sweep", "21f51a8d6c449084", ["experiment", "T_values", "betas", "calibration"]),
+    "mc-consistency": ("consistency", "db1f6d69a7c7743f", _REPLICATED + ["rng"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:run_power on a null model")
+@pytest.mark.parametrize("command", list(PINNED_MANIFESTS))
+def test_manifest_bytes_are_pinned(tmp_path, command):
+    name, config_hash, fields = PINNED_MANIFESTS[command]
+    cfg = _write_config(tmp_path, _EVERY_KEY_DOC)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / f"{name}_manifest.json").read_text())
+    assert manifest["config_hash"] == config_hash
+    assert list(manifest) == fields + ["config_hash", "version", "numpy", "scipy"]
 
 
 _IMPORT_GRAPH = """

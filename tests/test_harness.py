@@ -87,7 +87,7 @@ def test_config_rejects_directions_outside_available_pairs(small_model, monkeypa
 def test_null_model_resolution(small_model, example1_model):
     assert _config(small_model).null_model() is small_model
     calib = _config(example1_model).null_model()
-    assert calib.is_null()
+    assert calib.alpha.is_null
 
 
 def test_chunks_cover_range():
@@ -234,7 +234,7 @@ def test_run_distribution_reads_only_the_diagonal(small_model, monkeypatch):
     run_distribution(config)
     assert calls == []
     assert len(rows) == 6
-    B = bandwidth(512, config.rule())
+    B = bandwidth(512, config.beta)
     mean, sd = null_moments(small_model, 512, B)
     degree = [n - 1 for n, _ in small_model.degrees.index_list()]
     means, sds = mean[degree], sd[degree]
@@ -267,7 +267,7 @@ def test_run_divergence_norm_scales(small_model):
         grid = table_values(tab, "hs_norm_gridsum", T=T)[0]
         assert grid / stat == pytest.approx(T**2 / (2 * np.pi) ** 4, rel=1e-12)
         panel = simulate_panel(small_model, T, SeedSpec(base_seed=config.seed, stream_id=0))
-        S = statistic_matrix(fdft_panel(panel), bandwidth(T, config.rule()))
+        S = statistic_matrix(fdft_panel(panel), bandwidth(T, config.beta))
         assert stat == pytest.approx(np.linalg.norm(S), rel=1e-12)
 
 
@@ -284,15 +284,15 @@ def test_run_divergence_averaged(small_model):
 
 
 def test_run_bandwidth_sweep_rows_and_manifest(small_model):
-    config = _config(small_model, T_values=(1000,))
-    tab = run_bandwidth_sweep(config, betas=(0.3, 0.6))
+    config = _config(small_model, T_values=(1000,), betas=(0.3, 0.6))
+    tab = run_bandwidth_sweep(config)
     vals = table_values(tab, "rescaled_norm")
     assert len(vals) == 2
     assert all(v > 0 for v in vals)
     assert all(r["R"] == 0 for r in tab.rows)
     # the swept betas are part of what ran, so the hash covers them
     assert tab.manifest["betas"] == [0.3, 0.6]
-    other = run_bandwidth_sweep(config, betas=(0.3, 0.7)).manifest
+    other = run_bandwidth_sweep(_config(small_model, T_values=(1000,), betas=(0.3, 0.7))).manifest
     assert other["config_hash"] != tab.manifest["config_hash"]
 
 

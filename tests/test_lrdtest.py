@@ -14,7 +14,6 @@ from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
 from spherelrd.lrdtest import (
-    BandwidthRule,
     CalibrationUnderAlternative,
     DegenerateBandwidth,
     EmptyWindow,
@@ -36,27 +35,27 @@ from spherelrd.lrdtest import (
 
 def test_bandwidth_rule_validation():
     for beta in (0.0, 1.0, 1.5):
-        with pytest.raises(DegenerateBandwidth):
-            BandwidthRule(beta=beta)
+        with pytest.raises(DegenerateBandwidth, match=r"beta must lie in \(0, 1\)"):
+            bandwidth(1000, beta)
 
 
 def test_bandwidth_values():
     # [TRIVIAL] 1000^(-1/4)
-    assert bandwidth(1000, BandwidthRule(beta=0.25)) == pytest.approx(
+    assert bandwidth(1000, 0.25) == pytest.approx(
         0.1778279410038923, abs=1e-15
     )
     # a beta inside (0, 1) can still round B to 1, or B * T down to 1
     with pytest.raises(DegenerateBandwidth, match="outside"):
-        bandwidth(100, BandwidthRule(beta=1e-20))
+        bandwidth(100, 1e-20)
     with pytest.raises(DegenerateBandwidth, match="B \\* T"):
-        bandwidth(2, BandwidthRule(beta=math.nextafter(1.0, 0.0)))
+        bandwidth(2, math.nextafter(1.0, 0.0))
     with pytest.raises(TestError):
-        bandwidth(1, BandwidthRule(beta=0.25))
+        bandwidth(1, 0.25)
 
 
 def test_window_indices_layout():
     T = 1000
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     win = window_indices(T, B)
     # smax = floor(T sqrt(B) / 4 pi) = 33, mirrored to the negative side
     assert len(win) == 66
@@ -98,7 +97,7 @@ def test_g_weights_cached_read_only():
 def test_g_weights_total_mass():
     # (2 pi / T) sum_v g_v approximates the window width sqrt(B)
     T = 1000
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     g = g_weights(T, B)
     assert (2 * np.pi / T) * g[1:].sum() == pytest.approx(math.sqrt(B), rel=0.05)
 
@@ -146,7 +145,7 @@ def test_statistic_matches_full_grid_complex_definition(small_model, T):
     # at the Nyquist ordinate): the fold onto the half grid and the cut to the
     # support of g change S by rounding only.
     panel = simulate_panel(small_model, T, SeedSpec(base_seed=23))
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     A = np.fft.fft(panel.data, axis=0)[1:] / np.sqrt(2 * np.pi * T)
     g = g_weights(T, B)[1:]
     full = math.sqrt(T) * (2 * np.pi / T) * ((A * g[:, None]).T @ np.conj(A))
@@ -190,7 +189,7 @@ def test_projected_test_matches_statistic_matrix(tmp_path):
     rows = _test_report(tmp_path, TEST_DOC)
     model = example_model(1, 1, 3)
     dft = fdft_panel(simulate_panel(model, 300, SeedSpec(base_seed=41)))
-    B = bandwidth(300, BandwidthRule(beta=0.25))
+    B = bandwidth(300, 0.25)
     mean, sd = null_moments(model.srd_part(), 300, B)
     S = statistic_matrix(dft, B)
     cols = leading_columns(model.degrees, 10)
@@ -225,7 +224,7 @@ def test_white_noise_null_moments_frozen(white_noise_model):
     # v = 0 ordinate is excluded.  The sd is sqrt(2 V2(n, n)); a flat
     # spectrum gives every pair of degrees the same kernel V2(n, h).
     T = 1000
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     mean, sd = null_moments(white_noise_model, T, B)
     assert mean[0] == pytest.approx(2.0564905230746127, abs=1e-9)
     assert mean[1] == pytest.approx(mean[0], abs=1e-12)
@@ -253,7 +252,7 @@ def test_white_noise_null_moments_frozen(white_noise_model):
 def test_null_moments_equal_per_pair_oracle(model, T):
     # the batched moments are bit for bit the per-degree sums: the mean, and
     # the sd as sqrt(2 V2(n, n)) of the per-pair kernel's diagonal
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     mean, sd = null_moments(model, T, B)
     want_mean, second = null_moments_by_pair(model, T, B)
     degs = model.degrees.degrees
@@ -286,7 +285,7 @@ def test_null_mean_is_a_grid_approximation_of_the_exact_mean():
     want = {50: (0.989, 0.975), 100: (0.994, 0.986), 1000: (0.999, 0.998)}
     ratios = []
     for T, (first, last) in want.items():
-        B = bandwidth(T, BandwidthRule(beta=0.25))
+        B = bandwidth(T, 0.25)
         ratio = _exact_arma11_mean(model, T, B) / null_moments(model, T, B)[0]
         assert (ratio[0], ratio[-1]) == (pytest.approx(first, abs=5e-4), pytest.approx(last, abs=5e-4))
         ratios.append(ratio)
@@ -298,7 +297,7 @@ def test_null_moment_accessors(small_model):
     # and standardized by the null mean and sd of its degree
     T = 500
     config = ExperimentConfig(model=small_model, T_values=(T,), R=1, seed=83)
-    B = bandwidth(T, config.rule())
+    B = bandwidth(T, config.beta)
     mean, sd = null_moments(small_model, T, B)
     assert mean[0] != mean[1] and sd[0] != sd[1]
     cases = [
@@ -339,7 +338,7 @@ def test_statistic_moments_match_monte_carlo(small_model):
     # Grid-exact calibration against a moderate Monte Carlo: mean of the
     # diagonal entry within 4 standard errors, variance within 25%.
     T, R = 500, 400
-    B = bandwidth(T, BandwidthRule(beta=0.25))
+    B = bandwidth(T, 0.25)
     mean, sd = null_moments(small_model, T, B)
     vals = np.empty(R)
     for r in range(R):

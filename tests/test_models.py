@@ -298,7 +298,7 @@ def test_unknown_example_rejected():
 
 def test_srd_part_strips_memory(example1_model):
     srd = example1_model.srd_part()
-    assert srd.is_null()
+    assert srd.alpha.is_null
     np.testing.assert_allclose(srd.phi, example1_model.phi)
     np.testing.assert_allclose(srd.psi, example1_model.psi)
     w = np.linspace(0.1, 3.0, 7)
