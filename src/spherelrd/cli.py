@@ -19,7 +19,9 @@ and takes only the flags that follow from them; any other flag is a usage
 error.  validate-model prints to stdout and takes --config alone; every
 other command writes CSV files under --out (default: current directory),
 each mc-* table with a ``*_manifest.json`` beside it.
-Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
+Each warning prints as one line, ``warning: <message>``.  Exit codes: 0
+success, 1 usage error or any package error (``SpherelrdError``: a bad
+config, model, panel or argument), 2 any other failure.
 """
 
 from __future__ import annotations
@@ -29,28 +31,25 @@ import csv
 import json
 import os
 import sys
+import warnings
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
-from .config import ConfigError, experiment_from_config, load_config, model_from_config
-from .harness import EXPERIMENTS, HarnessError, _standardized_entries
-from .lrdtest import TestError, bandwidth, critical_value, leading_columns
-from .models import ModelError
-from .simulate import SeedSpec, SimulationError, simulate_panel
+from . import SpherelrdError
+from .config import experiment_from_config, load_config, model_from_config
+from .harness import EXPERIMENTS, _standardized_entries
+from .lrdtest import bandwidth, critical_value, leading_columns
+from .simulate import SeedSpec, simulate_panel
 from .spectral import fdft_panel, smoothed_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise SpherelrdError(message)
 
 
 _FLAG_SPECS = {
@@ -123,7 +122,7 @@ def _experiment(doc, args):
 
 def _one_T(config) -> int:
     if len(config.T_values) > 1:
-        raise ConfigError(f"one panel needs one T, not {list(config.T_values)}: pass --T")
+        raise SpherelrdError(f"one panel needs one T, not {list(config.T_values)}: pass --T")
     return config.T_values[0]
 
 
@@ -220,25 +219,28 @@ def _dispatch(args) -> None:
         print(f"note: {args.command} does not read {names}", file=sys.stderr)
 
 
+def _print_warning(message, *_) -> None:
+    """``warnings.showwarning`` in ``main``: the message alone, not its source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # argparse would report a command's leftover flags with the
-            # top-level usage; the command's own usage lists what it takes
-            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _dispatch(args)
-    except (ConfigError, ModelError, TestError, SimulationError, HarnessError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # the caller's filters and printer come back
+        warnings.showwarning = _print_warning
+        try:
+            args, extra = parser.parse_known_args(argv)
+            if extra:
+                # argparse would report a command's leftover flags with the
+                # top-level usage; the command's own usage lists what it takes
+                commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+            _dispatch(args)
+        except SpherelrdError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -23,7 +23,7 @@ except that an explicit ``alpha`` section may be attached to "reference").
 ``load_config`` rejects any key outside ``_KEYS``, so a misspelt option
 fails at load instead of being ignored.  A known key that the command reads
 and whose value does not convert fails as the config is built, with a
-``ConfigError`` naming the key; a known key it does not read is left alone.
+``SpherelrdError`` naming the key; a known key it does not read is left alone.
 Numbers are JSON numbers: a string or a boolean where one is expected fails.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import numpy as np
 
+from . import SpherelrdError
 from .harmonics import DegreeRange
 from .models import (
     AlphaProfile,
@@ -41,13 +42,7 @@ from .models import (
     example_model,
     reference_spharma11,
 )
-from .harness import EXPERIMENT_FIELDS, ExperimentConfig, HarnessError
-from .simulate import SimulationError
-
-
-class ConfigError(ValueError):
-    pass
-
+from .harness import EXPERIMENT_FIELDS, ExperimentConfig
 
 _GENERATORS = ("reference", "example1", "example2", "example3", "example4")
 
@@ -65,10 +60,10 @@ def _check_keys(doc: dict, section: str = "") -> None:
     for key, value in doc.items():
         if key not in _KEYS[section]:
             where = f"section {section!r}" if section else "the top level"
-            raise ConfigError(f"unknown key {key!r} in {where}")
+            raise SpherelrdError(f"unknown key {key!r} in {where}")
         if key in _KEYS:
             if not isinstance(value, dict):
-                raise ConfigError(f"{key!r} must be a JSON object")
+                raise SpherelrdError(f"{key!r} must be a JSON object")
             _check_keys(value, key)
 
 
@@ -77,30 +72,27 @@ def load_config(path) -> dict:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise SpherelrdError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise SpherelrdError("config document must be a JSON object")
     _check_keys(doc)
     return doc
 
 
 def _field(section: str, key: str, value, convert):
-    """``convert(value)``; a value it cannot convert is a ConfigError naming the key."""
+    """``convert(value)``; a value it cannot convert is a SpherelrdError naming the key."""
     try:
         return convert(value)
     except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ConfigError(f"invalid {key!r} in section {section!r}: {value!r} ({exc})") from None
+        raise SpherelrdError(f"invalid {key!r} in section {section!r}: {value!r} ({exc})") from None
 
 
-def _integer(value) -> int:
-    """``value`` as an int; a boolean, or a number with a fractional part,
-    is an error, not truncated."""
-    if isinstance(value, bool):
+def _integer(value):
+    """``value`` itself if a JSON number; a string or a boolean is an error.
+    ``ExperimentConfig`` and ``DegreeRange`` reject a fractional one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not an integer")
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return out
+    return value
 
 
 def _real(value) -> float:
@@ -129,7 +121,7 @@ def _degree_pair(value) -> tuple:
 def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
     kind = doc.get("kind", "explicit")
     if kind == "interpolated" and "endpoints" not in doc and "peak" not in doc:
-        raise ConfigError("an interpolated alpha profile without a 'peak' needs 'endpoints'")
+        raise SpherelrdError("an interpolated alpha profile without a 'peak' needs 'endpoints'")
     peak = doc.get("peak")
     try:
         return alpha_profile(
@@ -141,22 +133,22 @@ def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
             extended=bool(doc.get("extended", False)),
         )
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"invalid section 'alpha': {doc!r} ({exc})") from None
+        raise SpherelrdError(f"invalid section 'alpha': {doc!r} ({exc})") from None
 
 
 def model_from_config(doc: dict) -> SpectralModel:
     spec = doc.get("model")
     if not isinstance(spec, dict):
-        raise ConfigError("config is missing a 'model' object")
+        raise SpherelrdError("config is missing a 'model' object")
     n_min, n_max = _field("model", "degrees", spec.get("degrees", [1, 8]), _degree_pair)
     gen = spec.get("generator")
     if gen is not None:
         if gen not in _GENERATORS:
-            raise ConfigError(f"unknown model generator {gen!r}")
+            raise SpherelrdError(f"unknown model generator {gen!r}")
         # only "reference" takes an alpha section; the examples fix their own
         explicit = {"phi", "psi", "innov"} | ({"alpha"} if gen != "reference" else set())
         if explicit & spec.keys():
-            raise ConfigError(
+            raise SpherelrdError(
                 f"generator {gen!r} does not accept explicit fields {sorted(explicit & spec.keys())}"
             )
     try:
@@ -176,8 +168,8 @@ def model_from_config(doc: dict) -> SpectralModel:
             innov=spec.get("innov", 1.0),
             alpha=alpha,
         )
-    except ValueError as exc:  # ModelError, HarmonicsError, mismatched shapes
-        raise ConfigError(f"invalid model config: {exc}") from exc
+    except ValueError as exc:  # SpherelrdError, mismatched shapes
+        raise SpherelrdError(f"invalid model config: {exc}") from exc
 
 
 # The conversion of each experiment key; EXPERIMENT_FIELDS names the field it fills.
@@ -200,7 +192,7 @@ def experiment_from_config(
     model = model_from_config(doc)
     exp = doc.get("experiment", {})
     if not isinstance(exp, dict):
-        raise ConfigError("'experiment' must be a JSON object")
+        raise SpherelrdError("'experiment' must be a JSON object")
     values = dict(exp)
     if seed is not None:
         values["seed"] = seed
@@ -216,6 +208,6 @@ def experiment_from_config(
     }
     try:
         return ExperimentConfig(model=model, threads=threads, **fields)
-    except (HarnessError, SimulationError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
+    except SpherelrdError as exc:
+        raise SpherelrdError(f"invalid experiment config: {exc}") from exc
 

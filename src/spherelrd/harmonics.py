@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-class HarmonicsError(ValueError):
-    pass
+from . import SpherelrdError, _integer
 
 
 @dataclass(frozen=True)
@@ -24,8 +22,10 @@ class DegreeRange:
     n_max: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_min", _integer("degrees", self.n_min))
+        object.__setattr__(self, "n_max", _integer("degrees", self.n_max))
         if self.n_min < 0 or self.n_max < self.n_min:
-            raise HarmonicsError(
+            raise SpherelrdError(
                 f"invalid degree range [{self.n_min}, {self.n_max}]"
             )
 
@@ -41,12 +41,12 @@ class DegreeRange:
     def column_offset(self, n: int) -> int:
         """Column index of (n, j=1) in the panel layout."""
         if not self.n_min <= n <= self.n_max:
-            raise HarmonicsError(f"degree {n} outside range {self}")
+            raise SpherelrdError(f"degree {n} outside range {self}")
         return sum(2 * m + 1 for m in range(self.n_min, n))
 
     def column(self, n: int, j: int) -> int:
         if not 1 <= j <= 2 * n + 1:
-            raise HarmonicsError(f"order index j={j} invalid for degree {n}")
+            raise SpherelrdError(f"order index j={j} invalid for degree {n}")
         return self.column_offset(n) + j - 1
 
     def index_list(self) -> list[tuple[int, int]]:

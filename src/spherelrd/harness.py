@@ -36,7 +36,7 @@ import numpy as np
 import scipy
 from scipy import special
 
-from . import __version__
+from . import SpherelrdError, __version__, _integer
 from .harmonics import DegreeRange
 from .models import SpectralModel
 from .simulate import STREAMS, SeedSpec, simulate_panel
@@ -54,14 +54,6 @@ from .lrdtest import (
 )
 
 
-class HarnessError(ValueError):
-    pass
-
-
-class InsufficientReplications(HarnessError):
-    pass
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared experiment parameters: ``model``, one field per key of a
@@ -70,11 +62,13 @@ class ExperimentConfig:
     ``model`` is the data-generating model; it is calibrated against its
     short-memory factor (see ``null_model``).  ``threads`` is the worker
     count.  The bandwidth sweep runs over the exponents ``betas``; every
-    other experiment reads ``beta``.  The worker count, the seed, R, and T
-    and betas (each nonempty, none listed twice) are checked here, so a bad
-    one fails before any run; ``level``, ``n_directions`` and each exponent
-    only where they are read (``critical_value``, ``leading_columns``,
-    ``bandwidth``), also before.
+    other experiment reads ``beta``.  Each integer field must hold an
+    integer (a boolean, or a number with a fractional part, is an error
+    naming its config key).  The worker count, the seed, R, and T and betas
+    (each nonempty, none listed twice) are checked here, so a bad one fails
+    before any run; ``level``, the range of ``n_directions`` and each
+    exponent only where they are read (``critical_value``,
+    ``leading_columns``, ``bandwidth``), also before.
     """
 
     model: SpectralModel
@@ -88,17 +82,21 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        ts = tuple(_integer("T", t) for t in self.T_values)
+        for key, name in (("R", "R"), ("directions", "n_directions"), ("seed", "seed"),
+                          ("threads", "threads")):
+            object.__setattr__(self, name, _integer(key, getattr(self, name)))
         if self.threads < 1:
-            raise HarnessError(f"thread count must be >= 1, got {self.threads}")
+            raise SpherelrdError(f"thread count must be >= 1, got {self.threads}")
         SeedSpec(base_seed=self.seed)  # the range check every replication makes
         if self.R < 1:
-            raise HarnessError("R must be >= 1")
-        ts, betas = tuple(int(t) for t in self.T_values), tuple(self.betas)
+            raise SpherelrdError("R must be >= 1")
+        betas = tuple(self.betas)
         for key, values in (("T", ts), ("betas", betas)):
             if not values:
-                raise HarnessError(f"{key!r} lists no value")
+                raise SpherelrdError(f"{key!r} lists no value")
             if len(set(values)) < len(values):
-                raise HarnessError(f"{key!r} lists a value more than once: {list(values)}")
+                raise SpherelrdError(f"{key!r} lists a value more than once: {list(values)}")
         for t in ts:
             if t < 64:
                 # level 3 skips this method and the generated __init__, so
@@ -318,7 +316,7 @@ def _standardized_entries(config: ExperimentConfig, cols, R: int) -> list:
 def run_size(config: ExperimentConfig) -> McTable:
     """Per-direction empirical rejection rate under the null model."""
     if not config.model.alpha.is_null:
-        raise HarnessError("run_size requires a short-memory (null) model")
+        raise SpherelrdError("run_size requires a short-memory (null) model")
     return _rejection_experiment(config, "size")
 
 
@@ -432,7 +430,7 @@ def run_consistency(config: ExperimentConfig) -> McTable:
     follow the short-memory decay law.
     """
     if config.R < 2:
-        raise InsufficientReplications("variance estimation requires R >= 2")
+        raise SpherelrdError("variance estimation requires R >= 2")
     table = McTable("consistency", manifest=_config_manifest(config, "consistency"))
     Bs = [bandwidth(T, config.beta) for T in config.T_values]
     plan = _Plan(config.model, config.T_values, config.seed, _spectrum_moments,

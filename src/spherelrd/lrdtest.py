@@ -37,25 +37,10 @@ import math
 import numpy as np
 from scipy import special
 
+from . import SpherelrdError
 from .harmonics import DegreeRange
 from .models import SpectralModel, spectral_eigenvalue
 from .spectral import GRID_CACHE_SIZE, DftPanel, epanechnikov_cdf, kernel_row, reduce_frequency
-
-
-class TestError(ValueError):
-    pass
-
-
-class DegenerateBandwidth(TestError):
-    pass
-
-
-class EmptyWindow(TestError):
-    pass
-
-
-class CalibrationUnderAlternative(TestError):
-    pass
 
 
 def bandwidth(T: int, beta: float) -> float:
@@ -66,14 +51,14 @@ def bandwidth(T: int, beta: float) -> float:
     (beta near 1), so both bounds are checked on B itself.
     """
     if not 0.0 < beta < 1.0:
-        raise DegenerateBandwidth(f"beta must lie in (0, 1), got {beta}")
+        raise SpherelrdError(f"beta must lie in (0, 1), got {beta}")
     if T < 2:
-        raise TestError("T must be at least 2")
+        raise SpherelrdError("T must be at least 2")
     B = float(T) ** (-beta)
     if not 0.0 < B < 1.0:
-        raise DegenerateBandwidth(f"bandwidth {B:.6g} outside (0, 1)")
+        raise SpherelrdError(f"bandwidth {B:.6g} outside (0, 1)")
     if B * T <= 1.0:
-        raise DegenerateBandwidth(f"B * T = {B * T:.6g} <= 1 (window too narrow)")
+        raise SpherelrdError(f"B * T = {B * T:.6g} <= 1 (window too narrow)")
     return B
 
 
@@ -87,7 +72,7 @@ def window_indices(T: int, B: float) -> np.ndarray:
     # s <= T sqrt(B) / (4 pi) on the positive side, symmetric on the negative
     smax = int(math.floor(T * math.sqrt(B) / (4 * math.pi) + 1e-9))
     if smax < 1:
-        raise EmptyWindow(
+        raise SpherelrdError(
             f"no nonzero Fourier frequency inside the window for T={T}, B={B:.4g}"
         )
     pos = np.arange(1, smax + 1)
@@ -169,7 +154,7 @@ def null_moments(model: SpectralModel, T: int, B: float) -> tuple:
     A long-memory model is rejected: calibrate against its ``srd_part()``.
     """
     if not model.alpha.is_null:
-        raise CalibrationUnderAlternative(
+        raise SpherelrdError(
             "model has nonzero memory exponents; calibrate against its "
             "short-range factor (srd_part())"
         )
@@ -180,7 +165,7 @@ def null_moments(model: SpectralModel, T: int, B: float) -> tuple:
     v2 = T * (2 * np.pi / T) ** 2 * np.sum(g * g * f * f, axis=1)
     bad = np.flatnonzero(v2 <= 0)
     if bad.size:
-        raise TestError(f"nonpositive variance for degree {model.degrees.n_min + bad[0]}")
+        raise SpherelrdError(f"nonpositive variance for degree {model.degrees.n_min + bad[0]}")
     return mean, np.sqrt(2.0 * v2)
 
 
@@ -208,7 +193,7 @@ def profile_mean_diag(model: SpectralModel, T: int, B: float) -> np.ndarray:
 def critical_value(level: float) -> float:
     """Two-sided standard-normal critical value at ``level``."""
     if not 0.0 < level < 1.0:
-        raise TestError(f"level must lie in (0, 1), got {level}")
+        raise SpherelrdError(f"level must lie in (0, 1), got {level}")
     return float(special.ndtri(1.0 - level / 2.0))
 
 
@@ -219,7 +204,7 @@ def leading_columns(degrees: DegreeRange, count: int) -> list:
     the diagonal entries S[a, a] the test reports."""
     cols = [(n, j) for n, j in degrees.index_list() if n >= 1]
     if not 1 <= count <= len(cols):
-        raise TestError(
+        raise SpherelrdError(
             f"directions must lie in [1, {len(cols)}] for degrees "
             f"{degrees.n_min}..{degrees.n_max}, got {count}"
         )

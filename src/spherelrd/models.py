@@ -22,37 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import SpherelrdError
 from .harmonics import DegreeRange
 
 _ROOT_TOL = 1e-9
-
-
-class ModelError(ValueError):
-    pass
-
-
-class NonstationaryDegree(ModelError):
-    def __init__(self, n: int, modulus: float):
-        self.degree = n
-        super().__init__(
-            f"AR polynomial for degree {n} has a root of modulus {modulus:.6g} <= 1"
-        )
-
-
-class CommonRoot(ModelError):
-    def __init__(self, n: int):
-        self.degree = n
-        super().__init__(f"AR and MA polynomials share a root at degree {n}")
-
-
-class NonpositiveInnovation(ModelError):
-    def __init__(self, n: int):
-        self.degree = n
-        super().__init__(f"innovation eigenvalue at degree {n} must be positive")
-
-
-class AlphaRangeError(ModelError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -73,7 +46,7 @@ class AlphaProfile:
         object.__setattr__(self, "values", vals)
         hi = 1.0 if self.extended else 0.5
         if np.any(vals < 0) or np.any(vals >= hi):
-            raise AlphaRangeError(
+            raise SpherelrdError(
                 f"alpha values must lie in [0, {hi}); "
                 "pass extended=True to allow exponents >= 1/2"
             )
@@ -102,7 +75,7 @@ def alpha_profile(
     if kind == "explicit":
         vals = np.asarray(values, dtype=float)
         if vals.shape != (n_degrees,):
-            raise ModelError(f"expected {n_degrees} alpha values, got {vals.shape}")
+            raise SpherelrdError(f"expected {n_degrees} alpha values, got {vals.shape}")
     elif kind == "constant":
         vals = np.full(n_degrees, float(values))
     elif kind == "interpolated":
@@ -121,7 +94,7 @@ def alpha_profile(
             first, last = float(endpoints[0]), float(endpoints[1])
             vals = np.linspace(first, last, n_degrees)
     else:
-        raise ModelError(f"unknown alpha profile kind {kind!r}")
+        raise SpherelrdError(f"unknown alpha profile kind {kind!r}")
     return AlphaProfile(values=vals, extended=extended)
 
 
@@ -147,14 +120,17 @@ class SpectralModel:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "innov", innov)
         if self.alpha.values.shape != (n_deg,):
-            raise ModelError("alpha profile length does not match degree range")
+            raise SpherelrdError("alpha profile length does not match degree range")
         for n, v, ar, ma in zip(self.degrees.degrees, innov, _roots(-phi), _roots(psi)):
             if v <= 0:
-                raise NonpositiveInnovation(n)
+                raise SpherelrdError(f"innovation eigenvalue at degree {n} must be positive")
             if ar.size and np.min(np.abs(ar)) <= 1.0 + _ROOT_TOL:
-                raise NonstationaryDegree(n, float(np.min(np.abs(ar))))
+                raise SpherelrdError(
+                    f"AR polynomial for degree {n} has a root of modulus "
+                    f"{np.min(np.abs(ar)):.6g} <= 1"
+                )
             if ar.size and ma.size and np.min(np.abs(ma[:, None] - ar)) <= _ROOT_TOL:
-                raise CommonRoot(n)
+                raise SpherelrdError(f"AR and MA polynomials share a root at degree {n}")
 
     @property
     def n_degrees(self) -> int:
@@ -214,7 +190,7 @@ def spectral_eigenvalue(model: SpectralModel, omega) -> np.ndarray:
     (n_degrees, omega.size).  A row rounds as one degree alone would."""
     w = np.asarray(omega, dtype=float).reshape(-1)
     if np.any(np.abs(w) > np.pi + 1e-12):
-        raise ModelError("frequency outside [-pi, pi]")
+        raise SpherelrdError("frequency outside [-pi, pi]")
     z = np.exp(-1j * w)
     num = np.ones((model.n_degrees, w.size), dtype=complex)
     for l in range(model.q):
@@ -265,7 +241,7 @@ def example_alpha_profile(example: int, n_degrees: int = 8) -> AlphaProfile:
     try:
         spec = _EXAMPLE_ALPHA[example]
     except KeyError:
-        raise ModelError(f"unknown example number {example}") from None
+        raise SpherelrdError(f"unknown example number {example}") from None
     return alpha_profile("interpolated", n_degrees=n_degrees, **spec)
 
 

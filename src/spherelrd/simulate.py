@@ -61,14 +61,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, linalg
+from scipy import linalg
 
+from . import SpherelrdError
 from .harmonics import DegreeRange
 from .models import SpectralModel
-
-
-class SimulationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,9 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.base_seed < 2**64:
-            raise SimulationError("base_seed must fit in 64 bits")
+            raise SpherelrdError("base_seed must fit in 64 bits")
         if not 0 <= self.stream_id < 2**40:
-            raise SimulationError("stream_id must be a nonnegative 40-bit integer")
+            raise SpherelrdError("stream_id must be a nonnegative 40-bit integer")
 
     def generator(self, degree: int) -> np.random.Generator:
         key = np.random.SeedSequence(self.base_seed, spawn_key=(self.stream_id, degree))
@@ -110,23 +107,41 @@ class CoefficientPanel:
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.T, self.degrees.dim):
-            raise SimulationError(
+            raise SpherelrdError(
                 f"panel shape {data.shape} != ({self.T}, {self.degrees.dim})"
             )
         if not np.all(np.isfinite(data)):
-            raise SimulationError("panel contains non-finite entries")
+            raise SpherelrdError("panel contains non-finite entries")
         object.__setattr__(self, "data", data)
 
 
 def fractional_weights(alpha: float, truncation: int) -> np.ndarray:
     """MA(inf) weights of (1 - B)^(-alpha), psi_0..psi_K, by stable recursion."""
     if not 0.0 <= alpha < 1.0:
-        raise SimulationError(f"fractional exponent must lie in [0, 1), got {alpha}")
+        raise SpherelrdError(f"fractional exponent must lie in [0, 1), got {alpha}")
     psi = np.empty(truncation + 1)
     psi[0] = 1.0
     for k in range(1, truncation + 1):
         psi[k] = psi[k - 1] * (k - 1 + alpha) / k
     return psi
+
+
+@functools.cache
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth length >= n, the real FFT's fastest (what
+    ``scipy.fft.next_fast_len(n, real=True)`` returns)."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
 
 
 # Distinct (alpha, truncation, FFT length) keys a process keeps; one
@@ -137,7 +152,7 @@ _SPECTRUM_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _weight_spectrum(alpha: float, truncation: int, nfft: int) -> np.ndarray:
     """Real FFT of psi_0..psi_K zero-padded to ``nfft``; read-only, shared by callers."""
-    spectrum = fft.rfft(fractional_weights(alpha, truncation), nfft)
+    spectrum = np.fft.rfft(fractional_weights(alpha, truncation), nfft)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -211,7 +226,7 @@ def _arma(out: np.ndarray, normals: np.ndarray, scale: float, b: tuple, a: tuple
         y, info = linalg.lapack.dtbtrs(_ar_band(a, len(out)), out, uplo="L", diag="U",
                                        overwrite_b=1)
         if info != 0 or not np.shares_memory(y, out):
-            raise SimulationError(f"banded ARMA solve failed in place (info {info})")
+            raise SpherelrdError(f"banded ARMA solve failed in place (info {info})")
 
 
 def simulate_panel(
@@ -231,12 +246,12 @@ def simulate_panel(
     (default: all).
     """
     if T < 2:
-        raise SimulationError("sample length must be at least 2")
+        raise SpherelrdError("sample length must be at least 2")
     full = model.degrees
     if degrees is None:
         degrees = full
     elif not full.n_min <= degrees.n_min <= degrees.n_max <= full.n_max:
-        raise SimulationError(f"degrees {degrees} outside the model's {full}")
+        raise SpherelrdError(f"degrees {degrees} outside the model's {full}")
     r = max(model.p, model.q)
     data = np.empty((T, degrees.dim), order="F")
     widths = [2 * n + 1 for n in degrees.degrees if model.alpha.values[n - full.n_min] > 0]
@@ -258,8 +273,8 @@ def simulate_panel(
             # conv[t] = sum_k psi_k x_{t-k} for the kept t >= K reads all of
             # x; rows K..K+T-1 of its circular convolution are exact
             K = _TRUNCATION
-            nfft = fft.next_fast_len(K + T, real=True)
-            xs = fft.rfft(x, nfft, axis=0)
+            nfft = _fast_len(K + T)
+            xs = np.fft.rfft(x, nfft, axis=0)
             xs *= _weight_spectrum(a, K, nfft)[:, None]
-            data[:, off : off + m] = fft.irfft(xs, nfft, axis=0)[K : K + T]
+            data[:, off : off + m] = np.fft.irfft(xs, nfft, axis=0)[K : K + T]
     return CoefficientPanel(T=T, degrees=degrees, data=data)

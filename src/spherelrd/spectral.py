@@ -26,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import SpherelrdError
 from .harmonics import DegreeRange
 from .simulate import CoefficientPanel
-
-
-class SpectralError(ValueError):
-    pass
 
 
 # --- weight kernels --------------------------------------------------------
@@ -93,7 +90,7 @@ class DftPanel:
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (self.T // 2 + 1, self.degrees.dim):
-            raise SpectralError(f"DFT shape {c.shape} != ({self.T // 2 + 1}, {self.degrees.dim})")
+            raise SpherelrdError(f"DFT shape {c.shape} != ({self.T // 2 + 1}, {self.degrees.dim})")
         object.__setattr__(self, "coeffs", c)
 
 
@@ -102,7 +99,7 @@ def fdft_panel(panel: CoefficientPanel, T: int | None = None) -> DftPanel:
     panel checked, with the (2 pi T)^(-1/2) normalization, over s = 0..T//2."""
     T = panel.T if T is None else T
     if T < 2:
-        raise SpectralError("need at least two time points")
+        raise SpherelrdError("need at least two time points")
     coeffs = np.fft.rfft(panel.data[:T], axis=0)
     coeffs /= np.sqrt(2 * np.pi * T)
     return DftPanel(T=T, degrees=panel.degrees, coeffs=coeffs)

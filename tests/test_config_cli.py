@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from spherelrd import SpherelrdError
 from spherelrd.cli import _COMMANDS, main
-from spherelrd.config import ConfigError, experiment_from_config, load_config, model_from_config
+from spherelrd.config import experiment_from_config, load_config, model_from_config
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_alpha_profile
-from spherelrd.simulate import SeedSpec, simulate_panel
+from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -88,7 +90,7 @@ def test_explicit_model_from_config():
 
 
 def test_generator_rejects_explicit_fields():
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match=r"generator 'reference' does not accept explicit fields \['phi'\]"):
         model_from_config({"model": {"generator": "reference", "phi": [[0.1]]}})
 
 
@@ -105,25 +107,25 @@ def test_reference_generator_accepts_alpha_override():
 
 
 def test_config_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="config is missing a 'model' object"):
         model_from_config({})
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="unknown model generator 'example9'"):
         model_from_config({"model": {"generator": "example9"}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="invalid model config: AR polynomial for degree 1"):
         model_from_config({"model": {"degrees": [1, 1], "phi": [[1.5]]}})
-    with pytest.raises(ConfigError, match="broadcast"):
+    with pytest.raises(SpherelrdError, match="broadcast"):
         model_from_config({"model": {"degrees": [1, 2], "innov": [1.0, 2.0, 3.0]}})
-    with pytest.raises(ConfigError, match="reshape"):
+    with pytest.raises(SpherelrdError, match="reshape"):
         model_from_config({"model": {"degrees": [1, 2], "phi": [[0.1], [0.2], [0.3]]}})
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(SpherelrdError, match="alpha"):
         model_from_config({"model": {"generator": "example1", "alpha": {"values": 0.1}}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="cannot read config /nonexistent/config.json"):
         load_config("/nonexistent/config.json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="'experiment' must be a JSON object"):
         experiment_from_config(
             {"model": {"generator": "reference"}, "experiment": []}, _keys("mc-size")
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="invalid experiment config: R must be >= 1"):
         experiment_from_config(
             {"model": {"generator": "reference"}, "experiment": {"R": 0}}, _keys("mc-size")
         )
@@ -132,11 +134,11 @@ def test_config_errors():
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="cannot read config"):
         load_config(path)
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpherelrdError, match="config document must be a JSON object"):
         load_config(arr)
 
 
@@ -389,13 +391,13 @@ def test_cli_unknown_key_exits_at_load(tmp_path, monkeypatch, command, section, 
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
-    with pytest.raises(ConfigError, match=repr(key)):
+    with pytest.raises(SpherelrdError, match=repr(key)):
         load_config(cfg)
 
 
 def test_load_config_rejects_non_object_section(tmp_path):
     cfg = _write_config(tmp_path, {"model": {"generator": "reference", "alpha": 0.2}})
-    with pytest.raises(ConfigError, match="'alpha' must be a JSON object"):
+    with pytest.raises(SpherelrdError, match="'alpha' must be a JSON object"):
         load_config(cfg)
 
 
@@ -448,6 +450,46 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["mc-size", "--config", cfg]) == 1
     assert main(["not-a-command", "--config", cfg]) == 1
     assert main(["mc-size"]) == 1
+
+
+def test_cli_package_error_from_any_module_exits_1(tmp_path, monkeypatch, capsys):
+    # a column outside its degree fails in harmonics, a one-row panel in
+    # spectral: both are package errors, exit 1, not runtime failures
+    from spherelrd import cli
+
+    cfg = _write_config(tmp_path, WN_DOC)
+    monkeypatch.setattr(cli, "leading_columns", lambda degrees, count: [(1, 9)])
+    assert main(["test", "--config", cfg, "--out", str(tmp_path / "test")]) == 1
+    assert capsys.readouterr().err == "error: order index j=9 invalid for degree 1\n"
+    monkeypatch.setattr(cli, "simulate_panel", lambda model, T, seed: CoefficientPanel(
+        T=1, degrees=model.degrees, data=np.zeros((1, model.degrees.dim))))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum")]) == 1
+    assert capsys.readouterr().err == "error: need at least two time points\n"
+
+
+def test_cli_other_failure_exits_2(tmp_path, capsys):
+    # --out names a file, so the output directory cannot be made
+    cfg = _write_config(tmp_path, WN_DOC)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", "--config", cfg, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+def test_cli_prints_each_warning_as_one_line(tmp_path, capsys):
+    # the message alone: no install path, line number or source line
+    before = (list(warnings.filters), warnings.showwarning)
+    paper = os.path.join(CONFIG_DIR, "paper_h0.json")
+    assert main(["mc-power", "--config", paper, "--T", "128", "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == "warning: run_power on a null model reduces to run_size\n"
+    doc = {"model": {"generator": "reference", "degrees": [1, 2]},
+           "experiment": {"T": [50], "R": 2, "seed": 3}}
+    assert main(["mc-size", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: sample length T=50 below 64; asymptotic calibration is rough\n"
+    )
+    # the caller's filters and printer are back as they were
+    assert (list(warnings.filters), warnings.showwarning) == before
 
 
 def test_cli_consecutive_calls_in_one_process(tmp_path, capsys):
@@ -615,7 +657,9 @@ def test_config_rejects_non_integral_numbers(tmp_path, key, value):
     # int() would truncate these to T = 1000, R = 2, directions = 3, ...
     doc = {"model": {"generator": "reference", "degrees": [1, 2]}, "experiment": {"R": 3}}
     (doc["model"] if key == "degrees" else doc["experiment"])[key] = value
-    with pytest.raises(ConfigError, match=repr(key)):
+    # the one check where the field lives sees the value unrounded
+    fractional = value[-1] if isinstance(value, list) else value
+    with pytest.raises(SpherelrdError, match=f"{key!r} must be an integer, got {fractional}$"):
         experiment_from_config(doc, _keys("mc-size"))
     assert main(["mc-size", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path)]) == 1
     # an integral float is still an integer
@@ -820,5 +864,6 @@ def test_cli_runs_without_scipy_signal_or_stats(tmp_path):
     done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    assert "scipy.fft" in loaded
-    assert not {"scipy.signal", "scipy.stats"} & loaded
+    # the banded ARMA solve is scipy's; the fractional filter's FFT is numpy's
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.fft", "scipy.signal", "scipy.stats"} & loaded

@@ -10,12 +10,11 @@ import scipy
 from scipy import stats
 from conftest import table_values
 
+from spherelrd import SpherelrdError
 from spherelrd.harmonics import DegreeRange
-from spherelrd.models import build_spharma, example_model
+from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.harness import (
     ExperimentConfig,
-    HarnessError,
-    InsufficientReplications,
     McTable,
     _chunks,
     _ks_distance,
@@ -26,7 +25,7 @@ from spherelrd.harness import (
     run_power,
     run_size,
 )
-from spherelrd.lrdtest import TestError, bandwidth, leading_columns
+from spherelrd.lrdtest import bandwidth, leading_columns
 from spherelrd.simulate import SeedSpec, simulate_panel
 from spherelrd.spectral import fdft_panel
 
@@ -43,24 +42,43 @@ def test_thread_count_resolution(small_model, monkeypatch):
     monkeypatch.setenv("SPHARMA_LRD_THREADS", "5")
     assert _config(small_model).threads == 1
     assert _config(small_model, threads=3).threads == 3
-    with pytest.raises(HarnessError):
+    with pytest.raises(SpherelrdError, match="thread count must be >= 1, got 0"):
         _config(small_model, threads=0)
 
 
 def test_config_validation(small_model):
-    with pytest.raises(HarnessError):
+    with pytest.raises(SpherelrdError, match="R must be >= 1"):
         ExperimentConfig(model=small_model, T_values=(256,), R=0)
     # the level is checked where it is read, before any replication
-    with pytest.raises(TestError, match="level"):
+    with pytest.raises(SpherelrdError, match="level"):
         run_size(ExperimentConfig(model=small_model, T_values=(256,), level=1.5))
-    with pytest.raises(HarnessError):
+    with pytest.raises(SpherelrdError, match="'T' lists no value"):
         ExperimentConfig(model=small_model, T_values=())
-    with pytest.raises(HarnessError, match="thread count"):
+    with pytest.raises(SpherelrdError, match="thread count"):
         ExperimentConfig(model=small_model, T_values=(256,), threads=0)
     with pytest.warns(UserWarning, match="below 64") as record:
         ExperimentConfig(model=small_model, T_values=(50,))
     # the warning names the line that built the config
     assert record[0].filename == __file__
+
+
+def test_config_integer_fields_are_checked_where_they_live(small_model):
+    # a library caller's fractional or boolean count fails naming the config
+    # key, as the same value in a config document does
+    with pytest.raises(SpherelrdError, match=r"'T' must be an integer, got 100\.7"):
+        ExperimentConfig(reference_spharma11(1, 8), T_values=(100.7, 128.2), R=2.5, n_directions=2.5)
+    for field, key, bad in (("T_values", "T", (256, True)), ("R", "R", 2.5),
+                            ("n_directions", "directions", 2.5), ("seed", "seed", True),
+                            ("threads", "threads", 1.5), ("R", "R", "3")):
+        with pytest.raises(SpherelrdError, match=f"{key!r} must be an integer"):
+            _config(small_model, **{field: bad})
+    # NumPy integers and integral floats become ints
+    config = _config(small_model, T_values=(np.int64(256), 300.0), R=np.int32(4),
+                     n_directions=np.uint8(3), seed=np.int64(5), threads=2.0)
+    assert (config.T_values, config.R, config.n_directions, config.seed, config.threads) == (
+        (256, 300), 4, 3, 5, 2)
+    assert {type(v) for v in (*config.T_values, config.R, config.n_directions, config.seed,
+                              config.threads)} == {int}
 
 
 def test_config_rejects_directions_outside_available_pairs(small_model, monkeypatch):
@@ -72,11 +90,11 @@ def test_config_rejects_directions_outside_available_pairs(small_model, monkeypa
         raise AssertionError("a replication ran")
 
     for bad in (0, -1, 9):
-        with pytest.raises(TestError, match=r"directions must lie in \[1, 8\] for degrees 1..2"):
+        with pytest.raises(SpherelrdError, match=r"directions must lie in \[1, 8\] for degrees 1..2"):
             leading_columns(small_model.degrees, bad)
         with monkeypatch.context() as m:
             m.setattr(harness, "simulate_panel", no_replications)
-            with pytest.raises(TestError, match="directions"):
+            with pytest.raises(SpherelrdError, match="directions"):
                 run_size(ExperimentConfig(model=small_model, T_values=(256,), n_directions=bad))
     for good in (1, 8):
         assert len(leading_columns(small_model.degrees, good)) == good
@@ -130,7 +148,7 @@ def test_mc_table_roundtrip(tmp_path):
 
 
 def test_run_size_requires_null(example1_model):
-    with pytest.raises(HarnessError):
+    with pytest.raises(SpherelrdError, match=r"run_size requires a short-memory \(null\) model"):
         run_size(_config(example1_model))
 
 
@@ -297,7 +315,7 @@ def test_run_bandwidth_sweep_rows_and_manifest(small_model):
 
 
 def test_run_consistency_requires_replications(small_model):
-    with pytest.raises(InsufficientReplications):
+    with pytest.raises(SpherelrdError, match="variance estimation requires R >= 2"):
         run_consistency(_config(small_model, R=1))
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import null_moments_by_pair, smoothed_cross_spectrum
 from scipy import special, stats
 
+from spherelrd import SpherelrdError
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.harness import ExperimentConfig, _standardized_entries
@@ -14,10 +15,6 @@ from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
 from spherelrd.lrdtest import (
-    CalibrationUnderAlternative,
-    DegenerateBandwidth,
-    EmptyWindow,
-    TestError,
     _entries,
     bandwidth,
     column_degrees,
@@ -35,7 +32,7 @@ from spherelrd.lrdtest import (
 
 def test_bandwidth_rule_validation():
     for beta in (0.0, 1.0, 1.5):
-        with pytest.raises(DegenerateBandwidth, match=r"beta must lie in \(0, 1\)"):
+        with pytest.raises(SpherelrdError, match=r"beta must lie in \(0, 1\)"):
             bandwidth(1000, beta)
 
 
@@ -45,11 +42,11 @@ def test_bandwidth_values():
         0.1778279410038923, abs=1e-15
     )
     # a beta inside (0, 1) can still round B to 1, or B * T down to 1
-    with pytest.raises(DegenerateBandwidth, match="outside"):
+    with pytest.raises(SpherelrdError, match=r"bandwidth 1 outside \(0, 1\)"):
         bandwidth(100, 1e-20)
-    with pytest.raises(DegenerateBandwidth, match="B \\* T"):
+    with pytest.raises(SpherelrdError, match=r"B \* T = 1 <= 1 \(window too narrow\)"):
         bandwidth(2, math.nextafter(1.0, 0.0))
-    with pytest.raises(TestError):
+    with pytest.raises(SpherelrdError, match="T must be at least 2"):
         bandwidth(1, 0.25)
 
 
@@ -71,7 +68,7 @@ def test_window_boundary_ties_included():
 
 
 def test_window_empty_raises():
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(SpherelrdError, match="no nonzero Fourier frequency inside the window for T=50, B=0.04"):
         window_indices(50, 0.04)
 
 
@@ -325,7 +322,7 @@ def test_continuous_moments_node_converged(small_model, monkeypatch):
 
 def test_calibration_under_alternative(example1_model):
     T, B = 500, 0.2
-    with pytest.raises(CalibrationUnderAlternative):
+    with pytest.raises(SpherelrdError, match="model has nonzero memory exponents"):
         null_moments(example1_model, T, B)
     # the experiments calibrate a long-memory model against its short-memory factor
     config = ExperimentConfig(model=example1_model, T_values=(T,), R=1)
@@ -356,7 +353,7 @@ def test_critical_value():
     # bit for bit the normal quantile scipy.stats gives
     for level in (0.01, 0.05, 0.1, 0.2, 1e-6, 0.999):
         assert critical_value(level) == float(stats.norm.ppf(1.0 - level / 2.0))
-    with pytest.raises(TestError):
+    with pytest.raises(SpherelrdError, match=r"level must lie in \(0, 1\), got 0.0"):
         critical_value(0.0)
 
 

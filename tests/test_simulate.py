@@ -1,19 +1,21 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy import fft, signal
 
+from spherelrd import SpherelrdError
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import AlphaProfile, build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import (
     CoefficientPanel,
     SeedSpec,
-    SimulationError,
     _TRUNCATION,
     _arma,
+    _fast_len,
     _stationary_state_root,
     _weight_spectrum,
     fractional_weights,
@@ -36,9 +38,9 @@ def test_fractional_weights_basics():
     assert np.all(psi > 0)
     zero = fractional_weights(0.0, 5)
     np.testing.assert_allclose(zero, [1, 0, 0, 0, 0, 0])
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match=r"fractional exponent must lie in \[0, 1\), got 1.0"):
         fractional_weights(1.0, 5)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match=r"fractional exponent must lie in \[0, 1\), got -0.1"):
         fractional_weights(-0.1, 5)
 
 
@@ -84,7 +86,7 @@ def test_fractional_filter_matches_full_convolution():
     model = example_model(1, 1, 2)
     seed = SeedSpec(base_seed=31, stream_id=4)
     K = _TRUNCATION
-    assert fft.next_fast_len(K + 48, real=True) == K + 48  # no zero padding at T = 48
+    assert _fast_len(K + 48) == K + 48  # no zero padding at T = 48
     for T in (2, 48, 50, 1000):
         ref = _full_convolution_panel(model, T, seed)
         got = simulate_panel(model, T, seed).data
@@ -98,6 +100,12 @@ def test_fractional_filter_matches_full_convolution():
     np.testing.assert_array_equal(first, again)
     assert _weight_spectrum.cache_info().hits == 2  # the second T = 50, both degrees
     assert not _weight_spectrum(0.3, 10, 16).flags.writeable
+
+
+def test_fast_len_is_scipys_real_fft_length():
+    # the smallest 5-smooth length at or above n, as scipy picks for a real FFT
+    for n in (*range(1, 30_000), 2**20 - 1, 2**20 + 1, 3**12 + 1, 5**8 - 1, 10**7 + 1):
+        assert _fast_len(n) == fft.next_fast_len(n, real=True), n
 
 
 # (b, a) of each ARMA shape the banded solve must reproduce
@@ -132,14 +140,14 @@ def test_banded_arma_solves_in_place_only():
     # a row-major target would make LAPACK solve a copy: refused, not copied back
     b, a = _ARMA_CASES["arma11"]
     normals = np.ones((8, 3))
-    with pytest.raises(SimulationError, match="in place"):
+    with pytest.raises(SpherelrdError, match="in place"):
         _arma(np.empty((8, 3)), normals, 1.0, b, a, np.zeros((1, 3)))
 
 
 def test_seed_spec_validation():
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match="base_seed must fit in 64 bits"):
         SeedSpec(base_seed=-1)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match="stream_id must be a nonnegative 40-bit integer"):
         SeedSpec(base_seed=1, stream_id=2**40)
 
 
@@ -295,7 +303,7 @@ def test_degree_subrange_outside_model_raises():
     model = example_model(1, 1, 4)
     seed = SeedSpec(base_seed=31)
     for degrees in (DegreeRange(0, 2), DegreeRange(3, 5), DegreeRange(6, 7)):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SpherelrdError, match=re.escape(f"degrees {degrees} outside the model's {model.degrees}")):
             simulate_panel(model, 64, seed, degrees=degrees)
 
 
@@ -312,11 +320,11 @@ def test_white_noise_panel_moments(white_noise_model):
 
 
 def test_panel_validation(small_model):
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match="sample length must be at least 2"):
         simulate_panel(small_model, 1, SeedSpec(base_seed=1))
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match=r"panel shape \(4, 2\) != \(4, 3\)"):
         CoefficientPanel(T=4, degrees=DegreeRange(1, 1), data=np.zeros((4, 2)))
-    with pytest.raises(SimulationError):
+    with pytest.raises(SpherelrdError, match="panel contains non-finite entries"):
         CoefficientPanel(
             T=2, degrees=DegreeRange(1, 1), data=np.array([[0.0, np.nan, 0.0]] * 2)
         )

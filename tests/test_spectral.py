@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from conftest import full_grid_column, smoothed_cross_spectrum
 
+from spherelrd import SpherelrdError
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import example_model, reference_spharma11
 from spherelrd.simulate import CoefficientPanel, SeedSpec, simulate_panel
 from spherelrd.spectral import (
     DftPanel,
-    SpectralError,
     epanechnikov,
     epanechnikov_cdf,
     fdft_panel,
@@ -238,5 +238,5 @@ def test_spectrum_matches_cross_spectrum_oracle(tmp_path, T):
 
 def test_dft_panel_validation():
     short = CoefficientPanel(T=1, degrees=DegreeRange(1, 1), data=np.zeros((1, 3)))
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpherelrdError, match="need at least two time points"):
         fdft_panel(short)
