@@ -4,7 +4,7 @@ Subcommands map one-to-one onto library entry points:
 
     simulate        draw one coefficient panel and write it out
     spectrum        smoothed diagonal spectrum of a simulated panel
-    test            the fixed-column test on replication 0 of mc-size/mc-power
+    test            the fixed-column test on one simulated panel
     mc-size         Monte Carlo empirical size table
     mc-power        Monte Carlo empirical power table
     mc-dist         null-distribution histograms and KS statistics
@@ -157,10 +157,11 @@ def _cmd_spectrum(doc, args) -> None:
 
 
 def _cmd_test(doc, args) -> None:
-    """Replication 0 of the size/power engine: the diagonal entries of the
-    leading columns on stream 0, standardized and decided at the config's
-    level.  test_report.csv has one row per column (n, j), with the
-    statistic, z and p in ``.17g`` and reject as 0 or 1."""
+    """The diagonal entries of the leading columns of the panel on stream 0
+    (the panel ``simulate`` writes, over the degrees the columns touch),
+    standardized and decided at the config's level.  test_report.csv has one
+    row per column (n, j), with the statistic, z and p in ``.17g`` and reject
+    as 0 or 1."""
     config = _experiment(doc, args)
     _one_T(config)
     cols = leading_columns(config.model.degrees, config.n_directions)

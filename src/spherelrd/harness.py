@@ -14,12 +14,19 @@ simulating every T on its own: bit for bit in null degrees, up to float
 rounding in long-memory ones.  All chunks of an experiment go to one process
 pool, or run inline at one worker.
 
-Replications are keyed by per-degree seeded streams (stream_id = replication
-index) and cut into at most four chunks whose boundaries depend on R alone,
-never on the worker count.  Chunks are stacked, or added one by one into a
-running total as they arrive, in chunk order, so the tables agree bit for bit
-at any worker count.  Size and power simulate only the degrees their columns
-touch; per-degree streams make this exact.
+Size and power draw no panel at a T the support sampler serves (one whose
+g-support holds at most ``sampler.MAX_ORDINATES`` ordinates): there the
+reducer draws the replication's entries from the exact law of the DFT at the
+g-support (see ``sampler``), one stream per (replication, degree, T), for
+the degrees their columns touch.  The null
+distribution and ``spherelrd test`` read the same entries from panels of the
+degrees their columns touch; per-degree streams make that sub-range exact.
+
+Replications are keyed by seeded streams (stream_id = replication index) and
+cut into at most four chunks whose boundaries depend on R alone, never on
+the worker count.  Chunks are stacked, or added one by one into a running
+total as they arrive, in chunk order, so the tables agree bit for bit at any
+worker count.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from scipy import special
 from . import SpherelrdError, __version__, _integer
 from .harmonics import DegreeRange
 from .models import SpectralModel
+from .sampler import STREAMS as SUPPORT_STREAMS, support_entries, support_plan
 from .simulate import STREAMS, SeedSpec, simulate_panel
 from .spectral import fdft_panel, reduce_frequency, smoothed_spectrum_grid
 from .lrdtest import (
@@ -156,7 +164,7 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
     and the null model when it calibrates, so only what it reads moves its
     hash; then, outside the hash, the package and library versions."""
     reads = EXPERIMENTS[experiment]
-    replicates = "R" in reads.keys
+    replicates = reads.streams is not None
     desc = {"experiment": experiment}
     for key in reads.keys:
         name = EXPERIMENT_FIELDS[key]
@@ -167,7 +175,7 @@ def _config_manifest(config: ExperimentConfig, experiment: str) -> dict:
     if reads.calibrates:
         desc["calibration"] = _model_manifest(config.null_model())
     if replicates:
-        desc["rng"] = STREAMS
+        desc["rng"] = reads.streams
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
     return {
         **desc,
@@ -190,7 +198,10 @@ class _Plan:
 
     A replication simulates one panel at the longest T; every T in
     ``T_values`` reads its first T rows, takes their DFT and calls
-    ``reduce(dft, out, *args[k])`` for the k-th T.  The reducer writes into
+    ``reduce(dft, out, *args[k])`` for the k-th T.  At a T in ``sampled``
+    the reducer gets the replication's ``SeedSpec`` in place of the DFT and
+    draws what it reads itself; the panel is as long as the longest other T,
+    and is not simulated when every T is sampled.  The reducer writes into
     the chunk's running sum of shape ``shapes[k]``, or, with ``stack``, into
     that replication's row of a (replications, *shapes[k]) array.  ``reduce``
     is a top-level function, so a plan pickles as it is.
@@ -204,6 +215,7 @@ class _Plan:
     shapes: tuple
     stack: bool = False
     degrees: DegreeRange | None = None
+    sampled: tuple = ()
 
 
 def _run_chunk(task) -> list:
@@ -211,12 +223,15 @@ def _run_chunk(task) -> list:
     plan, streams = task
     lead = (len(streams),) if plan.stack else ()
     outs = [np.zeros(lead + shape) for shape in plan.shapes]
-    longest = max(plan.T_values)
+    longest = max((T for T in plan.T_values if T not in plan.sampled), default=0)
     for i, r in enumerate(streams):
         seed = SeedSpec(base_seed=plan.seed, stream_id=r)
-        panel = simulate_panel(plan.model, longest, seed, degrees=plan.degrees)
+        if longest:
+            panel = simulate_panel(plan.model, longest, seed, degrees=plan.degrees)
         for T, out, args in zip(plan.T_values, outs, plan.args):
-            plan.reduce(fdft_panel(panel, T), out[i] if plan.stack else out, *args)
+            # no name holds the DFT, so it is freed before the next panel is drawn
+            plan.reduce(seed if T in plan.sampled else fdft_panel(panel, T),
+                        out[i] if plan.stack else out, *args)
     return outs
 
 
@@ -257,8 +272,10 @@ def _gather(plan: _Plan, results) -> list:
 
 # --- reducers: (dft, out, *args), top-level so that plans pickle --------------
 
-def _column_entries(dft, row, B, idx) -> None:
-    row[:] = _entries(dft, B, idx)
+def _column_entries(draw, row, B, idx, support) -> None:
+    """S[a, a] of the columns ``idx``: from the DFT ``draw``, or, given a
+    ``support`` plan, drawn by the support sampler from the SeedSpec ``draw``."""
+    row[:] = _entries(draw, B, idx) if support is None else support_entries(draw, *support)[idx]
 
 
 def _hs_norms(dft, norms, B) -> None:
@@ -292,23 +309,29 @@ def _calibrate(config: ExperimentConfig) -> list:
     return out
 
 
-def _standardized_entries(config: ExperimentConfig, cols, R: int) -> list:
+def _standardized_entries(config: ExperimentConfig, cols, R: int, sampled: bool = False) -> list:
     """Per T, the (R, len(cols)) diagonal entries S[a, a] of the basis columns
     ``cols`` in replications 0..R-1, and the same entries standardized.
 
-    Only the degrees the columns touch are simulated, so a column's index is
-    its place in that sub-range.  Each replication stacks its raw entries;
-    they are standardized once per table by their degree's null mean and sd,
-    which gives the same floats as standardizing row by row.  Size and power
-    read R = ``config.R``; ``spherelrd test`` reads replication 0 alone (R = 1).
+    Only the degrees the columns touch are drawn, so a column's index is its
+    place in that sub-range.  ``sampled`` draws them with the support sampler
+    (size and power) at every T it serves, whose roots are built here, before
+    any replication; otherwise, and at a T whose g-support is too wide for
+    the sampler, from panels (the null distribution, and ``spherelrd test``,
+    which reads replication 0 alone, R = 1).  Each replication stacks its raw
+    entries; they are standardized once per table by their degree's null mean
+    and sd, which gives the same floats as standardizing row by row.
     """
     degrees = column_degrees(cols)
     idx = [degrees.column(n, j) for n, j in cols]
     rows = [n - config.model.degrees.n_min for n, _ in cols]
     calibrations = _calibrate(config)
+    supports = [support_plan(config.model, degrees, T, B) if sampled else None
+                for T, (B, _, _) in zip(config.T_values, calibrations)]
     plan = _Plan(config.model, config.T_values, config.seed, _column_entries,
-                 tuple((B, idx) for B, _, _ in calibrations),
-                 ((len(cols),),) * len(calibrations), stack=True, degrees=degrees)
+                 tuple((B, idx, s) for (B, _, _), s in zip(calibrations, supports)),
+                 ((len(cols),),) * len(calibrations), stack=True, degrees=degrees,
+                 sampled=tuple(T for T, s in zip(config.T_values, supports) if s))
     entries = _replicate(plan, R, config.threads)
     return [(s, (s - mean[rows]) / sd[rows]) for s, (_, mean, sd) in zip(entries, calibrations)]
 
@@ -331,7 +354,8 @@ def _rejection_experiment(config: ExperimentConfig, name: str) -> McTable:
     table = McTable(name, manifest=_config_manifest(config, name))
     cols = leading_columns(config.model.degrees, config.n_directions)
     crit = critical_value(config.level)
-    for T, (_, z) in zip(config.T_values, _standardized_entries(config, cols, config.R)):
+    entries = _standardized_entries(config, cols, config.R, sampled=True)
+    for T, (_, z) in zip(config.T_values, entries):
         counts = (np.abs(z) > crit).sum(axis=0)
         for i, rate in enumerate(counts / config.R):
             table.add(T, config.R, config.beta, f"direction_{i}", rate, _binomial_se(rate, config.R))
@@ -461,21 +485,26 @@ EXPERIMENT_FIELDS = {"T": "T_values", "R": "R", "beta": "beta", "level": "level"
 
 class Experiment(NamedTuple):
     """An experiment's runner, the experiment keys it reads (in manifest
-    order), and whether it calibrates against ``null_model()``."""
+    order), whether it calibrates against ``null_model()``, and the RNG
+    descriptor its manifest hashes (None: it draws nothing)."""
 
     run: Callable
     keys: tuple
     calibrates: bool
+    streams: str | None
 
 
 # The one list of the keys each experiment reads.  Its manifest hashes their
 # fields (see ``_config_manifest``); its mc-* command converts and checks
 # them alone, and takes --T, --seed and --threads as it reads T, seed and R.
+# Size and power draw from the support sampler, the others from panels.
+_DECIDED = ("T", "R", "beta", "level", "directions", "seed")
+_REPLICATED = ("T", "R", "beta", "seed")
 EXPERIMENTS = {
-    "size": Experiment(run_size, ("T", "R", "beta", "level", "directions", "seed"), True),
-    "power": Experiment(run_power, ("T", "R", "beta", "level", "directions", "seed"), True),
-    "distribution": Experiment(run_distribution, ("T", "R", "beta", "seed"), True),
-    "divergence": Experiment(run_divergence, ("T", "R", "beta", "seed"), False),
-    "bandwidth_sweep": Experiment(run_bandwidth_sweep, ("T", "betas"), True),
-    "consistency": Experiment(run_consistency, ("T", "R", "beta", "seed"), False),
+    "size": Experiment(run_size, _DECIDED, True, SUPPORT_STREAMS),
+    "power": Experiment(run_power, _DECIDED, True, SUPPORT_STREAMS),
+    "distribution": Experiment(run_distribution, _REPLICATED, True, STREAMS),
+    "divergence": Experiment(run_divergence, _REPLICATED, False, STREAMS),
+    "bandwidth_sweep": Experiment(run_bandwidth_sweep, ("T", "betas"), True, None),
+    "consistency": Experiment(run_consistency, _REPLICATED, False, STREAMS),
 }

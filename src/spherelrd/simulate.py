@@ -39,7 +39,9 @@ keyed by ``SeedSequence(base_seed, spawn_key=(stream_id, degree))``, so panels
 are bit-reproducible under any parallel decomposition.  Each degree first
 draws its r x (2n+1) state normals (none for white noise), then its
 (pre + T) x (2n+1) innovations, where the pre-sample is the filter truncation
-when alpha(n) > 0 and empty otherwise.
+when alpha(n) > 0 and empty otherwise.  The support sampler (``sampler``)
+draws from streams keyed (stream_id, degree, T) instead, which no panel
+stream shares.
 
 A panel may cover a contiguous sub-range of the model's degrees.  Because a
 degree's stream does not depend on which other degrees are drawn, the
@@ -63,27 +65,39 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from . import SpherelrdError
+from . import SpherelrdError, _integer
 from .harmonics import DegreeRange
 from .models import SpectralModel
 
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Reproducible RNG identity: base seed plus replication stream index."""
+    """Reproducible RNG identity: base seed plus replication stream index,
+    each an integer (a boolean or a fractional number is an error)."""
 
     base_seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("base_seed", "stream_id"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 <= self.base_seed < 2**64:
             raise SpherelrdError("base_seed must fit in 64 bits")
         if not 0 <= self.stream_id < 2**40:
             raise SpherelrdError("stream_id must be a nonnegative 40-bit integer")
 
     def generator(self, degree: int) -> np.random.Generator:
-        key = np.random.SeedSequence(self.base_seed, spawn_key=(self.stream_id, degree))
-        return np.random.Generator(np.random.SFC64(key))
+        """The panel stream of ``degree``, keyed (stream_id, degree)."""
+        return self._stream(degree)
+
+    def support_generator(self, degree: int, T: int) -> np.random.Generator:
+        """The support sampler's stream of ``degree`` at sample length ``T``,
+        keyed (stream_id, degree, T): a three-entry key, so no panel key equals it."""
+        return self._stream(degree, T)
+
+    def _stream(self, *key: int) -> np.random.Generator:
+        seq = np.random.SeedSequence(self.base_seed, spawn_key=(self.stream_id, *key))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 # Names the streams of SeedSpec.generator and the stationary start of
@@ -161,6 +175,19 @@ def _weight_spectrum(alpha: float, truncation: int, nfft: int) -> np.ndarray:
 _STATE_CACHE_SIZE = 64
 
 
+def _state_space(b: tuple, a: tuple) -> tuple:
+    """(F, g) of the r = max(p, q) states of b(B) / a(B) in direct form II
+    transposed: s_t = F s_{t-1} + g e_t and y_t = b_0 e_t + s_{t-1}[0]."""
+    r = max(len(a), len(b)) - 1
+    bb = np.zeros(r + 1)
+    aa = np.zeros(r + 1)
+    bb[: len(b)] = b
+    aa[: len(a)] = a
+    F = np.eye(r, k=1)
+    F[:, 0] = -aa[1:]
+    return F, bb[1:] - aa[1:] * bb[0]
+
+
 @functools.lru_cache(maxsize=_STATE_CACHE_SIZE)
 def _stationary_state_root(b: tuple, a: tuple) -> np.ndarray:
     """Square root L (L L' = P) of the stationary covariance of the r ARMA
@@ -172,14 +199,7 @@ def _stationary_state_root(b: tuple, a: tuple) -> np.ndarray:
     eigendecomposition with negative rounding eigenvalues clipped to zero,
     not from a Cholesky factor.
     """
-    r = max(len(a), len(b)) - 1
-    bb = np.zeros(r + 1)
-    aa = np.zeros(r + 1)
-    bb[: len(b)] = b
-    aa[: len(a)] = a
-    F = np.eye(r, k=1)
-    F[:, 0] = -aa[1:]
-    g = bb[1:] - aa[1:] * bb[0]
+    F, g = _state_space(b, a)
     vals, vecs = np.linalg.eigh(linalg.solve_discrete_lyapunov(F, np.outer(g, g)))
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))
     root.flags.writeable = False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherelrd.harmonics import DegreeRange
-from spherelrd.lrdtest import g_weights
+from spherelrd.lrdtest import _half_support, g_weights
 from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.simulate import SeedSpec, simulate_panel
 from spherelrd.spectral import epanechnikov, fdft_panel, reduce_frequency
@@ -120,3 +120,18 @@ def null_moments_by_pair(model, T: int, B: float) -> tuple:
         for h in degs
     }
     return mean, second
+
+
+def exact_arma11_mean(model, T: int, B: float) -> np.ndarray:
+    """Exact finite-T mean of a diagonal entry S[a, a] per degree of an
+    ARMA(1, 1) model: the Fejer sum (2 pi T)^(-1) sum_{|h|<T} (T - |h|)
+    gamma(h) cos(h w) = E|d(w)|^2 at the g-support ordinates of
+    ``_half_support``, from the closed-form autocovariance gamma(h)."""
+    phi, psi, s2 = model.phi[:, 0], model.psi[:, 0], model.innov
+    gamma0 = s2 * (1 + 2 * phi * psi + psi**2) / (1 - phi**2)
+    gamma1 = s2 * (1 + phi * psi) * (phi + psi) / (1 - phi**2)
+    h = np.arange(1, T)
+    gamma = gamma1[:, None] * phi[:, None] ** (h - 1)
+    v, w = _half_support(T, B)
+    fejer = (T * gamma0[:, None] + 2 * ((T - h) * gamma) @ np.cos(np.outer(h, 2 * np.pi * v / T)))
+    return math.sqrt(T) * (2 * np.pi / T) * (fejer / (2 * np.pi * T)) @ w

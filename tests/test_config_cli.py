@@ -236,6 +236,7 @@ def test_cli_rejects_too_many_directions_before_running(tmp_path, monkeypatch):
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(harness, "simulate_panel", no_replications)
+    monkeypatch.setattr(harness, "support_entries", no_replications)
     doc = {
         "model": {"generator": "example1", "degrees": [1, 8]},
         "experiment": {"T": [128], "R": 3, "seed": 99, "directions": 200},
@@ -262,13 +263,16 @@ def test_cli_empty_window_fails_before_any_replication(tmp_path, monkeypatch, co
     from spherelrd import harness
 
     calls = []
-    simulate = harness.simulate_panel
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return simulate(*args, **kwargs)
+    def counted(draw):
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return draw(*args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(harness, "simulate_panel", counted)
+    # mc-power draws from the support sampler, the others simulate panels
+    monkeypatch.setattr(harness, "simulate_panel", counted(harness.simulate_panel))
+    monkeypatch.setattr(harness, "support_entries", counted(harness.support_entries))
     doc = {
         "model": {"generator": "example1", "degrees": [1, 2]},
         "experiment": {"T": [1000, 16], "R": 200, "beta": 0.25, "seed": 99, **experiment},
@@ -377,6 +381,7 @@ def test_cli_unknown_key_exits_at_load(tmp_path, monkeypatch, command, section, 
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(harness, "simulate_panel", no_replications)
+    monkeypatch.setattr(harness, "support_entries", no_replications)
     doc = {
         "model": {
             "generator": "reference", "degrees": [1, 2],
@@ -808,7 +813,9 @@ def test_manifest_hashes_only_what_the_experiment_reads(tmp_path, command, name,
 
 # The manifest of every mc-* command on one document that sets every
 # experiment key: its config_hash and its fields in file order, as the
-# manifests were written before the key lists moved into one table.
+# manifests were written before the key lists moved into one table.  The
+# size and power hashes moved once, with their RNG descriptor, when they
+# left panels for the support sampler.
 _EVERY_KEY_DOC = {
     "model": {"generator": "reference", "degrees": [1, 2]},
     "experiment": {"T": [128, 256], "R": 2, "beta": 0.3, "level": 0.1,
@@ -818,8 +825,8 @@ _MODEL_FIELDS = ["degrees", "phi", "psi", "innov", "alpha", "alpha_extended"]
 _REPLICATED = ["experiment", "T_values", "R", "beta", "seed", *_MODEL_FIELDS]
 _DECIDED = ["experiment", "T_values", "R", "beta", "level", "n_directions", "seed", *_MODEL_FIELDS]
 PINNED_MANIFESTS = {
-    "mc-size": ("size", "81c73d8fc6ed714d", _DECIDED + ["calibration", "rng"]),
-    "mc-power": ("power", "f1eb32d1bc92a8d1", _DECIDED + ["calibration", "rng"]),
+    "mc-size": ("size", "1142d25aa6a7c598", _DECIDED + ["calibration", "rng"]),
+    "mc-power": ("power", "a9704e4fb3d1424c", _DECIDED + ["calibration", "rng"]),
     "mc-dist": ("distribution", "5f2b5935d13ad5ce", _REPLICATED + ["calibration", "rng"]),
     "mc-divergence": ("divergence", "33baa943f72d760d", _REPLICATED + ["rng"]),
     "mc-sweep": ("bandwidth_sweep", "21f51a8d6c449084", ["experiment", "T_values", "betas", "calibration"]),

@@ -94,6 +94,7 @@ def test_config_rejects_directions_outside_available_pairs(small_model, monkeypa
             leading_columns(small_model.degrees, bad)
         with monkeypatch.context() as m:
             m.setattr(harness, "simulate_panel", no_replications)
+            m.setattr(harness, "support_entries", no_replications)
             with pytest.raises(SpherelrdError, match="directions"):
                 run_size(ExperimentConfig(model=small_model, T_values=(256,), n_directions=bad))
     for good in (1, 8):
@@ -337,12 +338,41 @@ def test_manifest_content(small_model):
     assert "version" in man
 
 
+def test_a_T_past_the_sampler_reads_panels(monkeypatch):
+    # a T whose g-support is wider than the sampler serves is simulated; the
+    # other T keeps the entries it draws in a run of its own
+    from spherelrd import harness, sampler
+    from spherelrd.lrdtest import _half_support
+
+    model = example_model(1, 1, 2)
+    cols = leading_columns(model.degrees, 3)
+    monkeypatch.setattr(sampler, "MAX_ORDINATES", len(_half_support(256, bandwidth(256, 0.25))[0]) - 1)
+    lengths = []
+
+    def counting(model, T, *args, **kwargs):
+        lengths.append(T)
+        return simulate_panel(model, T, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_panel", counting)
+    both = harness._standardized_entries(_config(model, T_values=(128, 256)), cols, 4, sampled=True)
+    assert lengths == [256] * 4
+    [(alone, _)] = harness._standardized_entries(_config(model, T_values=(128,)), cols, 4, sampled=True)
+    np.testing.assert_array_equal(both[0][0], alone)
+    [(panels, _)] = harness._standardized_entries(_config(model, T_values=(256,)), cols, 4)
+    np.testing.assert_array_equal(both[1][0], panels)
+
+
 def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch):
-    from spherelrd import harness, simulate
+    from spherelrd import harness, sampler, simulate
 
     config = _config(small_model, R=1)
     base = harness._config_manifest(config, "size")
-    assert base["rng"] == simulate.STREAMS == "sfc64-seedsequence/stationary-start"
+    # size and power draw from the support sampler, the others from panels
+    assert base["rng"] == sampler.STREAMS == "sfc64-seedsequence-per-T/support-cholesky"
+    assert harness._config_manifest(config, "power")["rng"] == sampler.STREAMS
+    for name in ("distribution", "divergence", "consistency"):
+        assert harness._config_manifest(config, name)["rng"] == simulate.STREAMS
+    assert simulate.STREAMS == "sfc64-seedsequence/stationary-start"
     assert base["numpy"] == np.__version__
     assert base["scipy"] == scipy.__version__
     monkeypatch.setattr(np, "__version__", "0.0.0")
@@ -350,7 +380,8 @@ def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch
     bumped = harness._config_manifest(config, "size")
     assert (bumped["numpy"], bumped["scipy"]) == ("0.0.0", "0.0.0")
     assert bumped["config_hash"] == base["config_hash"]
-    monkeypatch.setattr(harness, "STREAMS", "philox-packed-key/burn-in-1000")
+    size = harness.EXPERIMENTS["size"]
+    monkeypatch.setitem(harness.EXPERIMENTS, "size", size._replace(streams="philox/burn-in-1000"))
     assert harness._config_manifest(config, "size")["config_hash"] != base["config_hash"]
 
 
@@ -383,12 +414,36 @@ def test_each_replication_simulates_once_at_the_longest_T(monkeypatch):
         return simulate_panel(model, T, *args, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_panel", counting)
-    model = example_model(1, 1, 2)
-    run_power(_config(model, T_values=(128, 512, 256), R=7))
+    run_distribution(_config(reference_spharma11(1, 2), T_values=(128, 512, 256), R=7))
     assert lengths == [512] * 7
     lengths.clear()
+    model = example_model(1, 1, 2)
     run_consistency(_config(model, T_values=(128, 256), R=5))
     assert lengths == [256] * 5
+
+
+def test_size_and_power_simulate_no_panel(monkeypatch):
+    # the support sampler draws every replication of size and power: no
+    # panel is simulated, and each (replication, degree, T) draws once
+    from spherelrd import harness, simulate
+
+    def no_panel(*args, **kwargs):
+        raise AssertionError("a panel was simulated")
+
+    keys = []
+    stream = simulate.SeedSpec.support_generator
+
+    def counting(spec, degree, T):
+        keys.append((spec.stream_id, degree, T))
+        return stream(spec, degree, T)
+
+    monkeypatch.setattr(harness, "simulate_panel", no_panel)
+    monkeypatch.setattr(simulate.SeedSpec, "support_generator", counting)
+    run_size(_config(reference_spharma11(1, 2), T_values=(128, 256), R=3, n_directions=4))
+    assert keys == [(r, n, T) for r in range(3) for T in (128, 256) for n in (1, 2)]
+    keys.clear()
+    run_power(_config(example_model(1, 1, 2), T_values=(512,), R=2, n_directions=3))
+    assert keys == [(0, 1, 512), (1, 1, 512)]
 
 
 def test_each_replication_checks_its_panel_once(monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import null_moments_by_pair, smoothed_cross_spectrum
+from conftest import exact_arma11_mean, null_moments_by_pair, smoothed_cross_spectrum
 from scipy import special, stats
 
 from spherelrd import SpherelrdError
@@ -257,23 +257,6 @@ def test_null_moments_equal_per_pair_oracle(model, T):
     np.testing.assert_array_equal(sd, np.sqrt([2.0 * second[(n, n)] for n in degs]))
 
 
-def _exact_arma11_mean(model, T: int, B: float) -> np.ndarray:
-    """Exact finite-T mean of a diagonal entry S[a, a] per degree of an
-    ARMA(1, 1) model: the Fejer sum (2 pi T)^(-1) sum_{|h|<T} (T - |h|)
-    gamma(h) cos(h w) = E|d(w)|^2 at the g-support ordinates of
-    ``_half_support``, from the closed-form autocovariance gamma(h)."""
-    from spherelrd.lrdtest import _half_support
-
-    phi, psi, s2 = model.phi[:, 0], model.psi[:, 0], model.innov
-    gamma0 = s2 * (1 + 2 * phi * psi + psi**2) / (1 - phi**2)
-    gamma1 = s2 * (1 + phi * psi) * (phi + psi) / (1 - phi**2)
-    h = np.arange(1, T)
-    gamma = gamma1[:, None] * phi[:, None] ** (h - 1)
-    v, w = _half_support(T, B)
-    fejer = (T * gamma0[:, None] + 2 * ((T - h) * gamma) @ np.cos(np.outer(h, 2 * np.pi * v / T)))
-    return math.sqrt(T) * (2 * np.pi / T) * (fejer / (2 * np.pi * T)) @ w
-
-
 def test_null_mean_is_a_grid_approximation_of_the_exact_mean():
     # null_moments puts f_n(w_v) where the exact mean has the Fejer-smoothed
     # E|d(w_v)|^2: on the reference model the exact mean falls short of the
@@ -283,7 +266,7 @@ def test_null_mean_is_a_grid_approximation_of_the_exact_mean():
     ratios = []
     for T, (first, last) in want.items():
         B = bandwidth(T, 0.25)
-        ratio = _exact_arma11_mean(model, T, B) / null_moments(model, T, B)[0]
+        ratio = exact_arma11_mean(model, T, B) / null_moments(model, T, B)[0]
         assert (ratio[0], ratio[-1]) == (pytest.approx(first, abs=5e-4), pytest.approx(last, abs=5e-4))
         ratios.append(ratio)
     assert np.all(np.diff(ratios, axis=0) > 0) and np.all(np.asarray(ratios) < 1)

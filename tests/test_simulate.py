@@ -149,6 +149,17 @@ def test_seed_spec_validation():
         SeedSpec(base_seed=-1)
     with pytest.raises(SpherelrdError, match="stream_id must be a nonnegative 40-bit integer"):
         SeedSpec(base_seed=1, stream_id=2**40)
+    # both fields must be integers: a fraction or a boolean fails when the
+    # spec is built, not in generator(), and True never draws stream 1
+    with pytest.raises(SpherelrdError, match="'base_seed' must be an integer, got 1.5"):
+        SeedSpec(base_seed=1.5)
+    with pytest.raises(SpherelrdError, match="'base_seed' must be an integer, got True"):
+        SeedSpec(base_seed=True, stream_id=True)
+    with pytest.raises(SpherelrdError, match="'stream_id' must be an integer, got True"):
+        SeedSpec(base_seed=1, stream_id=True)
+    spec = SeedSpec(base_seed=np.int64(3), stream_id=2.0)
+    assert (spec.base_seed, spec.stream_id) == (3, 2)
+    assert {type(spec.base_seed), type(spec.stream_id)} == {int}
 
 
 def _start_rows(model, R):
