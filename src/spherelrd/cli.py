@@ -40,7 +40,7 @@ from scipy import special
 
 from . import SpherelrdError
 from .config import experiment_from_config, load_config, model_from_config
-from .harness import EXPERIMENTS, _standardized_entries
+from .harness import _N_CHUNKS, EXPERIMENTS, _standardized_entries
 from .lrdtest import bandwidth, critical_value, leading_columns
 from .simulate import SeedSpec, simulate_panel
 from .spectral import fdft_panel, smoothed_spectrum
@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_SPECS = {
     "seed": dict(type=int, default=None, help="override base seed"),
     "out": dict(default=".", help="output directory"),
-    "threads": dict(type=int, default=1, help="worker count (default: 1)"),
+    "threads": dict(type=int, default=1, help=f"worker count, 1 to {_N_CHUNKS} (default: 1)"),
     "T": dict(type=int, default=None, help="override sample length"),
 }
 

@@ -2,25 +2,24 @@
 bandwidth sweeps, and estimator-consistency decay.
 
 Every experiment runs on one replication engine.  It first builds one plan
-per experiment (the model or the simulated degree sub-range, every sample
-length T, the seed, and a reducer with each T's fixed arguments), which
-resolves every T's bandwidth, window and null moments before any replication
-runs.  One worker runs a chunk of replications: each simulates one panel at
-the longest T, and each T reads that panel's first T rows, takes their DFT
-and calls the reducer, which adds the replication into the chunk's running
-sum or writes it as one row of a stacked array.  A shorter panel is the
-prefix of a longer one on the same stream (see ``simulate``), so this equals
-simulating every T on its own: bit for bit in null degrees, up to float
-rounding in long-memory ones.  All chunks of an experiment go to one process
-pool, or run inline at one worker.
+per experiment (the model it draws, every sample length T, the seed, and a
+reducer with each T's fixed arguments), which resolves every T's bandwidth,
+window and null moments before any replication runs.  One worker runs a chunk
+of replications: each simulates one panel at the longest T, and each T reads
+that panel's first T rows, takes their DFT and calls the reducer, which adds
+the replication into the chunk's running sum or writes it as one row of a
+stacked array.  A shorter panel is the prefix of a longer one on the same
+stream (see ``simulate``), so this equals simulating every T on its own: bit
+for bit in null degrees, up to float rounding in long-memory ones.  All
+chunks of an experiment go to one process pool, or run inline at one worker.
 
 Size and power draw no panel at a T the support sampler serves (one whose
 g-support holds at most ``sampler.MAX_ORDINATES`` ordinates): there the
 reducer draws the replication's entries from the exact law of the DFT at the
-g-support (see ``sampler``), one stream per (replication, degree, T), for
-the degrees their columns touch.  The null
-distribution and ``spherelrd test`` read the same entries from panels of the
-degrees their columns touch; per-degree streams make that sub-range exact.
+g-support (see ``sampler``), one stream per (replication, degree, T).  The
+null distribution and ``spherelrd test`` read the same entries from panels.
+Each draws the model restricted to the degrees its columns touch
+(``SpectralModel.restrict``), which per-degree streams make exact.
 
 Replications are keyed by seeded streams (stream_id = replication index) and
 cut into at most four chunks whose boundaries depend on R alone, never on
@@ -44,7 +43,6 @@ import scipy
 from scipy import special
 
 from . import SpherelrdError, __version__, _integer
-from .harmonics import DegreeRange
 from .models import SpectralModel
 from .sampler import STREAMS as SUPPORT_STREAMS, support_entries, support_plan
 from .simulate import STREAMS, SeedSpec, simulate_panel
@@ -68,15 +66,15 @@ class ExperimentConfig:
     config's experiment section (``EXPERIMENT_FIELDS``), and ``threads``.
 
     ``model`` is the data-generating model; it is calibrated against its
-    short-memory factor (see ``null_model``).  ``threads`` is the worker
-    count.  The bandwidth sweep runs over the exponents ``betas``; every
-    other experiment reads ``beta``.  Each integer field must hold an
-    integer (a boolean, or a number with a fractional part, is an error
-    naming its config key).  The worker count, the seed, R, and T and betas
-    (each nonempty, none listed twice) are checked here, so a bad one fails
-    before any run; ``level``, the range of ``n_directions`` and each
-    exponent only where they are read (``critical_value``,
-    ``leading_columns``, ``bandwidth``), also before.
+    short-memory factor (see ``null_model``).  ``threads`` is the worker count,
+    at most ``_N_CHUNKS``, the chunks a run is cut into.  The bandwidth sweep
+    runs over the exponents ``betas``; every other experiment reads ``beta``.
+    Each integer field must hold an integer (a boolean, or a number with a
+    fractional part, is an error naming its config key).  The worker count, the
+    seed, R, and T and betas (each nonempty, none listed twice) are checked
+    here, so a bad one fails before any run; ``level``, the range of
+    ``n_directions`` and each exponent only where they are read
+    (``critical_value``, ``leading_columns``, ``bandwidth``), also before.
     """
 
     model: SpectralModel
@@ -94,8 +92,9 @@ class ExperimentConfig:
         for key, name in (("R", "R"), ("directions", "n_directions"), ("seed", "seed"),
                           ("threads", "threads")):
             object.__setattr__(self, name, _integer(key, getattr(self, name)))
-        if self.threads < 1:
-            raise SpherelrdError(f"thread count must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= _N_CHUNKS:
+            bound = ">= 1" if self.threads < 1 else f"<= {_N_CHUNKS}"
+            raise SpherelrdError(f"thread count must be {bound}, got {self.threads}")
         SeedSpec(base_seed=self.seed)  # the range check every replication makes
         if self.R < 1:
             raise SpherelrdError("R must be >= 1")
@@ -214,7 +213,6 @@ class _Plan:
     args: tuple
     shapes: tuple
     stack: bool = False
-    degrees: DegreeRange | None = None
     sampled: tuple = ()
 
 
@@ -227,7 +225,7 @@ def _run_chunk(task) -> list:
     for i, r in enumerate(streams):
         seed = SeedSpec(base_seed=plan.seed, stream_id=r)
         if longest:
-            panel = simulate_panel(plan.model, longest, seed, degrees=plan.degrees)
+            panel = simulate_panel(plan.model, longest, seed)
         for T, out, args in zip(plan.T_values, outs, plan.args):
             # no name holds the DFT, so it is freed before the next panel is drawn
             plan.reduce(seed if T in plan.sampled else fdft_panel(panel, T),
@@ -297,11 +295,10 @@ def _spectrum_moments(dft, acc, B) -> None:
 
 # --- experiments ------------------------------------------------------------
 
-def _calibrate(config: ExperimentConfig) -> list:
+def _calibrate(config: ExperimentConfig, calib: SpectralModel) -> list:
     """Per T, its bandwidth and the null mean and sd of a diagonal entry per
-    degree, resolved before any replication runs, so a T with a degenerate
-    bandwidth or an empty window fails first."""
-    calib = config.null_model()
+    degree of the short-memory ``calib``, resolved before any replication
+    runs, so a T with a degenerate bandwidth or an empty window fails first."""
     out = []
     for T in config.T_values:
         B = bandwidth(T, config.beta)
@@ -313,24 +310,26 @@ def _standardized_entries(config: ExperimentConfig, cols, R: int, sampled: bool 
     """Per T, the (R, len(cols)) diagonal entries S[a, a] of the basis columns
     ``cols`` in replications 0..R-1, and the same entries standardized.
 
-    Only the degrees the columns touch are drawn, so a column's index is its
-    place in that sub-range.  ``sampled`` draws them with the support sampler
-    (size and power) at every T it serves, whose roots are built here, before
-    any replication; otherwise, and at a T whose g-support is too wide for
-    the sampler, from panels (the null distribution, and ``spherelrd test``,
+    The model and its calibration are restricted to the degrees the columns
+    touch, so column indices and calibration rows both count within them.
+    ``sampled`` draws the entries with the support sampler (size and power)
+    at every T it serves, whose roots are built here, before any
+    replication; otherwise, and at a T whose g-support is too wide for the
+    sampler, from panels (the null distribution, and ``spherelrd test``,
     which reads replication 0 alone, R = 1).  Each replication stacks its raw
     entries; they are standardized once per table by their degree's null mean
     and sd, which gives the same floats as standardizing row by row.
     """
     degrees = column_degrees(cols)
+    model = config.model.restrict(degrees)
     idx = [degrees.column(n, j) for n, j in cols]
-    rows = [n - config.model.degrees.n_min for n, _ in cols]
-    calibrations = _calibrate(config)
-    supports = [support_plan(config.model, degrees, T, B) if sampled else None
+    rows = [n - degrees.n_min for n, _ in cols]
+    calibrations = _calibrate(config, config.null_model().restrict(degrees))
+    supports = [support_plan(model, T, B) if sampled else None
                 for T, (B, _, _) in zip(config.T_values, calibrations)]
-    plan = _Plan(config.model, config.T_values, config.seed, _column_entries,
+    plan = _Plan(model, config.T_values, config.seed, _column_entries,
                  tuple((B, idx, s) for (B, _, _), s in zip(calibrations, supports)),
-                 ((len(cols),),) * len(calibrations), stack=True, degrees=degrees,
+                 ((len(cols),),) * len(calibrations), stack=True,
                  sampled=tuple(T for T, s in zip(config.T_values, supports) if s))
     entries = _replicate(plan, R, config.threads)
     return [(s, (s - mean[rows]) / sd[rows]) for s, (_, mean, sd) in zip(entries, calibrations)]

@@ -136,6 +136,25 @@ class SpectralModel:
     def n_degrees(self) -> int:
         return len(self.degrees.degrees)
 
+    def restrict(self, degrees: DegreeRange) -> "SpectralModel":
+        """The same laws on ``degrees``, a sub-range of the model's own: the
+        model itself for its own range."""
+        if degrees == self.degrees:
+            return self
+        lo, hi = degrees.n_min - self.degrees.n_min, degrees.n_max - self.degrees.n_min + 1
+        if lo < 0 or hi > self.n_degrees:
+            raise SpherelrdError(f"degrees {degrees} outside the model's {self.degrees}")
+        return replace(self, degrees=degrees, phi=self.phi[lo:hi], psi=self.psi[lo:hi],
+                       innov=self.innov[lo:hi],
+                       alpha=replace(self.alpha, values=self.alpha.values[lo:hi]))
+
+    def laws(self) -> list:
+        """(n, b, a, innov, alpha) per degree n, in Python floats: MA polynomial
+        b = (1, psi_n), AR polynomial a = (1, -phi_n), innovation variance, exponent."""
+        rows = zip(self.degrees.degrees, self.psi.tolist(), (-self.phi).tolist(),
+                   self.innov.tolist(), self.alpha.values.tolist())
+        return [(n, (1.0, *b), (1.0, *a), v, d) for n, b, a, v, d in rows]
+
     def srd_part(self) -> "SpectralModel":
         """The same ARMA model with all memory exponents set to zero."""
         return replace(self, alpha=AlphaProfile(values=np.zeros(self.n_degrees)))

@@ -54,22 +54,18 @@ import math
 
 import numpy as np
 
-from .harmonics import DegreeRange
 from .lrdtest import _half_support
 from .models import SpectralModel
 from .simulate import (
+    STREAMS as PANEL_STREAMS,
     _TRUNCATION,
     SeedSpec,
     _arma,
     _fast_len,
     _state_space,
     _stationary_state_root,
-    fractional_weights,
+    _weight_spectrum,
 )
-
-# Names the streams of SeedSpec.support_generator and the covariance root the
-# sampler multiplies them by; the size and power manifests hash it.
-STREAMS = "sfc64-seedsequence-per-T/support-cholesky"
 
 
 def _autocovariance(b: tuple, a: tuple, innov: float, alpha: float, T: int) -> np.ndarray:
@@ -93,7 +89,7 @@ def _autocovariance(b: tuple, a: tuple, innov: float, alpha: float, T: int) -> n
     # lags -K..T-1+K, so the circular product is exact at lags 0..T-1
     lags = np.concatenate([gamma[K:0:-1], gamma])
     nfft = _fast_len(T + 2 * K)
-    psi = np.fft.rfft(fractional_weights(alpha, K), nfft)
+    psi = _weight_spectrum(alpha, K, nfft)
     spectrum = np.fft.rfft(lags, nfft) * (psi.real**2 + psi.imag**2)
     return np.fft.irfft(spectrum, nfft)[K : K + T]
 
@@ -125,6 +121,10 @@ def _dft_covariance(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
 # BENCH_sampler.json).
 MAX_ORDINATES = 512
 
+# Names the support streams and root drawn while V is within the cap, and the
+# panel streams a T past it reads; the size and power manifests hash it.
+STREAMS = f"sfc64-seedsequence-per-T/support-cholesky if V <= {MAX_ORDINATES}, else {PANEL_STREAMS}"
+
 # Distinct (degree law, T, B) roots a process keeps; an experiment needs one
 # per drawn degree and sample length.
 _ROOT_CACHE_SIZE = 32
@@ -143,21 +143,16 @@ def support_root(b: tuple, a: tuple, innov: float, alpha: float, T: int, B: floa
     return root
 
 
-def support_plan(model: SpectralModel, degrees: DegreeRange, T: int, B: float) -> tuple | None:
+def support_plan(model: SpectralModel, T: int, B: float) -> tuple | None:
     """What ``support_entries`` reads at (T, B): T, sqrt(T) (2 pi / T) times
     the folded weights, once for each part, and (degree, root) for each
-    degree of ``degrees``, whose columns' law is the one ``simulate_panel``
+    degree of ``model``, whose columns' law is the one ``simulate_panel``
     draws them from.  None when the g-support is wider than ``MAX_ORDINATES``."""
     v, w = _half_support(T, B)
     if len(v) > MAX_ORDINATES:
         return None
     cw = math.sqrt(T) * (2 * np.pi / T) * np.concatenate([w, w])
-    roots = []
-    for n in degrees.degrees:
-        i = n - model.degrees.n_min
-        law = ((1.0, *model.psi[i]), (1.0, *-model.phi[i]), model.innov[i], model.alpha.values[i])
-        roots.append((n, support_root(*law, T, B)))
-    return T, cw, tuple(roots)
+    return T, cw, tuple((n, support_root(*law, T, B)) for n, *law in model.laws())
 
 
 def support_entries(seed: SeedSpec, T: int, cw: np.ndarray, roots: tuple) -> np.ndarray:

@@ -43,9 +43,9 @@ when alpha(n) > 0 and empty otherwise.  The support sampler (``sampler``)
 draws from streams keyed (stream_id, degree, T) instead, which no panel
 stream shares.
 
-A panel may cover a contiguous sub-range of the model's degrees.  Because a
-degree's stream does not depend on which other degrees are drawn, the
-sub-range panel equals the matching columns of the full panel bit for bit.
+A degree's stream does not depend on which other degrees are drawn, so the
+panel of a restricted model (``SpectralModel.restrict``) equals the matching
+columns of the full model's panel bit for bit.
 
 A panel of length T is the first T rows of the panel of any longer length
 T' on the same seed: a degree's stream yields the same state normals and
@@ -249,12 +249,7 @@ def _arma(out: np.ndarray, normals: np.ndarray, scale: float, b: tuple, a: tuple
             raise SpherelrdError(f"banded ARMA solve failed in place (info {info})")
 
 
-def simulate_panel(
-    model: SpectralModel,
-    T: int,
-    seed: SeedSpec,
-    degrees: DegreeRange | None = None,
-) -> CoefficientPanel:
+def simulate_panel(model: SpectralModel, T: int, seed: SeedSpec) -> CoefficientPanel:
     """Draw one panel of length T from the model.
 
     Every degree's ARMA recursion starts from a state drawn from its
@@ -262,39 +257,29 @@ def simulate_panel(
     with alpha(n) > 0 filter a pre-sample of ``_TRUNCATION`` ARMA rows before
     the T kept rows, so that every kept row sees the full filter depth.  Per
     degree the stream yields the state normals, then the innovations.
-    ``degrees`` restricts the panel to a sub-range of ``model.degrees``
-    (default: all).
     """
     if T < 2:
         raise SpherelrdError("sample length must be at least 2")
-    full = model.degrees
-    if degrees is None:
-        degrees = full
-    elif not full.n_min <= degrees.n_min <= degrees.n_max <= full.n_max:
-        raise SpherelrdError(f"degrees {degrees} outside the model's {full}")
+    laws = model.laws()
     r = max(model.p, model.q)
-    data = np.empty((T, degrees.dim), order="F")
-    widths = [2 * n + 1 for n in degrees.degrees if model.alpha.values[n - full.n_min] > 0]
+    data = np.empty((T, model.degrees.dim), order="F")
+    widths = [2 * n + 1 for n, *_, alpha in laws if alpha > 0]
     if widths:
         scratch = np.empty((_TRUNCATION + T, max(widths)), order="F")
-    for n in degrees.degrees:
-        i = n - full.n_min
+    for n, b, a, innov, alpha in laws:
         m = 2 * n + 1
-        a = float(model.alpha.values[i])
         rng = seed.generator(n)
-        scale = np.sqrt(model.innov[i])
-        b = (1.0, *model.psi[i])
-        aa = (1.0, *-model.phi[i])
-        zi = _stationary_state_root(b, aa) @ rng.standard_normal((r, m)) * scale if r else None
-        off = degrees.column_offset(n)
-        x = scratch[:, :m] if a > 0 else data[:, off : off + m]
-        _arma(x, rng.standard_normal(x.shape), scale, b, aa, zi)
-        if a > 0:
+        scale = np.sqrt(innov)
+        zi = _stationary_state_root(b, a) @ rng.standard_normal((r, m)) * scale if r else None
+        off = model.degrees.column_offset(n)
+        x = scratch[:, :m] if alpha > 0 else data[:, off : off + m]
+        _arma(x, rng.standard_normal(x.shape), scale, b, a, zi)
+        if alpha > 0:
             # conv[t] = sum_k psi_k x_{t-k} for the kept t >= K reads all of
             # x; rows K..K+T-1 of its circular convolution are exact
             K = _TRUNCATION
             nfft = _fast_len(K + T)
             xs = np.fft.rfft(x, nfft, axis=0)
-            xs *= _weight_spectrum(a, K, nfft)[:, None]
+            xs *= _weight_spectrum(alpha, K, nfft)[:, None]
             data[:, off : off + m] = np.fft.irfft(xs, nfft, axis=0)[K : K + T]
-    return CoefficientPanel(T=T, degrees=degrees, data=data)
+    return CoefficientPanel(T=T, degrees=model.degrees, data=data)

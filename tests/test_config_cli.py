@@ -293,14 +293,19 @@ def test_cli_mc_size(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, generator, alpha, validations",
+    "command, generator, alpha, degrees, validations",
     [
-        ("mc-power", "example1", None, 2),  # the model and its short-memory factor
-        ("mc-size", "reference", None, 1),  # a null model is its own calibration
-        ("mc-power", "reference", {"kind": "constant", "values": 0.2}, 2),
+        ("mc-power", "example1", None, [1, 2], 2),  # the model and its short-memory factor
+        ("mc-size", "reference", None, [1, 2], 1),  # a null model is its own calibration
+        ("mc-power", "reference", {"kind": "constant", "values": 0.2}, [1, 2], 2),
+        # 8 directions lie in degrees 1-2: both models restricted to them
+        ("mc-power", "example1", None, [1, 8], 4),
     ],
+    ids=["mc-power-example1-None-2", "mc-size-reference-None-1", "mc-power-reference-alpha2-2",
+         "mc-power-example1-degrees-1-8-4"],
 )
-def test_cli_run_validates_each_model_once(tmp_path, monkeypatch, command, generator, alpha, validations):
+def test_cli_run_validates_each_model_once(tmp_path, monkeypatch, command, generator, alpha,
+                                           degrees, validations):
     from spherelrd.models import SpectralModel
 
     validate = SpectralModel.__post_init__
@@ -311,7 +316,7 @@ def test_cli_run_validates_each_model_once(tmp_path, monkeypatch, command, gener
         validate(self)
 
     monkeypatch.setattr(SpectralModel, "__post_init__", counting)
-    doc = {"model": {"generator": generator, "degrees": [1, 2]},
+    doc = {"model": {"generator": generator, "degrees": degrees},
            "experiment": {"T": [128, 256], "R": 2, "seed": 5}}
     if alpha is not None:
         doc["model"]["alpha"] = alpha
@@ -416,6 +421,18 @@ def test_cli_single_panel_commands_take_one_T(tmp_path, command, capsys):
     assert "--T" in capsys.readouterr().err
     assert not out.exists()
     assert main([command, "--config", cfg, "--out", str(out), "--T", "256"]) == 0
+
+
+@pytest.mark.parametrize("command", ["mc-size", "mc-dist"])
+def test_cli_rejects_more_threads_than_chunks(tmp_path, command, capsys):
+    # a run is cut into at most four chunks, so a fifth worker would idle:
+    # --threads 5 exits 1 before anything is written
+    cfg = _write_config(tmp_path, WN_DOC)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "5"]) == 1
+    assert "thread count must be <= 4, got 5" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "4"]) == 0
 
 
 @pytest.mark.parametrize("command", ["test", "simulate", "mc-sweep", "mc-size"])
@@ -814,8 +831,9 @@ def test_manifest_hashes_only_what_the_experiment_reads(tmp_path, command, name,
 # The manifest of every mc-* command on one document that sets every
 # experiment key: its config_hash and its fields in file order, as the
 # manifests were written before the key lists moved into one table.  The
-# size and power hashes moved once, with their RNG descriptor, when they
-# left panels for the support sampler.
+# size and power hashes moved with their RNG descriptor twice: when they
+# left panels for the support sampler, and when the descriptor began to name
+# the sampler's cap on V and the panel streams past it.
 _EVERY_KEY_DOC = {
     "model": {"generator": "reference", "degrees": [1, 2]},
     "experiment": {"T": [128, 256], "R": 2, "beta": 0.3, "level": 0.1,
@@ -825,8 +843,8 @@ _MODEL_FIELDS = ["degrees", "phi", "psi", "innov", "alpha", "alpha_extended"]
 _REPLICATED = ["experiment", "T_values", "R", "beta", "seed", *_MODEL_FIELDS]
 _DECIDED = ["experiment", "T_values", "R", "beta", "level", "n_directions", "seed", *_MODEL_FIELDS]
 PINNED_MANIFESTS = {
-    "mc-size": ("size", "1142d25aa6a7c598", _DECIDED + ["calibration", "rng"]),
-    "mc-power": ("power", "a9704e4fb3d1424c", _DECIDED + ["calibration", "rng"]),
+    "mc-size": ("size", "c52ea98f5c468185", _DECIDED + ["calibration", "rng"]),
+    "mc-power": ("power", "dd0fa26e4af20c22", _DECIDED + ["calibration", "rng"]),
     "mc-dist": ("distribution", "5f2b5935d13ad5ce", _REPLICATED + ["calibration", "rng"]),
     "mc-divergence": ("divergence", "33baa943f72d760d", _REPLICATED + ["rng"]),
     "mc-sweep": ("bandwidth_sweep", "21f51a8d6c449084", ["experiment", "T_values", "betas", "calibration"]),

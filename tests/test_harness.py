@@ -16,6 +16,7 @@ from spherelrd.models import build_spharma, example_model, reference_spharma11
 from spherelrd.harness import (
     ExperimentConfig,
     McTable,
+    _N_CHUNKS,
     _chunks,
     _ks_distance,
     run_bandwidth_sweep,
@@ -25,7 +26,7 @@ from spherelrd.harness import (
     run_power,
     run_size,
 )
-from spherelrd.lrdtest import bandwidth, leading_columns
+from spherelrd.lrdtest import _half_support, bandwidth, leading_columns, null_moments
 from spherelrd.simulate import SeedSpec, simulate_panel
 from spherelrd.spectral import fdft_panel
 
@@ -44,6 +45,10 @@ def test_thread_count_resolution(small_model, monkeypatch):
     assert _config(small_model, threads=3).threads == 3
     with pytest.raises(SpherelrdError, match="thread count must be >= 1, got 0"):
         _config(small_model, threads=0)
+    # a run is cut into at most _N_CHUNKS chunks, one per worker
+    assert _config(small_model, threads=_N_CHUNKS).threads == _N_CHUNKS == 4
+    with pytest.raises(SpherelrdError, match="thread count must be <= 4, got 5"):
+        _config(small_model, threads=_N_CHUNKS + 1)
 
 
 def test_config_validation(small_model):
@@ -342,7 +347,6 @@ def test_a_T_past_the_sampler_reads_panels(monkeypatch):
     # a T whose g-support is wider than the sampler serves is simulated; the
     # other T keeps the entries it draws in a run of its own
     from spherelrd import harness, sampler
-    from spherelrd.lrdtest import _half_support
 
     model = example_model(1, 1, 2)
     cols = leading_columns(model.degrees, 3)
@@ -368,7 +372,13 @@ def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch
     config = _config(small_model, R=1)
     base = harness._config_manifest(config, "size")
     # size and power draw from the support sampler, the others from panels
-    assert base["rng"] == sampler.STREAMS == "sfc64-seedsequence-per-T/support-cholesky"
+    # past the sampler's cap on V they read panels, and the descriptor says so
+    assert base["rng"] == sampler.STREAMS == (
+        "sfc64-seedsequence-per-T/support-cholesky if V <= 512, "
+        "else sfc64-seedsequence/stationary-start"
+    )
+    assert f"V <= {sampler.MAX_ORDINATES}," in sampler.STREAMS
+    assert sampler.STREAMS.endswith(f", else {simulate.STREAMS}")
     assert harness._config_manifest(config, "power")["rng"] == sampler.STREAMS
     for name in ("distribution", "divergence", "consistency"):
         assert harness._config_manifest(config, name)["rng"] == simulate.STREAMS
@@ -383,6 +393,34 @@ def test_config_hash_covers_rng_descriptor_not_versions(small_model, monkeypatch
     size = harness.EXPERIMENTS["size"]
     monkeypatch.setitem(harness.EXPERIMENTS, "size", size._replace(streams="philox/burn-in-1000"))
     assert harness._config_manifest(config, "size")["config_hash"] != base["config_hash"]
+
+
+def test_entries_draw_and_calibrate_the_degrees_their_columns_touch(monkeypatch):
+    # 8 directions of degrees 1-8 lie in degrees 1-2: the panel, the support
+    # roots and the null moments are all those of the model restricted to them
+    from spherelrd import harness, sampler
+
+    model = example_model(1)
+    cols = leading_columns(model.degrees, 8)
+    seen = {"simulate_panel": [], "support_plan": [], "null_moments": []}
+    for name in seen:
+        def recording(m, *args, _name=name, _fn=getattr(harness, name)):
+            seen[_name].append(m.degrees)
+            return _fn(m, *args)
+
+        monkeypatch.setattr(harness, name, recording)
+    T = 1024  # one T past the cap, one below it
+    monkeypatch.setattr(sampler, "MAX_ORDINATES", len(_half_support(T, bandwidth(T, 0.25))[0]) - 1)
+    config = _config(model, T_values=(128, T))
+    entries = harness._standardized_entries(config, cols, 2, sampled=True)
+    assert seen == {"simulate_panel": [DegreeRange(1, 2)] * 2,
+                    "support_plan": [DegreeRange(1, 2)] * 2,
+                    "null_moments": [DegreeRange(1, 2)] * 2}
+    full = config.null_model()
+    for T, (s, z) in zip(config.T_values, entries):
+        mean, sd = null_moments(full, T, bandwidth(T, 0.25))
+        rows = [n - 1 for n, _ in cols]
+        np.testing.assert_array_equal(z, (s - mean[rows]) / sd[rows])
 
 
 def test_config_hash_covers_arma_coefficients():

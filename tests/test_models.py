@@ -66,11 +66,8 @@ def _example_periodograms(example: int, n: int) -> np.ndarray:
     """Periodogram ordinates s = 1..T/2 - 1 of degree n of an example model:
     T = 512, 40 replications, one column per (replication, order)."""
     T, R = 512, 40
-    model = example_model(example)
-    dfts = [
-        np.fft.rfft(simulate_panel(model, T, SeedSpec(515, r), degrees=DegreeRange(n, n)).data, axis=0)
-        for r in range(R)
-    ]
+    model = example_model(example).restrict(DegreeRange(n, n))
+    dfts = [np.fft.rfft(simulate_panel(model, T, SeedSpec(515, r)).data, axis=0) for r in range(R)]
     return np.abs(np.concatenate(dfts, axis=1)[1 : T // 2]) ** 2 / (2 * np.pi * T)
 
 

@@ -29,45 +29,38 @@ from spherelrd.spectral import fdft_panel
 NEAR_UNIT = build_spharma(DegreeRange(1, 1), [[1 / 1.01]], [[0.4]])
 
 MODELS = {
-    "h0": (reference_spharma11(), DegreeRange(1, 2)),
-    "example1": (example_model(1), DegreeRange(1, 2)),
+    "h0": reference_spharma11().restrict(DegreeRange(1, 2)),
+    "example1": example_model(1).restrict(DegreeRange(1, 2)),
     # degrees 7 and 8 carry d = 0.899 and d = 0.998
-    "example4": (example_model(4), DegreeRange(7, 8)),
-    "ar-root-1.01": (NEAR_UNIT, DegreeRange(1, 1)),
+    "example4": example_model(4).restrict(DegreeRange(7, 8)),
+    "ar-root-1.01": NEAR_UNIT,
 }
 
 
-def _laws(model):
-    """(degree, b, a, innov, alpha) per degree, as ``simulate_panel`` reads them."""
-    return [(n, (1.0, *model.psi[i]), (1.0, *-model.phi[i]), model.innov[i], model.alpha.values[i])
-            for i, n in enumerate(model.degrees.degrees)]
-
-
-def _engine(model, degrees, T_values, R):
-    """Per T, the (R, dim) raw entries of every column of ``degrees`` as size
+def _engine(model, T_values, R):
+    """Per T, the (R, dim) raw entries of every column of ``model`` as size
     and power drew them from panels: one panel per replication at the longest
     T, every T reading its prefix."""
     Bs = [bandwidth(T, 0.25) for T in T_values]
-    cols = list(range(degrees.dim))
-    out = [np.empty((R, degrees.dim)) for _ in T_values]
+    cols = list(range(model.degrees.dim))
+    out = [np.empty((R, model.degrees.dim)) for _ in T_values]
     for r in range(R):
-        panel = simulate_panel(model, max(T_values), SeedSpec(base_seed=2027, stream_id=r),
-                               degrees=degrees)
+        panel = simulate_panel(model, max(T_values), SeedSpec(base_seed=2027, stream_id=r))
         for k, (T, B) in enumerate(zip(T_values, Bs)):
             out[k][r] = _entries(fdft_panel(panel, T), B, cols)
     return out
 
 
-def _sampled(model, degrees, T, R):
-    support = support_plan(model, degrees, T, bandwidth(T, 0.25))
+def _sampled(model, T, R):
+    support = support_plan(model, T, bandwidth(T, 0.25))
     return np.array([support_entries(SeedSpec(base_seed=2028, stream_id=r), *support)
                      for r in range(R)])
 
 
-def _exact(model, degrees, T):
+def _exact(model, T):
     """Per degree, the exact mean tr(Q) and variance 2 tr(Q^2) of one entry,
     Q = L' W L, from the sampler's root L and weights W."""
-    _, cw, roots = support_plan(model, degrees, T, bandwidth(T, 0.25))
+    _, cw, roots = support_plan(model, T, bandwidth(T, 0.25))
     moments = []
     for _, L in roots:
         Q = L.T @ (cw[:, None] * L)
@@ -88,12 +81,12 @@ def _moments(x):
 def test_sampled_entries_match_the_panel_engine(name, T_values):
     # pooled over a degree's i.i.d. columns: means and variances of the
     # sampler, the engine and the exact law agree pairwise within 4 SE
-    model, degrees = MODELS[name]
-    engine = _engine(model, degrees, T_values, R=150)
+    model = MODELS[name]
+    engine = _engine(model, T_values, R=150)
     for k, T in enumerate(T_values):
-        sampled = _sampled(model, degrees, T, R=600)
-        for n, (mean, var) in zip(degrees.degrees, _exact(model, degrees, T)):
-            lo = degrees.column_offset(n)
+        sampled = _sampled(model, T, R=600)
+        for n, (mean, var) in zip(model.degrees.degrees, _exact(model, T)):
+            lo = model.degrees.column_offset(n)
             cols = slice(lo, lo + 2 * n + 1)
             got = _moments(sampled[:, cols].ravel())
             want = _moments(engine[k][:, cols].ravel())
@@ -109,7 +102,7 @@ def test_exact_mean_is_the_fejer_sum(T):
     # c tr(W C) from the sampler's root equals an independent Fejer sum of
     # the closed-form ARMA(1, 1) autocovariance
     model = reference_spharma11()
-    mean = [m for m, _ in _exact(model, model.degrees, T)]
+    mean = [m for m, _ in _exact(model, T)]
     np.testing.assert_allclose(mean, exact_arma11_mean(model, T, bandwidth(T, 0.25)),
                                rtol=1e-10, atol=0)
 
@@ -140,7 +133,7 @@ def test_covariance_matches_brute_force_sums(model):
     v, _ = _half_support(T, bandwidth(T, 0.25))
     t = np.arange(T)
     E = np.hstack([np.cos(2 * np.pi * np.outer(t, v) / T), -np.sin(2 * np.pi * np.outer(t, v) / T)])
-    for n, *law in _laws(model):
+    for n, *law in model.laws():
         gamma = _autocovariance(*law, T)
         np.testing.assert_allclose(gamma, _brute_autocovariance(model, n, T), rtol=1e-12)
         toeplitz = gamma[np.abs(t[:, None] - t)]
@@ -152,7 +145,7 @@ def test_covariance_matches_brute_force_sums(model):
 def test_white_noise_covariance_is_flat(white_noise_model):
     # unit white noise: every DFT part has variance 1 / (4 pi), independent
     T = 1000
-    for n, *law in _laws(white_noise_model):
+    for n, *law in white_noise_model.laws():
         L = support_root(*law, T, bandwidth(T, 0.25))
         np.testing.assert_allclose(L @ L.T, np.eye(len(L)) / (4 * np.pi), rtol=0, atol=1e-15)
 
@@ -164,7 +157,7 @@ def test_near_unit_root_has_a_cholesky_factor(modulus, alpha):
     # its root is its lower Cholesky factor
     model = build_spharma(DegreeRange(1, 1), [[1 / modulus]], [[0.4]],
                           alpha=AlphaProfile(np.array([alpha]), extended=True))
-    [(_, *law)] = _laws(model)
+    [(_, *law)] = model.laws()
     for T in (50, 100, 1000):
         B = bandwidth(T, 0.25)
         L = support_root(*law, T, B)

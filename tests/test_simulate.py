@@ -272,9 +272,10 @@ def test_degree_streams_are_decomposition_invariant():
 @pytest.mark.parametrize("T", [50, 1000])
 @pytest.mark.parametrize("model", [example_model(1), reference_spharma11()], ids=["ex1", "h0"])
 def test_degree_subrange_matches_full_panel_columns(model, T):
+    # the panel of a restricted model is the matching columns of the full panel
     seed = SeedSpec(base_seed=31, stream_id=4)
     full = simulate_panel(model, T, seed)
-    sub = simulate_panel(model, T, seed, degrees=DegreeRange(2, 4))
+    sub = simulate_panel(model.restrict(DegreeRange(2, 4)), T, seed)
     lo = model.degrees.column_offset(2)
     hi = model.degrees.column_offset(4) + 9
     assert sub.degrees == DegreeRange(2, 4)
@@ -282,26 +283,25 @@ def test_degree_subrange_matches_full_panel_columns(model, T):
 
 
 @pytest.mark.parametrize(
-    "model, degrees",
+    "model",
     [
-        (example_model(1), None),
-        (example_model(4), None),
-        (example_model(1), DegreeRange(2, 4)),
-        (reference_spharma11(1, 3, alpha=AlphaProfile(np.array([0.3, 0.0, 0.2]))), None),
+        example_model(1),
+        example_model(4),
+        example_model(1).restrict(DegreeRange(2, 4)),
+        reference_spharma11(1, 3, alpha=AlphaProfile(np.array([0.3, 0.0, 0.2]))),
     ],
     ids=["ex1", "ex4", "ex1-subrange", "mixed"],
 )
-def test_shorter_panel_is_prefix_of_longer(model, degrees):
+def test_shorter_panel_is_prefix_of_longer(model):
     # the harness simulates each replication once at the longest T and reads
     # every shorter T from its first rows.  Null degrees are bit-identical;
     # a long-memory degree differs only by the FFT length of its filter.
     seed = SeedSpec(base_seed=17, stream_id=2)
-    long = simulate_panel(model, 1000, seed, degrees=degrees)
-    panel_degrees = long.degrees
+    long = simulate_panel(model, 1000, seed)
     for T in (50, 100, 999):
-        short = simulate_panel(model, T, seed, degrees=degrees)
-        for n in panel_degrees.degrees:
-            lo = panel_degrees.column_offset(n)
+        short = simulate_panel(model, T, seed)
+        for n in model.degrees.degrees:
+            lo = model.degrees.column_offset(n)
             cols = slice(lo, lo + 2 * n + 1)
             if model.alpha.values[n - model.degrees.n_min] == 0:
                 assert np.array_equal(short.data[:, cols], long.data[:T, cols])
@@ -312,10 +312,20 @@ def test_shorter_panel_is_prefix_of_longer(model, degrees):
 
 def test_degree_subrange_outside_model_raises():
     model = example_model(1, 1, 4)
-    seed = SeedSpec(base_seed=31)
     for degrees in (DegreeRange(0, 2), DegreeRange(3, 5), DegreeRange(6, 7)):
         with pytest.raises(SpherelrdError, match=re.escape(f"degrees {degrees} outside the model's {model.degrees}")):
-            simulate_panel(model, 64, seed, degrees=degrees)
+            model.restrict(degrees)
+
+
+@pytest.mark.parametrize("model", [example_model(1), reference_spharma11()], ids=["ex1", "h0"])
+def test_restrict_keeps_each_degree_law(model):
+    # the model's own range gives the model itself; a sub-range keeps the
+    # laws of its degrees and validates as a model of its own
+    assert model.restrict(model.degrees) is model
+    sub = model.restrict(DegreeRange(2, 4))
+    assert sub.degrees == DegreeRange(2, 4)
+    assert sub.laws() == model.laws()[1:4]
+    assert sub.alpha.extended == model.alpha.extended
 
 
 def test_orders_within_degree_are_distinct(small_model):
