@@ -24,7 +24,11 @@ except that an explicit ``alpha`` section may be attached to "reference").
 fails at load instead of being ignored.  A known key that the command reads
 and whose value does not convert fails as the config is built, with a
 ``SpherelrdError`` naming the key; a known key it does not read is left alone.
-Numbers are JSON numbers: a string or a boolean where one is expected fails.
+Numbers are JSON numbers: a string or a boolean where one is expected fails,
+in the model section at any depth of a nested list, and ``extended`` is
+``true`` or ``false``.  Each value is checked once: the integers (``degrees``,
+``T``, ``R``, ``directions``, ``seed``) where they are stored, by
+``DegreeRange`` and ``ExperimentConfig``, and a model by ``build_spharma``.
 """
 
 from __future__ import annotations
@@ -87,14 +91,6 @@ def _field(section: str, key: str, value, convert):
         raise SpherelrdError(f"invalid {key!r} in section {section!r}: {value!r} ({exc})") from None
 
 
-def _integer(value):
-    """``value`` itself if a JSON number; a string or a boolean is an error.
-    ``ExperimentConfig`` and ``DegreeRange`` reject a fractional one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
 def _real(value) -> float:
     """``value`` as a float; a string or a boolean is an error, not parsed."""
     if isinstance(value, (str, bool)):
@@ -102,26 +98,32 @@ def _real(value) -> float:
     return float(value)
 
 
-def _list_of(convert):
-    """Converter of a JSON list to a tuple of its items, each ``convert``ed."""
-
-    def to_tuple(value) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError("expected a list")
-        return tuple(convert(v) for v in value)
-
-    return to_tuple
+def _reals(value):
+    """``value`` with every number in it, at any depth of nested lists, checked by ``_real``."""
+    return [_reals(v) for v in value] if isinstance(value, list) else _real(value)
 
 
-def _degree_pair(value) -> tuple:
-    n_min, n_max = _list_of(_integer)(value)
-    return n_min, n_max
+def _pair(value) -> tuple:
+    first, second = value
+    return first, second
+
+
+def _check_reals(section: str, spec: dict, keys: tuple) -> None:
+    """Check each of ``keys`` that ``spec`` sets with ``_reals``."""
+    for key in keys:
+        if key in spec:
+            _field(section, key, spec[key], _reals)
 
 
 def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
     kind = doc.get("kind", "explicit")
     if kind == "interpolated" and "endpoints" not in doc and "peak" not in doc:
         raise SpherelrdError("an interpolated alpha profile without a 'peak' needs 'endpoints'")
+    _check_reals("alpha", doc, ("values", "endpoints", "peak"))
+    extended = doc.get("extended", False)
+    if not isinstance(extended, bool):
+        raise SpherelrdError(
+            f"'extended' in section 'alpha' must be true or false, got {extended!r}")
     peak = doc.get("peak")
     try:
         return alpha_profile(
@@ -130,7 +132,7 @@ def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
             values=doc.get("values"),
             endpoints=doc.get("endpoints"),
             peak=tuple(peak) if peak is not None else None,
-            extended=bool(doc.get("extended", False)),
+            extended=extended,
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise SpherelrdError(f"invalid section 'alpha': {doc!r} ({exc})") from None
@@ -140,7 +142,7 @@ def model_from_config(doc: dict) -> SpectralModel:
     spec = doc.get("model")
     if not isinstance(spec, dict):
         raise SpherelrdError("config is missing a 'model' object")
-    n_min, n_max = _field("model", "degrees", spec.get("degrees", [1, 8]), _degree_pair)
+    n_min, n_max = _field("model", "degrees", spec.get("degrees", [1, 8]), _pair)
     gen = spec.get("generator")
     if gen is not None:
         if gen not in _GENERATORS:
@@ -151,6 +153,7 @@ def model_from_config(doc: dict) -> SpectralModel:
             raise SpherelrdError(
                 f"generator {gen!r} does not accept explicit fields {sorted(explicit & spec.keys())}"
             )
+    _check_reals("model", spec, ("phi", "psi", "innov"))
     try:
         if gen is not None and gen != "reference":
             return example_model(int(gen[len("example"):]), n_min, n_max)
@@ -172,9 +175,10 @@ def model_from_config(doc: dict) -> SpectralModel:
         raise SpherelrdError(f"invalid model config: {exc}") from exc
 
 
-# The conversion of each experiment key; EXPERIMENT_FIELDS names the field it fills.
-_CONVERT = {"T": _list_of(_integer), "R": _integer, "beta": _real, "level": _real,
-            "directions": _integer, "seed": _integer, "betas": _list_of(_real)}
+# The conversion of each experiment key that ExperimentConfig does not check
+# itself (it checks every integer); EXPERIMENT_FIELDS names the field it fills.
+_CONVERT = {"T": tuple, "beta": _real, "level": _real,
+            "betas": lambda betas: tuple(map(_real, betas))}
 
 
 def experiment_from_config(
@@ -197,12 +201,13 @@ def experiment_from_config(
     if seed is not None:
         values["seed"] = seed
     if T is not None:
-        values["T"] = [T]
-    if isinstance(values.get("T"), (int, float)):
-        values["T"] = [values["T"]]
+        values["T"] = T
+    if not isinstance(values.get("T", []), (list, tuple)):
+        values["T"] = [values["T"]]  # a single sample length
 
     fields = {
-        EXPERIMENT_FIELDS[key]: _field("experiment", key, values[key], _CONVERT[key])
+        EXPERIMENT_FIELDS[key]:
+            _field("experiment", key, values[key], _CONVERT.get(key, lambda v: v))
         for key in keys
         if key in values
     }

@@ -69,9 +69,10 @@ class ExperimentConfig:
     short-memory factor (see ``null_model``).  ``threads`` is the worker count,
     at most ``_N_CHUNKS``, the chunks a run is cut into.  The bandwidth sweep
     runs over the exponents ``betas``; every other experiment reads ``beta``.
-    Each integer field must hold an integer (a boolean, or a number with a
-    fractional part, is an error naming its config key).  The worker count, the
-    seed, R, and T and betas (each nonempty, none listed twice) are checked
+    Each integer field must hold an integer (a boolean, a string, or a number
+    with a fractional part, is an error naming its config key); config loading
+    leaves that check to this class.  The worker count, the seed (below 2**64),
+    R, and T and betas (each nonempty, none listed twice) are checked
     here, so a bad one fails before any run; ``level``, the range of
     ``n_directions`` and each exponent only where they are read
     (``critical_value``, ``leading_columns``, ``bandwidth``), also before.
@@ -95,7 +96,8 @@ class ExperimentConfig:
         if not 1 <= self.threads <= _N_CHUNKS:
             bound = ">= 1" if self.threads < 1 else f"<= {_N_CHUNKS}"
             raise SpherelrdError(f"thread count must be {bound}, got {self.threads}")
-        SeedSpec(base_seed=self.seed)  # the range check every replication makes
+        if not 0 <= self.seed < 2**64:
+            raise SpherelrdError(f"'seed' must fit in 64 bits, got {self.seed}")
         if self.R < 1:
             raise SpherelrdError("R must be >= 1")
         betas = tuple(self.betas)
@@ -116,13 +118,8 @@ class ExperimentConfig:
         object.__setattr__(self, "betas", betas)
 
     def null_model(self) -> SpectralModel:
-        """The model itself when null, else its short-memory factor: built on
-        first call and kept, so a run validates it once."""
-        kept = self.__dict__
-        if "_null_model" not in kept:
-            model = self.model
-            kept["_null_model"] = model if model.alpha.is_null else model.srd_part()
-        return kept["_null_model"]
+        """The model itself when null, else its short-memory factor."""
+        return self.model if self.model.alpha.is_null else self.model.srd_part()
 
     def rule(self) -> float:
         """``beta``, as ``bandwidth`` takes it; perfbench/child.py calls this."""

@@ -100,8 +100,9 @@ def alpha_profile(
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Validated SPHARMA(p, q) model with an optional long-memory profile: one
-    batched ``_roots`` call finds every degree's AR roots, and one the MA roots."""
+    """SPHARMA(p, q) model with an optional long-memory profile: a record that
+    ``build_spharma`` checks.  Its sub-ranges (``restrict``) and its short-memory
+    factor (``srd_part``) keep laws that already passed, and check nothing."""
 
     degrees: DegreeRange
     p: int
@@ -110,27 +111,6 @@ class SpectralModel:
     psi: np.ndarray    # shape (n_degrees, q)
     innov: np.ndarray  # shape (n_degrees,)
     alpha: AlphaProfile
-
-    def __post_init__(self) -> None:
-        n_deg = len(self.degrees.degrees)
-        phi = np.asarray(self.phi, dtype=float).reshape(n_deg, self.p)
-        psi = np.asarray(self.psi, dtype=float).reshape(n_deg, self.q)
-        innov = np.asarray(self.innov, dtype=float).reshape(n_deg)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "innov", innov)
-        if self.alpha.values.shape != (n_deg,):
-            raise SpherelrdError("alpha profile length does not match degree range")
-        for n, v, ar, ma in zip(self.degrees.degrees, innov, _roots(-phi), _roots(psi)):
-            if v <= 0:
-                raise SpherelrdError(f"innovation eigenvalue at degree {n} must be positive")
-            if ar.size and np.min(np.abs(ar)) <= 1.0 + _ROOT_TOL:
-                raise SpherelrdError(
-                    f"AR polynomial for degree {n} has a root of modulus "
-                    f"{np.min(np.abs(ar)):.6g} <= 1"
-                )
-            if ar.size and ma.size and np.min(np.abs(ma[:, None] - ar)) <= _ROOT_TOL:
-                raise SpherelrdError(f"AR and MA polynomials share a root at degree {n}")
 
     @property
     def n_degrees(self) -> int:
@@ -183,7 +163,8 @@ def build_spharma(
     innov=1.0,
     alpha: AlphaProfile | None = None,
 ) -> SpectralModel:
-    """Assemble and validate a model from per-degree coefficient arrays.
+    """Assemble and check a model from per-degree coefficient arrays: one
+    batched ``_roots`` call finds every degree's AR roots, and one the MA roots.
 
     ``phi``/``psi`` may be (n_degrees, p)/(n_degrees, q) arrays or empty for
     white noise; ``innov`` a scalar or per-degree sequence.
@@ -195,12 +176,27 @@ def build_spharma(
         phi = np.repeat(phi, n_deg, axis=0)
     if psi.shape[0] == 1 and n_deg > 1 and psi.size:
         psi = np.repeat(psi, n_deg, axis=0)
-    innov_arr = np.broadcast_to(np.asarray(innov, dtype=float), (n_deg,)).copy()
+    innov = np.broadcast_to(np.asarray(innov, dtype=float), (n_deg,)).copy()
     if alpha is None:
         alpha = AlphaProfile(values=np.zeros(n_deg))
+    # one row per degree: a row count other than n_degrees fails to reshape
+    phi = phi.reshape(n_deg, phi.shape[1])
+    psi = psi.reshape(n_deg, psi.shape[1])
+    if alpha.values.shape != (n_deg,):
+        raise SpherelrdError("alpha profile length does not match degree range")
+    for n, v, ar, ma in zip(degrees.degrees, innov, _roots(-phi), _roots(psi)):
+        if v <= 0:
+            raise SpherelrdError(f"innovation eigenvalue at degree {n} must be positive")
+        if ar.size and np.min(np.abs(ar)) <= 1.0 + _ROOT_TOL:
+            raise SpherelrdError(
+                f"AR polynomial for degree {n} has a root of modulus "
+                f"{np.min(np.abs(ar)):.6g} <= 1"
+            )
+        if ar.size and ma.size and np.min(np.abs(ma[:, None] - ar)) <= _ROOT_TOL:
+            raise SpherelrdError(f"AR and MA polynomials share a root at degree {n}")
     return SpectralModel(
         degrees=degrees, p=phi.shape[1], q=psi.shape[1],
-        phi=phi, psi=psi, innov=innov_arr, alpha=alpha,
+        phi=phi, psi=psi, innov=innov, alpha=alpha,
     )
 
 
@@ -238,7 +234,7 @@ def reference_spharma11(
     n_min: int = 1, n_max: int = 8, alpha: AlphaProfile | None = None
 ) -> SpectralModel:
     """The canonical SPHARMA(1,1) model on degrees 1..8, short-memory unless
-    an ``alpha`` profile is given; built and validated once."""
+    an ``alpha`` profile is given; checked as ``build_spharma`` builds it."""
     degrees = DegreeRange(n_min, n_max)
     phi = reference_ar_eigenvalues(degrees)[:, None]
     psi = reference_ma_eigenvalues(degrees)[:, None]

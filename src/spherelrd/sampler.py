@@ -136,7 +136,7 @@ def support_root(b: tuple, a: tuple, innov: float, alpha: float, T: int, B: floa
     ``_half_support(T, B)`` of one column of that law; read-only, shared by
     callers.  The covariance is positive definite when the spectral density
     is positive; the factor exists even at the smallest AR root modulus
-    validation admits, with d = 0.998 (tested)."""
+    ``build_spharma`` admits, with d = 0.998 (tested)."""
     v, _ = _half_support(T, B)
     root = np.linalg.cholesky(_dft_covariance(_autocovariance(b, a, innov, alpha, T), v))
     root.flags.writeable = False

@@ -117,6 +117,9 @@ def test_config_errors():
         model_from_config({"model": {"degrees": [1, 2], "innov": [1.0, 2.0, 3.0]}})
     with pytest.raises(SpherelrdError, match="reshape"):
         model_from_config({"model": {"degrees": [1, 2], "phi": [[0.1], [0.2], [0.3]]}})
+    # four rows for two degrees are not an AR(2) model
+    with pytest.raises(SpherelrdError, match="reshape"):
+        model_from_config({"model": {"degrees": [1, 2], "phi": [[0.1], [0.2], [0.3], [0.4]]}})
     with pytest.raises(SpherelrdError, match="alpha"):
         model_from_config({"model": {"generator": "example1", "alpha": {"values": 0.1}}})
     with pytest.raises(SpherelrdError, match="cannot read config /nonexistent/config.json"):
@@ -293,36 +296,41 @@ def test_cli_mc_size(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, generator, alpha, degrees, validations",
+    "command, generator, alpha, degrees",
     [
-        ("mc-power", "example1", None, [1, 2], 2),  # the model and its short-memory factor
-        ("mc-size", "reference", None, [1, 2], 1),  # a null model is its own calibration
-        ("mc-power", "reference", {"kind": "constant", "values": 0.2}, [1, 2], 2),
+        ("mc-power", "example1", None, [1, 2]),
+        ("mc-size", "reference", None, [1, 2]),  # a null model is its own calibration
+        ("mc-power", "reference", {"kind": "constant", "values": 0.2}, [1, 2]),
         # 8 directions lie in degrees 1-2: both models restricted to them
-        ("mc-power", "example1", None, [1, 8], 4),
+        ("mc-power", "example1", None, [1, 8]),
     ],
+    # every case checks the model once; the ids' trailing numbers are historical
     ids=["mc-power-example1-None-2", "mc-size-reference-None-1", "mc-power-reference-alpha2-2",
          "mc-power-example1-degrees-1-8-4"],
 )
 def test_cli_run_validates_each_model_once(tmp_path, monkeypatch, command, generator, alpha,
-                                           degrees, validations):
-    from spherelrd.models import SpectralModel
+                                           degrees):
+    # the loaded model is checked once, by one batched _roots call for its AR
+    # roots and one for its MA roots; its short-memory factor and their
+    # restrictions to the degrees the columns touch check nothing.  The patch
+    # is on models._roots: config imports build_spharma by name
+    from spherelrd import models
 
-    validate = SpectralModel.__post_init__
-    validated = []
+    roots = models._roots
+    calls = []
 
-    def counting(self):
-        validated.append(self)
-        validate(self)
+    def counting(coeffs):
+        calls.append(coeffs)
+        return roots(coeffs)
 
-    monkeypatch.setattr(SpectralModel, "__post_init__", counting)
+    monkeypatch.setattr(models, "_roots", counting)
     doc = {"model": {"generator": generator, "degrees": degrees},
            "experiment": {"T": [128, 256], "R": 2, "seed": 5}}
     if alpha is not None:
         doc["model"]["alpha"] = alpha
     cfg = _write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(validated) == validations
+    assert len(calls) == 2
 
 
 def test_cli_mc_divergence_and_sweep(tmp_path):
@@ -641,6 +649,17 @@ def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
         pytest.param("mc-size", "experiment", "level", "0.05", id="level-string"),
         pytest.param("mc-sweep", "experiment", "betas", ["0.3"], id="betas-string"),
         pytest.param("mc-sweep", "experiment", "betas", [True], id="betas-true"),
+        # so are the model's numbers, at any depth, and extended is a JSON
+        # boolean: bool("no") is true and would admit exponents up to 1
+        pytest.param("validate-model", "model", "innov", True, id="innov-true"),
+        pytest.param("validate-model", "model", "innov", "2", id="innov-string"),
+        pytest.param("validate-model", "model", "phi", [["0.5"]], id="phi-string"),
+        pytest.param("validate-model", "model", "psi", [[False]], id="psi-false"),
+        pytest.param("validate-model", "alpha", "values", ["0.1", "0.2"], id="values-string"),
+        pytest.param("validate-model", "alpha", "peak", ["1", 0.3], id="peak-string"),
+        pytest.param("validate-model", "alpha", "extended", "no", id="extended-string"),
+        # the seed's range error names the config key, not a SeedSpec field
+        pytest.param("mc-size", "experiment", "seed", -1, id="seed-negative"),
     ],
 )
 def test_cli_malformed_value_exits_1_naming_the_key(
@@ -653,6 +672,8 @@ def test_cli_malformed_value_exits_1_naming_the_key(
         },
         "experiment": {"T": [128], "R": 3, "seed": 99},
     }
+    if key in ("phi", "psi", "innov"):
+        del doc["model"]["generator"]  # a generator takes no explicit coefficients
     sections = {"model": doc["model"], "alpha": doc["model"]["alpha"],
                 "experiment": doc["experiment"]}
     if value is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import fft, signal
 
-from spherelrd import SpherelrdError
+from spherelrd import SpherelrdError, models
 from spherelrd.cli import main
 from spherelrd.harmonics import DegreeRange
 from spherelrd.models import AlphaProfile, build_spharma, example_model, reference_spharma11
@@ -317,15 +317,24 @@ def test_degree_subrange_outside_model_raises():
             model.restrict(degrees)
 
 
-@pytest.mark.parametrize("model", [example_model(1), reference_spharma11()], ids=["ex1", "h0"])
-def test_restrict_keeps_each_degree_law(model):
+@pytest.mark.parametrize("model", [example_model(1), reference_spharma11(), example_model(4)],
+                         ids=["ex1", "h0", "ex4"])
+def test_restrict_keeps_each_degree_law(model, monkeypatch):
     # the model's own range gives the model itself; a sub-range keeps the
-    # laws of its degrees and validates as a model of its own
+    # laws of its degrees, and the short-memory factor sets each exponent to
+    # zero.  Neither checks the laws again: they passed when the model was built
+    def unchecked(coeffs):
+        raise AssertionError("a derived model re-ran the root checks")
+
+    monkeypatch.setattr(models, "_roots", unchecked)
     assert model.restrict(model.degrees) is model
     sub = model.restrict(DegreeRange(2, 4))
     assert sub.degrees == DegreeRange(2, 4)
     assert sub.laws() == model.laws()[1:4]
     assert sub.alpha.extended == model.alpha.extended
+    short = [(n, b, a, v, 0.0) for n, b, a, v, _ in model.laws()]
+    assert model.srd_part().laws() == short
+    assert sub.srd_part().laws() == model.srd_part().restrict(sub.degrees).laws() == short[1:4]
 
 
 def test_orders_within_degree_are_distinct(small_model):
