@@ -144,8 +144,8 @@ def _cmd_spectrum(doc, args) -> None:
     """spectrum.csv: the smoothed diagonal f_hat_omega[a, a] of every basis
     column a = (n, j) at 65 frequencies omega in [0, pi], in ``.10g``."""
     config = _experiment(doc, args)
-    T, panel = _single_panel(config)
-    B = bandwidth(T, config.beta)
+    B = bandwidth(_one_T(config), config.beta)  # a bad beta fails before the draw
+    _, panel = _single_panel(config)
     omegas = np.linspace(0.0, np.pi, 65)
     values = smoothed_spectrum(fdft_panel(panel), omegas, B)
     rows = (

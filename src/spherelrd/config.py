@@ -8,7 +8,7 @@ A config document has two sections::
         "degrees": [1, 8],
         "phi": [[...]], "psi": [[...]],  # explicit per-degree ARMA coefficients
         "innov": 1.0,
-        "alpha": {"kind": "interpolated", "endpoints": [0.47, 0.27], ...}
+        "alpha": {"endpoints": [0.47, 0.27]}  # or "values", or "peak"
       },
       "experiment": {
         "T": [1000], "R": 500, "beta": 0.25, "level": 0.05,
@@ -24,16 +24,20 @@ except that an explicit ``alpha`` section may be attached to "reference").
 fails at load instead of being ignored.  A known key that the command reads
 and whose value does not convert fails as the config is built, with a
 ``SpherelrdError`` naming the key; a known key it does not read is left alone.
-Numbers are JSON numbers: a string or a boolean where one is expected fails,
-in the model section at any depth of a nested list, and ``extended`` is
-``true`` or ``false``.  Each value is checked once: the integers (``degrees``,
-``T``, ``R``, ``directions``, ``seed``) where they are stored, by
-``DegreeRange`` and ``ExperimentConfig``, and a model by ``build_spharma``.
+Numbers are finite JSON numbers: a string, a boolean, NaN or an infinity
+where one is expected fails, in the model section at any depth of a nested
+list, and ``extended`` is ``true`` or ``false``.  An alpha section sets
+exactly one of ``values``, ``endpoints`` and ``peak`` (see ``alpha_profile``).
+Each value is checked once: the integers (``degrees``, ``T``, ``R``,
+``directions``, ``seed``) where they are stored, by ``DegreeRange`` and
+``ExperimentConfig``, and a model by ``build_spharma``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+
 import numpy as np
 
 from . import SpherelrdError
@@ -55,7 +59,7 @@ _GENERATORS = ("reference", "example1", "example2", "example3", "example4")
 _KEYS = {
     "": {"model", "experiment"},
     "model": {"generator", "degrees", "phi", "psi", "innov", "alpha"},
-    "alpha": {"kind", "values", "endpoints", "peak", "extended"},
+    "alpha": {"values", "endpoints", "peak", "extended"},
     "experiment": set(EXPERIMENT_FIELDS),
 }
 
@@ -92,10 +96,14 @@ def _field(section: str, key: str, value, convert):
 
 
 def _real(value) -> float:
-    """``value`` as a float; a string or a boolean is an error, not parsed."""
+    """``value`` as a finite float; a string or a boolean is an error, not
+    parsed, and so is the NaN or infinity ``json.load`` accepts."""
     if isinstance(value, (str, bool)):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 def _reals(value):
@@ -116,25 +124,20 @@ def _check_reals(section: str, spec: dict, keys: tuple) -> None:
 
 
 def _alpha_from_doc(doc: dict, n_degrees: int) -> AlphaProfile:
-    kind = doc.get("kind", "explicit")
-    if kind == "interpolated" and "endpoints" not in doc and "peak" not in doc:
-        raise SpherelrdError("an interpolated alpha profile without a 'peak' needs 'endpoints'")
     _check_reals("alpha", doc, ("values", "endpoints", "peak"))
     extended = doc.get("extended", False)
     if not isinstance(extended, bool):
         raise SpherelrdError(
             f"'extended' in section 'alpha' must be true or false, got {extended!r}")
-    peak = doc.get("peak")
     try:
         return alpha_profile(
-            kind,
-            n_degrees=n_degrees,
+            n_degrees,
             values=doc.get("values"),
             endpoints=doc.get("endpoints"),
-            peak=tuple(peak) if peak is not None else None,
+            peak=doc.get("peak"),
             extended=extended,
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpherelrdError(f"invalid section 'alpha': {doc!r} ({exc})") from None
 
 

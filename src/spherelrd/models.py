@@ -45,7 +45,7 @@ class AlphaProfile:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         hi = 1.0 if self.extended else 0.5
-        if np.any(vals < 0) or np.any(vals >= hi):
+        if not np.all((vals >= 0) & (vals < hi)):  # a NaN fails too
             raise SpherelrdError(
                 f"alpha values must lie in [0, {hi}); "
                 "pass extended=True to allow exponents >= 1/2"
@@ -57,44 +57,34 @@ class AlphaProfile:
 
 
 def alpha_profile(
-    kind: str,
-    *,
-    n_degrees: int,
-    values=None,
-    endpoints=None,
-    peak=None,
-    extended: bool = False,
+    n_degrees: int, *, values=None, endpoints=None, peak=None, extended: bool = False
 ) -> AlphaProfile:
-    """Build an exponent profile.
-
-    kind "explicit": ``values`` gives alpha(n) for each degree in order.
-    kind "interpolated": linear in n between ``endpoints`` (first, last degree);
-    with ``peak=(position, height)`` a piecewise-linear peak profile instead.
-    kind "constant": single value from ``values``.
-    """
-    if kind == "explicit":
+    """An exponent profile from the one form key set, as in a config's alpha
+    section: ``values``, one alpha for every degree or a list of one per degree;
+    ``endpoints=(first, last)``, linear from the first degree to the last; or
+    ``peak=(first, position, height)``, linear from ``first`` up to ``height`` at
+    the 0-based index ``position``, then down at the same slope, clipped at 0."""
+    if sum(v is not None for v in (values, endpoints, peak)) != 1:
+        raise SpherelrdError("an alpha profile sets exactly one of 'values', 'endpoints', 'peak'")
+    if peak is not None:
+        lo, pos, height = peak
+        lo, pos = float(lo), float(pos)
+        idx = np.arange(n_degrees, dtype=float)
+        vals = np.where(
+            idx <= pos,
+            lo + (height - lo) * idx / max(pos, 1.0),
+            height - (height - lo) / max(pos, 1.0) * (idx - pos),
+        )
+        vals = np.clip(vals, 0.0, None)
+    elif endpoints is not None:
+        first, last = endpoints
+        vals = np.linspace(float(first), float(last), n_degrees)
+    elif np.ndim(values) == 0:
+        vals = np.full(n_degrees, float(values))
+    else:
         vals = np.asarray(values, dtype=float)
         if vals.shape != (n_degrees,):
             raise SpherelrdError(f"expected {n_degrees} alpha values, got {vals.shape}")
-    elif kind == "constant":
-        vals = np.full(n_degrees, float(values))
-    elif kind == "interpolated":
-        if peak is not None:
-            pos, height = peak
-            lo = float(endpoints[0]) if endpoints is not None else 0.0
-            idx = np.arange(n_degrees, dtype=float)
-            pos = float(pos)
-            vals = np.where(
-                idx <= pos,
-                lo + (height - lo) * idx / max(pos, 1.0),
-                height - (height - lo) / max(pos, 1.0) * (idx - pos),
-            )
-            vals = np.clip(vals, 0.0, None)
-        else:
-            first, last = float(endpoints[0]), float(endpoints[1])
-            vals = np.linspace(first, last, n_degrees)
-    else:
-        raise SpherelrdError(f"unknown alpha profile kind {kind!r}")
     return AlphaProfile(values=vals, extended=extended)
 
 
@@ -185,7 +175,7 @@ def build_spharma(
     if alpha.values.shape != (n_deg,):
         raise SpherelrdError("alpha profile length does not match degree range")
     for n, v, ar, ma in zip(degrees.degrees, innov, _roots(-phi), _roots(psi)):
-        if v <= 0:
+        if not v > 0:  # a NaN fails too
             raise SpherelrdError(f"innovation eigenvalue at degree {n} must be positive")
         if ar.size and np.min(np.abs(ar)) <= 1.0 + _ROOT_TOL:
             raise SpherelrdError(
@@ -242,12 +232,13 @@ def reference_spharma11(
 
 
 _EXAMPLE_ALPHA = {
-    # (kind-args) reconstructed from published endpoints; interior values are
-    # linear interpolations and explicitly overridable via configs.
-    1: dict(endpoints=(0.4733, 0.2678), extended=False, peak=None),
-    2: dict(endpoints=(0.2550, 0.3327), extended=False, peak=None),
-    3: dict(endpoints=(0.2753, None), extended=False, peak=(4, 0.4000)),
-    4: dict(endpoints=(0.3041, None), extended=True, peak=(7, 0.9982)),
+    # alpha sections reconstructed from published endpoints; interior values
+    # are interpolated.  On the "reference" generator a config section with
+    # the same keys builds the same model.
+    1: {"endpoints": (0.4733, 0.2678)},
+    2: {"endpoints": (0.2550, 0.3327)},
+    3: {"peak": (0.2753, 4, 0.4000)},
+    4: {"peak": (0.3041, 7, 0.9982), "extended": True},
 }
 
 
@@ -257,7 +248,7 @@ def example_alpha_profile(example: int, n_degrees: int = 8) -> AlphaProfile:
         spec = _EXAMPLE_ALPHA[example]
     except KeyError:
         raise SpherelrdError(f"unknown example number {example}") from None
-    return alpha_profile("interpolated", n_degrees=n_degrees, **spec)
+    return alpha_profile(n_degrees, **spec)
 
 
 def example_model(example: int, n_min: int = 1, n_max: int = 8) -> SpectralModel:

@@ -80,13 +80,32 @@ def test_explicit_model_from_config():
             "phi": [[0.3], [0.2]],
             "psi": [[0.1], [0.1]],
             "innov": 2.0,
-            "alpha": {"kind": "explicit", "values": [0.1, 0.2]},
+            "alpha": {"values": [0.1, 0.2]},
         }
     }
     model = model_from_config(doc)
     assert model.p == 1 and model.q == 1
     np.testing.assert_allclose(model.alpha.values, [0.1, 0.2])
     np.testing.assert_allclose(model.innov, 2.0)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_alpha_section_on_reference_is_the_example_model(example):
+    # the section an example's profile is written as, on the reference
+    # generator, builds that example's model bit for bit
+    sections = {
+        1: {"endpoints": [0.4733, 0.2678]},
+        2: {"endpoints": [0.2550, 0.3327]},
+        3: {"peak": [0.2753, 4, 0.4]},
+        4: {"peak": [0.3041, 7, 0.9982], "extended": True},
+    }
+    doc = {"model": {"generator": "reference", "alpha": sections[example]}}
+    model = model_from_config(doc)
+    expected = model_from_config({"model": {"generator": f"example{example}"}})
+    assert model.alpha.values.tobytes() == example_alpha_profile(example).values.tobytes()
+    assert model.alpha.extended == expected.alpha.extended == (example == 4)
+    for field in ("phi", "psi", "innov"):
+        assert getattr(model, field).tobytes() == getattr(expected, field).tobytes()
 
 
 def test_generator_rejects_explicit_fields():
@@ -99,7 +118,7 @@ def test_reference_generator_accepts_alpha_override():
         "model": {
             "generator": "reference",
             "degrees": [1, 2],
-            "alpha": {"kind": "constant", "values": 0.3},
+            "alpha": {"values": 0.3},
         }
     }
     model = model_from_config(doc)
@@ -211,6 +230,21 @@ def test_cli_spectrum(tmp_path):
     assert all(float(row[3]) >= 0.0 for row in rows[1:])
 
 
+def test_cli_spectrum_checks_beta_before_it_simulates(tmp_path, monkeypatch, capsys):
+    # a beta outside (0, 1) fails before the panel is drawn, as in mc-dist
+    from spherelrd import cli
+
+    def no_panel(*args, **kwargs):
+        raise AssertionError("a panel was drawn")
+
+    monkeypatch.setattr(cli, "simulate_panel", no_panel)
+    doc = {**WN_DOC, "experiment": {"T": [200000], "beta": 1.5}}
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: beta must lie in (0, 1), got 1.5\n"
+    assert not out.exists()
+
+
 def test_cli_test_report(tmp_path):
     cfg = _write_config(tmp_path, SMALL_DOC)
     out = tmp_path / "out"
@@ -300,7 +334,7 @@ def test_cli_mc_size(tmp_path):
     [
         ("mc-power", "example1", None, [1, 2]),
         ("mc-size", "reference", None, [1, 2]),  # a null model is its own calibration
-        ("mc-power", "reference", {"kind": "constant", "values": 0.2}, [1, 2]),
+        ("mc-power", "reference", {"values": 0.2}, [1, 2]),
         # 8 directions lie in degrees 1-2: both models restricted to them
         ("mc-power", "example1", None, [1, 8]),
     ],
@@ -398,7 +432,7 @@ def test_cli_unknown_key_exits_at_load(tmp_path, monkeypatch, command, section, 
     doc = {
         "model": {
             "generator": "reference", "degrees": [1, 2],
-            "alpha": {"kind": "constant", "values": 0.0},
+            "alpha": {"values": 0.0},
         },
         "experiment": {"T": [128], "R": 3, "seed": 99},
     }
@@ -633,8 +667,19 @@ def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
         # checked as T is: a sweep over no exponent, or one exponent twice
         pytest.param("mc-sweep", "experiment", "betas", [], id="betas-empty"),
         pytest.param("mc-sweep", "experiment", "betas", [0.3, 0.3], id="betas-repeated"),
-        # an interpolated profile without endpoints (None: the key is removed)
+        # a profile that sets no form key (None: the key is removed)
         pytest.param("validate-model", "alpha", "endpoints", None, id="endpoints"),
+        # an alpha section sets exactly one of values, endpoints and peak, and
+        # each of them whole: a second form key, a third endpoint or a kind
+        # beside them was ignored and ran the profile of the first
+        pytest.param("validate-model", "model", "alpha",
+                     {"values": [0.1, 0.2], "endpoints": [0.3, 0.1], "peak": [0.3, 4, 0.4]},
+                     id="values-endpoints-peak"),
+        pytest.param("validate-model", "alpha", "peak", [0.3, 4, 0.4], id="endpoints-peak"),
+        pytest.param("validate-model", "alpha", "values", 0.3, id="values-endpoints"),
+        pytest.param("validate-model", "alpha", "values", [0.1, 0.2], id="values-list-endpoints"),
+        pytest.param("validate-model", "alpha", "endpoints", [0.3, 0.2, 0.1], id="endpoints-three"),
+        pytest.param("validate-model", "alpha", "kind", "interpolated", id="kind"),
         # a sample length listed twice: a consistency run would fit its
         # log-log slope on one distinct T
         pytest.param("mc-consistency", "experiment", "T", [512, 512], id="T-repeated"),
@@ -658,6 +703,16 @@ def test_cli_sweep_is_keyed_only_by_what_it_reads(tmp_path):
         pytest.param("validate-model", "alpha", "values", ["0.1", "0.2"], id="values-string"),
         pytest.param("validate-model", "alpha", "peak", ["1", 0.3], id="peak-string"),
         pytest.param("validate-model", "alpha", "extended", "no", id="extended-string"),
+        # json.load reads NaN and Infinity: each is no number here (a NaN
+        # innov ran mc-size with every rate 0, a NaN alpha as short memory)
+        pytest.param("mc-size", "model", "innov", float("nan"), id="innov-nan"),
+        pytest.param("mc-size", "model", "innov", float("inf"), id="innov-inf"),
+        pytest.param("validate-model", "model", "phi", [[float("nan")]], id="phi-nan"),
+        pytest.param("validate-model", "model", "phi", [[float("inf")]], id="phi-inf"),
+        pytest.param("mc-power", "model", "alpha", {"values": float("nan")}, id="values-nan"),
+        pytest.param("mc-power", "model", "alpha", {"values": float("inf")}, id="values-inf"),
+        pytest.param("mc-size", "experiment", "beta", float("nan"), id="beta-nan"),
+        pytest.param("mc-size", "experiment", "beta", float("-inf"), id="beta-inf"),
         # the seed's range error names the config key, not a SeedSpec field
         pytest.param("mc-size", "experiment", "seed", -1, id="seed-negative"),
     ],
@@ -668,7 +723,7 @@ def test_cli_malformed_value_exits_1_naming_the_key(
     doc = {
         "model": {
             "generator": "reference", "degrees": [1, 2],
-            "alpha": {"kind": "interpolated", "endpoints": [0.0, 0.0]},
+            "alpha": {"endpoints": [0.0, 0.0]},
         },
         "experiment": {"T": [128], "R": 3, "seed": 99},
     }
@@ -687,7 +742,10 @@ def test_cli_malformed_value_exits_1_naming_the_key(
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and repr(key) in captured.err
+    # a whole alpha section names each key it sets
+    named = value if isinstance(value, dict) else [key]
+    assert captured.err.startswith("error: ")
+    assert all(repr(k) in captured.err for k in named)
     assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 

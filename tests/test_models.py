@@ -237,6 +237,13 @@ def test_nonpositive_innovation_rejected():
         build_spharma(DegreeRange(1, 1), [[0.1]], [], innov=0.0)
 
 
+def test_nan_innovation_and_exponent_rejected():
+    with pytest.raises(SpherelrdError, match="innovation eigenvalue at degree 1 must be positive"):
+        build_spharma(DegreeRange(1, 1), [[0.1]], [], innov=np.nan)
+    with pytest.raises(SpherelrdError, match=r"alpha values must lie in \[0, 0.5\)"):
+        AlphaProfile(values=[np.nan])
+
+
 def test_alpha_range_enforced():
     with pytest.raises(SpherelrdError, match=r"alpha values must lie in \[0, 0.5\)"):
         AlphaProfile(values=np.array([0.5]))
@@ -254,16 +261,29 @@ def test_alpha_profile_summaries():
     assert AlphaProfile(values=np.zeros(3)).is_null
 
 
-def test_alpha_profile_kinds():
-    np.testing.assert_allclose(
-        alpha_profile("constant", n_degrees=4, values=0.3).values, 0.3
-    )
-    lin = alpha_profile("interpolated", n_degrees=5, endpoints=(0.1, 0.3))
-    np.testing.assert_allclose(lin.values, np.linspace(0.1, 0.3, 5))
+def test_alpha_profile_forms():
+    # the one form key that is set selects the profile
+    np.testing.assert_array_equal(alpha_profile(4, values=0.3).values, np.full(4, 0.3))
+    np.testing.assert_array_equal(alpha_profile(3, values=[0.1, 0.2, 0.0]).values, [0.1, 0.2, 0.0])
     with pytest.raises(SpherelrdError, match=r"expected 3 alpha values, got \(2,\)"):
-        alpha_profile("explicit", n_degrees=3, values=[0.1, 0.2])
-    with pytest.raises(SpherelrdError, match="unknown alpha profile kind 'mystery'"):
-        alpha_profile("mystery", n_degrees=3)
+        alpha_profile(3, values=[0.1, 0.2])
+    lin = alpha_profile(5, endpoints=(0.1, 0.3))
+    np.testing.assert_array_equal(lin.values, np.linspace(0.1, 0.3, 5))
+    # up from first to height at index 2, down at the same slope, clipped at 0
+    peak = alpha_profile(6, peak=(0.1, 2, 0.3))
+    np.testing.assert_allclose(peak.values, [0.1, 0.2, 0.3, 0.2, 0.1, 0.0], atol=1e-15)
+    assert alpha_profile(2, peak=(0.6, 1, 0.9), extended=True).extended
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [{}, {"values": 0.1, "endpoints": (0.1, 0.2)}, {"endpoints": (0.1, 0.2), "peak": (0.1, 1, 0.2)},
+     {"values": 0.1, "endpoints": (0.1, 0.2), "peak": (0.1, 1, 0.2)}],
+    ids=["none", "values-endpoints", "endpoints-peak", "all-three"],
+)
+def test_alpha_profile_sets_exactly_one_form(forms):
+    with pytest.raises(SpherelrdError, match="exactly one of 'values', 'endpoints', 'peak'"):
+        alpha_profile(3, **forms)
 
 
 def test_example_profiles_frozen():
